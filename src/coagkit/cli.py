@@ -31,11 +31,11 @@ from .compactness import (FunctionFamily, dlvp_construct, eta_limit,
 from .diagnostics import (bound_monitor, comparison_ode, gelation_detect,
                           gelation_functional, weak_form_residual)
 from .errors import (CoagKitError, ConfigError, ConstructionError,
-                     UnsupportedFamilyError)
+                     DomainError, UnsupportedFamilyError)
 from .grids import SizeGrid, init_distribution
 from .kernels import KernelSpec, RadialRate, classify
 from .reference import exact_solution
-from .solver import SolverConfig, Trajectory, integrate
+from .solver import SolverConfig, Trajectory, integrate, resolve_kernel
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -135,7 +135,6 @@ CONFIG_SCHEMA = {
                 "snapshots": {"type": "array", "items": _POS, "minItems": 1},
                 "truncation_n": _POS,
                 "truncation_mode": {"enum": ["cap", "product_cap"]},
-                "fast_gain": {"type": "boolean"},
             },
         },
         "diagnostics": {
@@ -342,7 +341,6 @@ def build_run(cfg: dict):
         boundary=s.get("boundary", "absorbing"),
         truncation_n=s.get("truncation_n"),
         truncation_mode=s.get("truncation_mode", "cap"),
-        use_fast_gain=s.get("fast_gain"),
     )
     return init, config
 
@@ -393,7 +391,7 @@ def _run_diagnostics(cfg: dict, traj: Trajectory, kernel: KernelSpec) -> list:
                 for rep in bound_monitor(traj, kernel, name, **kwargs):
                     rows.extend(rep.rows())
             elif name == "comparison_ode":
-                rows.extend(comparison_ode(traj, kernel.rate).rows())
+                rows.extend(comparison_ode(traj, kernel.radial_rate()).rows())
             elif name == "weak_form_identity":
                 res = weak_form_residual(traj, kernel, check.get("theta", "identity"))
                 rows.append({"check": "weak_form_identity",
@@ -440,7 +438,7 @@ def cmd_simulate(config_path, out: str | None = None, jobs: int = 1) -> int:
         _write(out_dir / "moments.csv", traj.moments_csv())
         _write(out_dir / "snapshots.csv", traj.snapshots_csv())
     _write(out_dir / "run.json", _json_text(_run_json(cfg, traj)))
-    rows = _run_diagnostics(cfg, traj, config.kernel)
+    rows = _run_diagnostics(cfg, traj, resolve_kernel(config, traj.grid))
     if rows:
         _write(out_dir / "diagnostics.json", _json_text(rows))
         if "csv" in formats:
@@ -488,12 +486,11 @@ def cmd_validate(config_path, out: str | None = None, jobs: int = 1) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     fam = config.kernel.family
-    if fam not in ("constant", "additive", "multiplicative"):
-        print(f"no oracle for kernel family {fam!r}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     try:
-        exact_solution(config.kernel, 0.0)
-    except UnsupportedFamilyError as exc:
+        # the run ends at t_end at the latest, so this probes the oracle's
+        # family and its window of validity before any work is done
+        exact_solution(config.kernel, config.t_end)
+    except (UnsupportedFamilyError, DomainError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
 
@@ -646,8 +643,9 @@ def cmd_gelation(config_path, out: str | None = None, jobs: int = 1) -> int:
         base_cfg = SolverConfig(**{**config.__dict__, "boundary": "conservative"})
         baseline = integrate(init, base_cfg)
     policy = sec.get("policy", "m2_extrapolation")
+    kernel = resolve_kernel(config, traj.grid)
     report = gelation_detect(traj, policy, threshold=sec.get("threshold", 0.01),
-                             baseline=baseline, kernel=config.kernel)
+                             baseline=baseline, kernel=kernel)
     obj = {
         "policy": policy,
         "t_gel_detected": report.t_gel_detected,
@@ -655,9 +653,8 @@ def cmd_gelation(config_path, out: str | None = None, jobs: int = 1) -> int:
         "flags": report.flags,
     }
     xi_cfg = sec.get("xi")
-    if xi_cfg is not None and config.kernel.family in ("product", "multiplicative"):
-        rate = config.kernel.rate if config.kernel.family == "product" \
-            else RadialRate.identity()
+    if xi_cfg is not None and kernel.family in ("product", "multiplicative"):
+        rate = kernel.radial_rate()
         xi = ("power_shifted", xi_cfg.get("lam", 1.5)) \
             if xi_cfg.get("kind", "power_shifted") == "power_shifted" else "ratio_shifted"
         try:

@@ -20,7 +20,7 @@ from scipy.special import beta as beta_fn
 from .errors import DomainError, UnsupportedFamilyError
 from .grids import SizeDistribution, moment
 from .kernels import KernelSpec, RadialRate, classify, growth_constant
-from .solver import Trajectory, _PairTables
+from .solver import Trajectory, _rate_operator
 from .compactness import phi_integral
 
 __all__ = [
@@ -218,23 +218,21 @@ def weak_form_residual(traj: Trajectory, kernel: KernelSpec, theta,
                        boundary: str | None = None) -> WeakFormResidual:
     """Residual of the time-integrated moment identity on snapshot intervals.
 
-    The pair sum honours the trajectory's boundary mode: suppressed
-    reactions are excluded, and under the absorbing boundary an overflowing
-    product contributes no gain term.  With exact dynamics the residual is
-    pure quadrature error.
+    The collision term at each snapshot is the integral of theta against
+    gain minus loss from the solver's own rate operator, so it honours the
+    trajectory's boundary mode: suppressed reactions are excluded, and under
+    the absorbing boundary an overflowing product contributes no gain term.
+    With exact dynamics the residual is pure quadrature error.
     """
     grid = traj.grid
     if boundary is None:
         boundary = traj.config.boundary if traj.config is not None else "conservative"
     tag, th = _theta_values(theta, grid.pivots)
-    tables = _PairTables(grid, kernel, boundary)
-    th_target = tables.w_lo * th[tables.idx_lo] + tables.w_hi * th[tables.idx_hi]
-    th_target = np.where(tables.overflow, 0.0, th_target)
-    theta_tilde = (th_target - th[:, None] - th[None, :]) * tables.react
+    op = _rate_operator(grid, kernel, boundary)
 
     def collision_term(snap: SizeDistribution) -> float:
-        n = snap.number
-        return 0.5 * float(np.sum(theta_tilde * tables.kmat * np.outer(n, n)))
+        split = op.split(snap.density)
+        return float(np.dot(th, (split.gain - split.loss) * grid.widths))
 
     terms = np.array([collision_term(s) for s in traj.snapshots])
     mom = np.array([float(np.dot(th, s.number)) for s in traj.snapshots])
@@ -276,20 +274,6 @@ def flux_decomposition(dist: SizeDistribution, kernel: KernelSpec, A: float
 
 def _weighted_sum(snap: SizeDistribution, values: np.ndarray) -> float:
     return float(np.dot(values, snap.number))
-
-
-def _resolve_rate(kernel: KernelSpec) -> RadialRate:
-    if kernel.family == "product":
-        rate = kernel.rate
-        if kernel.cap is not None and kernel.cap_mode == "product":
-            rate = rate.truncated(kernel.cap)
-        return rate
-    if kernel.family == "multiplicative":
-        rate = RadialRate.identity()
-        if kernel.cap is not None and kernel.cap_mode == "product":
-            rate = rate.truncated(kernel.cap)
-        return rate
-    raise UnsupportedFamilyError("monitor needs a product-form kernel")
 
 
 def bound_monitor(traj: Trajectory, kernel: KernelSpec, which: str,
@@ -336,7 +320,7 @@ def bound_monitor(traj: Trajectory, kernel: KernelSpec, which: str,
     if which == "product_l2":
         if A is None:
             raise DomainError("product_l2 needs the tail threshold A")
-        rate = _resolve_rate(kernel)
+        rate = kernel.radial_rate()
         rvals = np.asarray(rate(grid.pivots))
         full = np.array([_weighted_sum(s, rvals) for s in snaps])
         tail_vals = np.where(grid.pivots >= A, rvals, 0.0)
@@ -353,7 +337,7 @@ def bound_monitor(traj: Trajectory, kernel: KernelSpec, which: str,
         ]
 
     if which == "equicontinuity":
-        rate = _resolve_rate(kernel)
+        rate = kernel.radial_rate()
         m1 = snaps[0].moment(1.0)
         norm11 = snaps[0].moment(0.0) + m1
         c4 = max(2.0 * m1, (2.0 * norm11) ** 1.5)
@@ -625,19 +609,6 @@ def c5_constant(alpha: float, beta: float, lam: float) -> tuple[float, str]:
     return c5, note
 
 
-def _kernel_exponents(kernel: KernelSpec) -> tuple[float, float]:
-    if kernel.family == "power_sum":
-        return kernel.params
-    if kernel.family == "constant":
-        return (0.0, 0.0)
-    if kernel.family == "additive":
-        return (0.0, 1.0)
-    if kernel.family == "multiplicative":
-        return (1.0, 1.0)
-    raise UnsupportedFamilyError(
-        "cdf-weighted distance needs a two-exponent (power-sum form) kernel")
-
-
 def _cdf_distance(f1: SizeDistribution, f2: SizeDistribution, lam: float) -> float:
     """Integral of x^(lam-1) |F1 - F2| over (0, infinity), computed exactly
     for piecewise-constant tail CDFs with atoms at the pivots."""
@@ -689,7 +660,7 @@ def uniqueness_distance(traj1: Trajectory, traj2: Trajectory, kind,
             raise DomainError("cdf distance needs lam in (0, 1]")
         if kernel is None:
             raise DomainError("cdf distance needs the kernel for its constant")
-        alpha, beta = _kernel_exponents(kernel)
+        alpha, beta = kernel.exponents()
         c5, note = c5_constant(alpha, beta, lam)
         d = np.array([_cdf_distance(a, b, lam) for a, b in snaps])
         mlam = np.array([moment(a, lam) + moment(b, lam) for a, b in snaps])

@@ -135,11 +135,6 @@ class SizeDistribution:
         """Per-cell particle number (density times width)."""
         return self.density * self.grid.widths
 
-    def norm_weighted(self, mu: float = 1.0) -> float:
-        """The (1 + x^mu)-weighted L1 norm of the density."""
-        p, w = self.grid.pivots, self.grid.widths
-        return float(np.sum((1.0 + p**mu) * np.abs(self.density) * w))
-
     def with_time(self, t: float) -> "SizeDistribution":
         return SizeDistribution(self.grid, self.density.copy(), float(t))
 
@@ -245,8 +240,8 @@ def init_distribution(grid: SizeGrid, family: str, **params) -> SizeDistribution
         density = np.asarray(params["density"], dtype=float)
         if density.shape != (m,):
             raise GridError("tabulated density length must match the grid")
-        if np.any(density < 0):
-            raise DomainError("density must be non-negative")
+        if not np.all(np.isfinite(density)) or np.any(density < 0):
+            raise DomainError("density must be finite and non-negative")
     else:
         raise DomainError(f"unknown initial-condition family {family!r}")
     return SizeDistribution(grid, density, 0.0)

@@ -172,7 +172,7 @@ class KernelSpec:
 
     @staticmethod
     def from_function(x_nodes, func) -> "KernelSpec":
-        """Tabulate ``func(x, y)`` on a node grid (used for the cube-sum presets)."""
+        """Tabulate ``func(x, y)`` on a node grid."""
         x_nodes = np.asarray(x_nodes, dtype=float)
         xx, yy = np.meshgrid(x_nodes, x_nodes, indexing="ij")
         return KernelSpec.tabulated(x_nodes, func(xx, yy))
@@ -243,24 +243,34 @@ class KernelSpec:
             return KernelSpec(self.family, self.params, self.rate, self.table, cap, "product")
         raise DomainError(f"unknown truncation mode {mode!r}")
 
-    @property
-    def homogeneity(self) -> float | None:
-        """Scaling degree for the homogeneous built-ins, else None."""
-        if self.cap is not None:
-            return None
-        if self.family == "constant":
-            return 0.0
-        if self.family == "additive":
-            return 1.0
-        if self.family == "multiplicative":
-            return 2.0
+    # -- structure -----------------------------------------------------------
+
+    def radial_rate(self) -> RadialRate:
+        """The factor r of a product-form kernel K = r(x) r(y), with the
+        product cap applied; a pointwise cap ``min(K, n)`` has no product
+        form and is not reflected."""
+        if self.family == "product":
+            rate = self.rate
+        elif self.family == "multiplicative":
+            rate = RadialRate.identity()
+        else:
+            raise UnsupportedFamilyError("kernel has no product form r(x) r(y)")
+        if self.cap is not None and self.cap_mode == "product":
+            rate = rate.truncated(self.cap)
+        return rate
+
+    def exponents(self) -> tuple[float, float]:
+        """(alpha, beta) of the two-exponent form x^a y^b + x^b y^a."""
         if self.family == "power_sum":
-            return self.params[0] + self.params[1]
-        if self.family == "brownian":
-            return 0.0
-        if self.family == "product" and self.rate.form == "power_law":
-            return 2.0 * self.rate.params[0]
-        return None
+            return self.params
+        if self.family == "constant":
+            return (0.0, 0.0)
+        if self.family == "additive":
+            return (0.0, 1.0)
+        if self.family == "multiplicative":
+            return (1.0, 1.0)
+        raise UnsupportedFamilyError(
+            "kernel has no two-exponent (power-sum) form")
 
 
 def _bilinear_log(nodes, matrix, x, y):
@@ -444,21 +454,3 @@ def growth_constant(labels: list[GrowthClass], label: str, name: str) -> float:
         if g.label == label:
             return g.constants[name]
     raise UnsupportedFamilyError(f"kernel carries no {label!r} classification")
-
-
-# Kernel presets quoted in the classical literature but not exercised by the
-# estimates: tabulated on a wide log grid, used by symmetry/classification
-# tests only.
-
-def preset_cube_sum(x_min: float = 1e-3, x_max: float = 1e3, n: int = 96) -> KernelSpec:
-    """(x^(1/3) + y^(1/3))^3 as a tabulated kernel."""
-    xs = np.geomspace(x_min, x_max, n)
-    return KernelSpec.from_function(xs, lambda x, y: (np.cbrt(x) + np.cbrt(y)) ** 3)
-
-
-def preset_cube_diff(x_min: float = 1e-3, x_max: float = 1e3, n: int = 96) -> KernelSpec:
-    """(x^(1/3) + y^(1/3))^2 |x^(1/3) - y^(1/3)| as a tabulated kernel."""
-    xs = np.geomspace(x_min, x_max, n)
-    return KernelSpec.from_function(
-        xs, lambda x, y: (np.cbrt(x) + np.cbrt(y)) ** 2 * np.abs(np.cbrt(x) - np.cbrt(y))
-    )

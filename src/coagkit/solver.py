@@ -10,10 +10,16 @@ grid handled by one of two boundary modes:
   and the product mass accumulates in an explicit gel-mass variable, so
   grid mass plus gel mass is constant.
 
-Separable kernels (constant, additive, multiplicative, two-exponent sums,
-product kernels, Brownian) on integer grids use an FFT fast path for the
-gain convolution and prefix sums for the loss; everything else falls back
-to a dense pairwise path.
+One rate operator per grid and kernel answers ``split(density)`` with the
+gain, the loss and the gel rate; the integrator, ``fast_gain`` and the
+weak-form diagnostic all use it.  The kernel and the grid alone choose it:
+separable kernels (constant, additive, multiplicative, two-exponent sums,
+product kernels, Brownian) on integer grids, uncapped or with a cap that
+never binds, take the separable path (FFT convolutions for the gain, prefix
+sums for the loss); everything else takes the dense pairwise path.  The run
+records which one ran as ``step_log["rate_path"]``.  A kernel without a cap
+is integrated as given; it is truncated only when ``truncation_n`` or its
+own cap asks for it.
 """
 
 from __future__ import annotations
@@ -66,7 +72,6 @@ class SolverConfig:
     boundary: str = "absorbing"     # "absorbing" | "conservative"
     truncation_n: float | None = None
     truncation_mode: str = "cap"    # "cap" | "product_cap"
-    use_fast_gain: bool | None = None  # None = automatic
 
     def __post_init__(self):
         if self.t_end <= 0:
@@ -180,20 +185,15 @@ def _separable_terms(kernel: KernelSpec, x: np.ndarray) -> list[tuple[np.ndarray
         return [(kernel.params[0] * ones, ones)]
     if fam == "additive":
         return [(x, ones), (ones, x)]
-    if fam == "multiplicative":
-        return [(x, x)]
+    if fam in ("multiplicative", "product"):
+        r = np.asarray(kernel.radial_rate()(x))
+        return [(r, r)]
     if fam == "power_sum":
         a, b = kernel.params
         return [(x**a, x**b), (x**b, x**a)]
     if fam == "brownian":
         cb = np.cbrt(x)
         return [(2.0 * ones, ones), (cb, 1.0 / cb), (1.0 / cb, cb)]
-    if fam == "product":
-        rate = kernel.rate
-        if kernel.cap is not None and kernel.cap_mode == "product":
-            rate = rate.truncated(kernel.cap)
-        r = np.asarray(rate(x))
-        return [(r, r)]
     raise UnsupportedFamilyError(f"kernel family {fam!r} has no separable form")
 
 
@@ -219,6 +219,53 @@ def _fast_path_ok(kernel: KernelSpec, grid: SizeGrid) -> bool:
     return kernel.cap >= _kernel_grid_bound(kernel, grid) * (1.0 - 1e-12)
 
 
+# ---------------------------------------------------------------------------
+# Rate operators: one per grid kind and kernel, both answering split()
+# ---------------------------------------------------------------------------
+
+class _SeparableOperator:
+    """Rates for separable kernels on a discrete grid: FFT convolutions for
+    the gain, prefix and suffix sums for the loss and the overflow flux."""
+
+    path = "separable"
+
+    def __init__(self, grid: SizeGrid, kernel: KernelSpec, boundary: str):
+        self.x = grid.pivots
+        self.n = grid.n
+        self.boundary = boundary
+        self.terms = _separable_terms(kernel, self.x)
+
+    def split(self, f: np.ndarray, refine: bool = False) -> RateSplit:
+        """``gain_i = 0.5 * sum_{j+k=i} K(j,k) f_j f_k`` counts only products
+        that land on the grid, so only the loss and the gel rate depend on
+        the boundary mode.  ``refine`` recomputes convolution entries below
+        the FFT round-off floor by direct summation."""
+        n = self.n
+        x = self.x
+        gain = np.zeros(n)
+        loss_factor = np.zeros(n)
+        gel_rate = 0.0
+        for a, b in self.terms:
+            af = a * f
+            bf = b * f
+            gain[1:] += _conv_prefix(af, bf, n - 1, refine)
+            if self.boundary == "conservative":
+                # sum over partners j <= n - i
+                prefix = np.concatenate(([0.0], np.cumsum(bf)))
+                loss_factor += a * prefix[n - np.arange(1, n + 1)]
+            else:
+                loss_factor += a * float(np.sum(bf))
+                # overflow mass flux: partners k > n - j, via suffix sums,
+                # so the rate is a sum of non-negative products (exactly
+                # zero until the tail is populated)
+                tb = np.cumsum(bf[::-1])
+                txb = np.cumsum((x * bf)[::-1])
+                gel_rate += 0.5 * float(np.dot(af, x * tb + txb))
+        gain *= 0.5
+        return RateSplit(gain=gain, loss=f * loss_factor,
+                         loss_factor=loss_factor, gel_rate=gel_rate)
+
+
 def fast_gain(dist: SizeDistribution, kernel: KernelSpec, refine: bool = True) -> np.ndarray:
     """Gain term on an integer grid via fast convolution.
 
@@ -232,23 +279,15 @@ def fast_gain(dist: SizeDistribution, kernel: KernelSpec, refine: bool = True) -
     if not _fast_path_ok(kernel, dist.grid):
         raise UnsupportedFamilyError(
             "fast_gain needs a separable kernel whose cap does not bind on the grid")
-    x = dist.grid.pivots
-    f = dist.density
-    n = f.size
-    gain = np.zeros(n)
-    for a, b in _separable_terms(kernel, x):
-        conv = _conv_prefix(a * f, b * f, n - 1, refine)
-        gain[1:] += conv
-    gain *= 0.5
-    return gain
+    op = _SeparableOperator(dist.grid, kernel, "conservative")
+    return op.split(dist.density, refine).gain
 
-
-# ---------------------------------------------------------------------------
-# Reference pairwise rates (any family, both grid kinds)
-# ---------------------------------------------------------------------------
 
 class _PairTables:
-    """Precomputed pair-interaction tables for the dense path."""
+    """Rates for any kernel on either grid kind, from precomputed N x N
+    pair-interaction tables (the dense path)."""
+
+    path = "dense"
 
     def __init__(self, grid: SizeGrid, kernel: KernelSpec, boundary: str):
         m = grid.size
@@ -281,14 +320,12 @@ class _PairTables:
             self.w_hi = t
         self.react = ~self.overflow if boundary == "conservative" else np.ones_like(self.overflow)
         self.kmat_react = self.kmat * self.react
-        self.pair_mass = v
 
     def split(self, density: np.ndarray) -> RateSplit:
         grid = self.grid
         n_cells = grid.size
         number = density * grid.widths
-        pair = self.kmat * np.outer(number, number)       # ordered pair rates
-        pair_react = pair * self.react
+        pair_react = self.kmat_react * np.outer(number, number)   # ordered pair rates
         on_grid = pair_react * ~self.overflow
         w = (on_grid * self.w_lo).ravel()
         gain_num = 0.5 * np.bincount(self.idx_lo.ravel(), weights=w, minlength=n_cells)
@@ -297,11 +334,20 @@ class _PairTables:
         loss_factor = self.kmat_react @ number
         gain = gain_num / grid.widths
         loss = density * loss_factor
+        gel = 0.0
         if self.boundary == "absorbing":
-            gel = 0.5 * float(np.sum(pair * self.overflow * self.pair_mass))
-        else:
-            gel = 0.0
+            # mass balance: what the pairs remove and do not put back on
+            # the grid is the mass of the overflowing products
+            gel = float(np.dot(grid.pivots * grid.widths, loss - gain))
         return RateSplit(gain=gain, loss=loss, loss_factor=loss_factor, gel_rate=gel)
+
+
+def _rate_operator(grid: SizeGrid, kernel: KernelSpec, boundary: str):
+    """The rate operator for this grid and kernel: separable when the kernel
+    factorises on an integer grid and no pointwise cap binds, dense otherwise."""
+    if _fast_path_ok(kernel, grid):
+        return _SeparableOperator(grid, kernel, boundary)
+    return _PairTables(grid, kernel, boundary)
 
 
 def rates(dist: SizeDistribution, kernel: KernelSpec,
@@ -314,81 +360,27 @@ def rates(dist: SizeDistribution, kernel: KernelSpec,
     """
     if boundary not in ("absorbing", "conservative"):
         raise DomainError(f"unknown boundary mode {boundary!r}")
-    tables = _PairTables(dist.grid, kernel, boundary)
-    return tables.split(dist.density)
+    return _PairTables(dist.grid, kernel, boundary).split(dist.density)
 
 
-# ---------------------------------------------------------------------------
-# Right-hand-side operators for the integrator
-# ---------------------------------------------------------------------------
+class _Rhs:
+    """Integrator right-hand side over a rate operator, in the
+    positivity-preserving form ``max(gain, 0) - loss``.
 
-class _SeparableRhs:
-    """Fast RHS for separable kernels on a discrete grid.
-
-    State vector: N densities followed by the gel mass.
+    State vector: the cell densities followed by the gel mass.
     """
 
-    def __init__(self, grid: SizeGrid, kernel: KernelSpec, boundary: str,
-                 refine: bool = False):
-        self.x = grid.pivots
-        self.n = grid.n
-        self.boundary = boundary
-        self.refine = refine
-        self.terms = _separable_terms(kernel, self.x)
+    def __init__(self, op):
+        self.op = op
         self.evals = 0
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         self.evals += 1
-        n = self.n
-        x = self.x
-        f = y[:n]
-        gain = np.zeros(n)
-        loss_factor = np.zeros(n)
-        gel_rate = 0.0
-        for a, b in self.terms:
-            af = a * f
-            bf = b * f
-            gain[1:] += _conv_prefix(af, bf, n - 1, self.refine)
-            if self.boundary == "conservative":
-                # sum over partners j <= n - i
-                prefix = np.concatenate(([0.0], np.cumsum(bf)))
-                loss_factor += a * prefix[n - np.arange(1, n + 1)]
-            else:
-                loss_factor += a * float(np.sum(bf))
-                # overflow mass flux: partners k > n - j, via suffix sums,
-                # so the rate is a sum of non-negative products (exactly
-                # zero until the tail is populated)
-                tb = np.cumsum(bf[::-1])
-                txb = np.cumsum((x * bf)[::-1])
-                gel_rate += 0.5 * float(np.dot(af, x * tb + txb))
-        gain *= 0.5
-        loss = f * loss_factor
-        fdot = np.maximum(gain, 0.0) - loss
-        out = np.empty(n + 1)
-        out[:n] = fdot
-        out[n] = gel_rate
-        return out
-
-
-class _DenseRhs:
-    """Pairwise RHS for arbitrary kernels (both grid kinds)."""
-
-    def __init__(self, grid: SizeGrid, kernel: KernelSpec, boundary: str):
-        self.tables = _PairTables(grid, kernel, boundary)
-        self.grid = grid
-        self.evals = 0
-
-    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        self.evals += 1
-        m = self.grid.size
-        split = self.tables.split(y[:m])
+        m = y.size - 1
+        split = self.op.split(y[:m])
         out = np.empty(m + 1)
         out[:m] = np.maximum(split.gain, 0.0) - split.loss
-        if self.tables.boundary == "absorbing":
-            p, w = self.grid.pivots, self.grid.widths
-            out[m] = float(np.dot(p * w, split.loss - split.gain))
-        else:
-            out[m] = 0.0
+        out[m] = split.gel_rate
         return out
 
 
@@ -420,7 +412,7 @@ class _StepLog:
         self.flag = None
         self.min_dt = math.inf
 
-    def as_dict(self, evals: int, runtime: float) -> dict:
+    def as_dict(self, evals: int, runtime: float, rate_path: str) -> dict:
         return {
             "accepted": self.accepted,
             "rejected": self.rejected,
@@ -430,6 +422,7 @@ class _StepLog:
             "min_dt": None if math.isinf(self.min_dt) else self.min_dt,
             "rhs_evals": evals,
             "runtime_s": runtime,
+            "rate_path": rate_path,
         }
 
 
@@ -475,6 +468,9 @@ def _advance_rk45(rhs, t0, t1, y, weights, rel_tol, abs_tol, log, t_end, clamp):
         y5 = y + h * sum(b * k[j] for j, b in enumerate(_DP_B) if b)
         err = h * sum(e * k[j] for j, e in enumerate(_DP_E) if e)
         en = _weighted_norm(err, weights)
+        if not math.isfinite(en):
+            log.flag = "non_finite"
+            return y, False
         tol = tol_of(y)
         if en <= tol:
             t += h
@@ -499,6 +495,9 @@ def _advance_rk4(rhs, t0, t1, y, dt, log, clamp):
         k3 = rhs(t + h / 2, y + h / 2 * k2)
         k4 = rhs(t + h, y + h * k3)
         y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            log.flag = "non_finite"
+            return y, False
         y = clamp(y)
         t += h
         log.accepted += 1
@@ -510,47 +509,28 @@ def _advance_rk4(rhs, t0, t1, y, dt, log, clamp):
 # Driver
 # ---------------------------------------------------------------------------
 
-def _default_cap(kernel: KernelSpec, grid: SizeGrid) -> float:
-    """Cap level that leaves min(K, n) unsaturated on the grid diagonal."""
-    p = grid.pivots
-    raw = replace(kernel, cap=None)
-    return float(np.max(raw.eval(p, p)))
-
-
 def resolve_kernel(config: SolverConfig, grid: SizeGrid) -> KernelSpec:
-    """Kernel actually integrated: explicit truncation wins, otherwise the
-    default diagonal cap makes the approximation explicit."""
-    kernel = config.kernel
+    """Kernel actually integrated: the configured kernel, truncated only
+    when ``truncation_n`` or its own cap asks for it.  No default applies,
+    so the result is the same on every grid."""
     if config.truncation_n is not None:
         mode = "product_cap" if config.truncation_mode == "product_cap" else "cap"
-        return kernel.truncate(config.truncation_n, mode)
-    if kernel.cap is not None:
-        return kernel
-    return kernel.truncate(_default_cap(kernel, grid), "cap")
+        return config.kernel.truncate(config.truncation_n, mode)
+    return config.kernel
 
 
 def integrate(init: SizeDistribution, config: SolverConfig) -> Trajectory:
     """Run the coagulation dynamics from ``init`` and record snapshots.
 
-    On step-size underflow (gelation stiffness) the trajectory collected so
-    far is returned with ``step_log["flag"] = "dt_underflow"`` rather than
-    raising.
+    On step-size underflow (gelation stiffness) or a non-finite stage the
+    trajectory collected so far is returned with ``step_log["flag"]`` set
+    to ``"dt_underflow"`` or ``"non_finite"`` rather than raising.
+    ``step_log["rate_path"]`` names the rate operator that ran.
     """
-    if np.any(init.density < 0):
-        raise DomainError("initial density must be non-negative")
+    if not np.all(np.isfinite(init.density)) or np.any(init.density < 0):
+        raise DomainError("initial density must be finite and non-negative")
     grid = init.grid
-    kernel = resolve_kernel(config, grid)
-
-    want_fast = config.use_fast_gain
-    if want_fast is None:
-        want_fast = _fast_path_ok(kernel, grid)
-    elif want_fast and not _fast_path_ok(kernel, grid):
-        raise UnsupportedFamilyError(
-            "fast gain requested but the kernel/grid combination is not separable")
-    if want_fast:
-        rhs = _SeparableRhs(grid, kernel, config.boundary)
-    else:
-        rhs = _DenseRhs(grid, kernel, config.boundary)
+    rhs = _Rhs(_rate_operator(grid, resolve_kernel(config, grid), config.boundary))
 
     m = grid.size
     weights = np.empty(m + 1)
@@ -591,6 +571,6 @@ def integrate(init: SizeDistribution, config: SolverConfig) -> Trajectory:
     times = np.array([s.time for s in snapshots])
     values = {mu: np.array([s.moment(mu) for s in snapshots]) for mu in MOMENT_ORDERS}
     moments = MomentSeries(times, values, np.asarray(gel_series))
-    step_log = log.as_dict(rhs.evals, time.perf_counter() - started)
+    step_log = log.as_dict(rhs.evals, time.perf_counter() - started, rhs.op.path)
     return Trajectory(snapshots=snapshots, moments=moments, step_log=step_log,
                       config=config)

@@ -52,9 +52,10 @@ def run_constant_perturbed(run_constant):
 def run_additive_4k():
     cfg = ck.SolverConfig(kernel=ck.KernelSpec.additive(), t_end=1.0,
                           rel_tol=1e-8, boundary="conservative",
-                          use_fast_gain=True,
                           snapshot_times=tuple(np.linspace(0.1, 1.0, 10)))
-    return timed_run(mono_init(4096), cfg)
+    traj, elapsed = timed_run(mono_init(4096), cfg)
+    assert traj.step_log["rate_path"] == "separable"
+    return traj, elapsed
 
 
 @pytest.fixture(scope="module")

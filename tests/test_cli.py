@@ -35,6 +35,7 @@ def test_simulate_artifacts_and_exit_zero(tmp_path):
     run = json.loads((out / "run.json").read_text())
     assert run["config_sha256"] == cli.config_hash(json.loads(path.read_text()))
     assert run["step_log"]["flag"] is None
+    assert run["step_log"]["rate_path"] == "separable"
 
 
 def test_simulate_missing_kernel_exits_2(tmp_path):
@@ -54,6 +55,15 @@ def test_simulate_unknown_key_exits_2(tmp_path):
 def test_simulate_malformed_json_exits_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
+    assert cli.cmd_simulate(path) == 2
+
+
+def test_simulate_non_finite_density_exits_2(tmp_path):
+    cfg = base_config(tmp_path / "o")
+    cfg["grid"]["n"] = 4
+    cfg["init"] = {"family": "tabulated",
+                   "params": {"density": [1.0, float("nan"), 0.0, 0.0]}}
+    path = write_config(tmp_path, "nan.json", cfg)
     assert cli.cmd_simulate(path) == 2
 
 
@@ -93,6 +103,16 @@ def test_validate_pass_and_tolerance_fail(tmp_path):
 def test_validate_unsupported_family_exits_4(tmp_path):
     cfg = base_config(tmp_path / "o")
     cfg["kernel"] = {"family": "brownian"}
+    path = write_config(tmp_path, "v.json", cfg)
+    assert cli.cmd_validate(path) == 4
+
+
+def test_validate_past_oracle_window_exits_4(tmp_path):
+    # the multiplicative oracle holds only before gelation at t = 1
+    cfg = base_config(tmp_path / "o")
+    cfg["kernel"] = {"family": "multiplicative"}
+    cfg["solver"].update({"boundary": "absorbing", "t_end": 1.5,
+                          "snapshots": [0.5, 1.5]})
     path = write_config(tmp_path, "v.json", cfg)
     assert cli.cmd_validate(path) == 4
 
@@ -161,15 +181,39 @@ def test_simulate_diagnostics_rows(tmp_path):
     cfg = base_config(tmp_path / "o", **{
         "diagnostics": {"checks": [{"name": "phi_gronwall", "R": 10.0},
                                      {"name": "weak_form_identity",
-                                      "theta": "identity"}]},
+                                      "theta": "identity"},
+                                     {"name": "comparison_ode"}]},
     })
     path = write_config(tmp_path, "d.json", cfg)
     assert cli.cmd_simulate(path) == 0
     rows = json.loads((tmp_path / "o" / "diagnostics.json").read_text())
     names = {r["check"] for r in rows}
     assert "phi_gronwall" in names and "weak_form_identity" in names
+    # the constant kernel has no product form r(x) r(y): refused, not a crash
+    ode = next(r for r in rows if r["check"] == "comparison_ode")
+    assert ode["verdict"].startswith("refused")
     csv = (tmp_path / "o" / "diagnostics.csv").read_text()
     assert csv.splitlines()[0] == "check,lhs,rhs,margin,verdict"
+
+
+def test_diagnostics_use_the_integrated_kernel(tmp_path):
+    # with a binding truncation the run integrates min(xy, 8); the number
+    # identity holds for that kernel up to quadrature error, not for raw xy
+    cfg = base_config(tmp_path / "o", **{
+        "kernel": {"family": "multiplicative"},
+        "diagnostics": {"checks": [{"name": "weak_form_identity",
+                                      "theta": "one"}]},
+    })
+    cfg["grid"]["n"] = 64
+    cfg["solver"].update({"boundary": "absorbing", "truncation_n": 8.0,
+                          "snapshots": [0.05 * k for k in range(1, 21)]})
+    path = write_config(tmp_path, "w.json", cfg)
+    assert cli.cmd_simulate(path) == 0
+    run = json.loads((tmp_path / "o" / "run.json").read_text())
+    assert run["step_log"]["rate_path"] == "dense"
+    rows = json.loads((tmp_path / "o" / "diagnostics.json").read_text())
+    assert rows[0]["check"] == "weak_form_identity"
+    assert rows[0]["lhs"] <= 1e-4
 
 
 def test_sweep_isolated_outputs(tmp_path):

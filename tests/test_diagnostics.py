@@ -68,6 +68,20 @@ def test_weak_form_zero_distribution():
     assert res.max_abs() == 0.0
 
 
+def test_weak_form_past_dense_table_limit():
+    # 8192 cells is past the dense tables' 4096-cell limit; a separable
+    # kernel on a discrete grid needs no N x N table, so the check runs
+    grid = ck.SizeGrid.discrete(8192)
+    init = ck.init_distribution(grid, "monodisperse", size=1)
+    cfg = ck.SolverConfig(kernel=ck.KernelSpec.constant(2.0), t_end=0.5,
+                          rel_tol=1e-10, boundary="conservative",
+                          snapshot_times=tuple(np.linspace(0.01, 0.5, 50)))
+    traj = ck.integrate(init, cfg)
+    assert traj.step_log["rate_path"] == "separable"
+    res = ck.weak_form_residual(traj, ck.KernelSpec.constant(2.0), "one")
+    assert res.max_abs() <= 1e-6
+
+
 def test_weak_form_min_with_and_flux_consistency(multiplicative_run):
     # the theta_A collision term equals -(I1 + I2 + I3) at each snapshot
     A = 8.0

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import coagkit as ck
 from coagkit.errors import DomainError, UnsupportedFamilyError
-from coagkit.kernels import preset_cube_diff, preset_cube_sum
 
 CLOSED_FORM_FAMILIES = [
     ck.KernelSpec.constant(2.0),
@@ -15,6 +14,19 @@ CLOSED_FORM_FAMILIES = [
     ck.KernelSpec.brownian(),
     ck.KernelSpec.product(ck.RadialRate.power_law(0.75)),
 ]
+
+
+def preset_cube_sum(x_min=1e-3, x_max=1e3, n=96):
+    """(x^(1/3) + y^(1/3))^3 as a tabulated kernel."""
+    xs = np.geomspace(x_min, x_max, n)
+    return ck.KernelSpec.from_function(xs, lambda x, y: (np.cbrt(x) + np.cbrt(y)) ** 3)
+
+
+def preset_cube_diff(x_min=1e-3, x_max=1e3, n=96):
+    """(x^(1/3) + y^(1/3))^2 |x^(1/3) - y^(1/3)| as a tabulated kernel."""
+    xs = np.geomspace(x_min, x_max, n)
+    return ck.KernelSpec.from_function(
+        xs, lambda x, y: (np.cbrt(x) + np.cbrt(y)) ** 2 * np.abs(np.cbrt(x) - np.cbrt(y)))
 
 
 def test_eval_examples():
@@ -157,10 +169,3 @@ def test_growth_class_consistency_bounded_implies_weaker():
     assert np.all(np.asarray(k.eval(x[:, None], x[None, :]))
                   <= by["sublinear_factored"]["kappa"]
                   * (1 + x[:, None]) * (1 + x[None, :]) + 1e-12)
-
-
-def test_homogeneity_tags():
-    assert ck.KernelSpec.multiplicative().homogeneity == 2.0
-    assert ck.KernelSpec.power_sum(0.25, 0.5).homogeneity == 0.75
-    assert ck.KernelSpec.product(ck.RadialRate.power_law(0.75)).homogeneity == 1.5
-    assert ck.KernelSpec.multiplicative().truncate(5.0).homogeneity is None

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import coagkit as ck
-from coagkit.errors import DomainError, UnsupportedFamilyError
+from coagkit.errors import DomainError
 from coagkit.solver import _advance_rk45, _StepLog, resolve_kernel
 
 
@@ -226,29 +226,37 @@ def test_time_equicontinuity_lipschitz_bound():
             assert l1 <= c2 * (times[b] - times[a]) * (1 + 1e-9)
 
 
-def test_default_cap_is_diagonal_max():
+def test_resolved_kernel_is_the_requested_one():
     grid = ck.SizeGrid.discrete(64)
-    cfg = ck.SolverConfig(kernel=ck.KernelSpec.multiplicative(), t_end=1.0)
-    resolved = resolve_kernel(cfg, grid)
-    assert resolved.cap == 64.0**2
-    # the default cap never binds on the grid
-    p = grid.pivots
-    np.testing.assert_array_equal(
-        resolved.eval(p[:, None], p[None, :]),
-        ck.KernelSpec.multiplicative().eval(p[:, None], p[None, :]))
+    for kernel in (ck.KernelSpec.multiplicative(), ck.KernelSpec.brownian(),
+                   ck.KernelSpec.power_sum(-0.5, 0.5),
+                   ck.KernelSpec.additive().truncate(50.0)):
+        cfg = ck.SolverConfig(kernel=kernel, t_end=1.0)
+        assert resolve_kernel(cfg, grid) == kernel
     cfg2 = ck.SolverConfig(kernel=ck.KernelSpec.multiplicative(), t_end=1.0,
                            truncation_n=10.0)
-    assert resolve_kernel(cfg2, grid).cap == 10.0
+    assert resolve_kernel(cfg2, grid) == ck.KernelSpec.multiplicative().truncate(10.0)
 
 
 def test_integrate_brownian_dense_path():
+    # the same Brownian kernel, tabulated on the pivots, has no separable
+    # form: the dense run is an independent oracle for the separable one
     grid = ck.SizeGrid.discrete(48)
     init = ck.init_distribution(grid, "monodisperse", size=1)
-    cfg = ck.SolverConfig(kernel=ck.KernelSpec.brownian(), t_end=0.5,
-                          rel_tol=1e-8, boundary="conservative")
-    traj = ck.integrate(init, cfg)
-    assert abs(traj.moments[1.0][-1] - 1.0) <= 1e-9
-    assert np.all(np.diff(traj.moments[0.0]) < 0)
+    p = grid.pivots
+    brownian = ck.KernelSpec.brownian()
+    tabulated = ck.KernelSpec.tabulated(p, brownian.eval(p[:, None], p[None, :]))
+    runs = {}
+    for kernel in (brownian, tabulated):
+        cfg = ck.SolverConfig(kernel=kernel, t_end=0.5, rel_tol=1e-8,
+                              boundary="conservative")
+        traj = ck.integrate(init, cfg)
+        runs[traj.step_log["rate_path"]] = traj
+        assert abs(traj.moments[1.0][-1] - 1.0) <= 1e-9
+        assert np.all(np.diff(traj.moments[0.0]) < 0)
+    fast, dense = runs["separable"], runs["dense"]
+    for a, b in zip(fast.snapshots, dense.snapshots):
+        np.testing.assert_allclose(a.density, b.density, rtol=1e-12, atol=1e-15)
 
 
 def test_integrate_sectional_grid():
@@ -270,6 +278,33 @@ def test_rk4_fixed_scheme():
                           scheme="rk4", dt=1e-3, boundary="conservative")
     traj = ck.integrate(init, cfg)
     assert traj.moments[0.0][-1] == pytest.approx(0.5, rel=1e-9)
+
+
+def test_non_finite_initial_density_rejected():
+    grid = ck.SizeGrid.discrete(16)
+    cfg = ck.SolverConfig(kernel=ck.KernelSpec.constant(2.0), t_end=1.0)
+    for bad in (np.nan, np.inf):
+        density = np.ones(16)
+        density[3] = bad
+        with pytest.raises(DomainError):
+            ck.integrate(ck.SizeDistribution(grid, density), cfg)
+
+
+def test_non_finite_stage_flag():
+    # a NaN right-hand side must stop the step loop, not grow the step
+    class NotFinite:
+        evals = 0
+
+        def __call__(self, t, y):
+            NotFinite.evals += 1
+            return np.full(y.size, np.nan)
+
+    log = _StepLog()
+    _, ok = _advance_rk45(NotFinite(), 0.0, 1.0, np.ones(4), np.ones(4),
+                          1e-10, 1e-14, log, 1.0, lambda v: v)
+    assert not ok
+    assert log.flag == "non_finite"
+    assert log.accepted == 0 and NotFinite.evals <= 8
 
 
 def test_dt_underflow_flag():
@@ -318,10 +353,10 @@ def test_snapshot_times_respected():
         assert traj.moments[1.0][k] == pytest.approx(snap.moment(1.0), rel=1e-14)
 
 
-def test_use_fast_gain_refusal():
+def test_binding_truncation_records_dense_path():
     grid = ck.SizeGrid.discrete(32)
     init = ck.init_distribution(grid, "monodisperse", size=1)
-    cfg = ck.SolverConfig(kernel=ck.KernelSpec.multiplicative(), t_end=0.1,
-                          truncation_n=5.0, use_fast_gain=True)
-    with pytest.raises(UnsupportedFamilyError):
-        ck.integrate(init, cfg)
+    for truncation_n, path in ((5.0, "dense"), (None, "separable")):
+        cfg = ck.SolverConfig(kernel=ck.KernelSpec.multiplicative(), t_end=0.1,
+                              truncation_n=truncation_n)
+        assert ck.integrate(init, cfg).step_log["rate_path"] == path
