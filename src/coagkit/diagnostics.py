@@ -20,7 +20,7 @@ from scipy.special import beta as beta_fn
 from .errors import DomainError, UnsupportedFamilyError
 from .grids import SizeDistribution, moment
 from .kernels import KernelSpec, RadialRate, classify, growth_constant
-from .solver import Trajectory, _rate_operator
+from .solver import Trajectory, _cap_binds, _rate_operator
 from .compactness import phi_integral
 
 __all__ = [
@@ -285,8 +285,9 @@ def bound_monitor(traj: Trajectory, kernel: KernelSpec, which: str,
     exp(C1 t), C1 = 2 kappa (1+R)^2 M0(0)); "psi_moment" (weighted moment of
     psi(1+x) grows at most like exp(C3 t), C3 = 2 kappa1 ||f0||_{1,1});
     "product_l2" (running square-integrals of the radial moment bounded by
-    2 M0(0) and 2 M1(0)/A); "equicontinuity" (L1 modulus of continuity for
-    product kernels).
+    2 M0(0) and 2 M1(0)/A; refused when a pointwise cap binds on the grid,
+    since min(K, n) has no product form); "equicontinuity" (L1 modulus of
+    continuity for product kernels).
 
     Returns a list of MarginReport, one per sub-bound.
     """
@@ -321,6 +322,9 @@ def bound_monitor(traj: Trajectory, kernel: KernelSpec, which: str,
         if A is None:
             raise DomainError("product_l2 needs the tail threshold A")
         rate = kernel.radial_rate()
+        if _cap_binds(kernel, grid):
+            raise UnsupportedFamilyError(
+                "product_l2 needs a product kernel whose pointwise cap does not bind on the grid")
         rvals = np.asarray(rate(grid.pivots))
         full = np.array([_weighted_sum(s, rvals) for s in snaps])
         tail_vals = np.where(grid.pivots >= A, rvals, 0.0)

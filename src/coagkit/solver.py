@@ -15,11 +15,18 @@ gain, the loss and the gel rate; the integrator, ``fast_gain`` and the
 weak-form diagnostic all use it.  The kernel and the grid alone choose it:
 separable kernels (constant, additive, multiplicative, two-exponent sums,
 product kernels, Brownian) on integer grids, uncapped or with a cap that
-never binds, take the separable path (FFT convolutions for the gain, prefix
-sums for the loss); everything else takes the dense pairwise path.  The run
-records which one ran as ``step_log["rate_path"]``.  A kernel without a cap
-is integrated as given; it is truncated only when ``truncation_n`` or its
-own cap asks for it.
+never binds, take the separable path; everything else takes the dense
+pairwise path.  The run records which one ran as ``step_log["rate_path"]``.
+A kernel without a cap is integrated as given; it is truncated only when
+``truncation_n`` or its own cap asks for it.
+
+The separable path writes the kernel as ``sum_ab C_ab w_a(x) w_b(y)`` over
+its distinct weight vectors.  Each evaluation takes one real FFT per
+distinct ``w_a f``, sums the spectral products ``C_ab W_a W_b`` and takes one
+inverse FFT for the gain; the loss and the overflow flux come from prefix and
+suffix sums.  The integrator is Dormand-Prince 5(4) with the first-same-as-
+last property: an accepted step that the negativity clamp leaves unchanged
+hands its last stage on as the next step's first.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import DomainError, GridError, UnsupportedFamilyError
 from .grids import MomentSeries, SizeDistribution, SizeGrid, clamp_negatives
@@ -46,10 +53,13 @@ __all__ = [
 
 _MATRIX_LIMIT = 4096  # dense pairwise path refuses larger grids
 
-# FFT round-off contract: entries of the convolution smaller than
-# _FFT_ERR_FACTOR * eps * log2(2M) * ||u||2 ||v||2 / _REL_TARGET are
+# FFT round-off contract: the gain's convolution is one inverse FFT of the
+# summed spectra, so one floor covers it, _FFT_ERR_FACTOR * eps * log2(2M) * s2
+# with s2 = sum over the merged pairs of c ||w_a f||2 ||w_b f||2.  Entries below
+# the floor are zeroed; with ``refine`` entries below floor / _REL_TARGET are
 # recomputed by direct summation so the relative error stays below
-# _REL_TARGET.  The factor is ~10x above the observed worst case.
+# _REL_TARGET.  The observed worst case is 0.21 * eps * log2(2M) * s2 (random
+# and exponentially decaying densities, six separable families, N <= 4096).
 _FFT_ERR_FACTOR = 32.0
 _REL_TARGET = 1e-13
 
@@ -148,52 +158,30 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Fast non-negative convolution with a per-entry relative guarantee
+# Separable kernels
 # ---------------------------------------------------------------------------
 
-def _conv_prefix(u: np.ndarray, v: np.ndarray, n_keep: int, refine: bool) -> np.ndarray:
-    """First ``n_keep`` entries of the linear convolution of u and v (>= 0).
+def _separable_terms(kernel: KernelSpec,
+                     x: np.ndarray) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """K(x,y) = sum of c a(x) b(y) over the returned (c, a, b) terms, or raise.
 
-    The bulk comes from an FFT product.  Entries below the FFT round-off
-    floor are indistinguishable from zero and are zeroed outright: leaving
-    the (sign-biased) noise in place seeds spurious tail growth in the
-    solver.  With ``refine`` every entry small enough that the floor could
-    exceed ``_REL_TARGET`` of its value is recomputed by direct summation,
-    which restores exact zeros and the per-entry relative contract.
-    """
-    m = u.size + v.size - 1
-    if m < 64:
-        return np.convolve(u, v)[:n_keep]
-    c = fftconvolve(u, v)[:n_keep]
-    s2 = float(np.linalg.norm(u) * np.linalg.norm(v))
-    floor = _FFT_ERR_FACTOR * np.finfo(float).eps * math.log2(2.0 * m) * s2
-    if refine:
-        for k in np.nonzero(c < floor / _REL_TARGET)[0]:
-            i0 = max(0, k - v.size + 1)
-            i1 = min(k + 1, u.size)
-            c[k] = float(np.dot(u[i0:i1], v[k - i1 + 1: k - i0 + 1][::-1]))
-    else:
-        c[c < floor] = 0.0
-    return c
-
-
-def _separable_terms(kernel: KernelSpec, x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """K(x,y) = sum of a(x) b(y) over the returned (a, b) pairs, or raise."""
+    The terms come in transposed pairs (or have a == b), so the sum is
+    symmetric in x and y."""
     fam = kernel.family
     ones = np.ones_like(x)
     if fam == "constant":
-        return [(kernel.params[0] * ones, ones)]
+        return [(kernel.params[0], ones, ones)]
     if fam == "additive":
-        return [(x, ones), (ones, x)]
+        return [(1.0, x, ones), (1.0, ones, x)]
     if fam in ("multiplicative", "product"):
         r = np.asarray(kernel.radial_rate()(x))
-        return [(r, r)]
+        return [(1.0, r, r)]
     if fam == "power_sum":
         a, b = kernel.params
-        return [(x**a, x**b), (x**b, x**a)]
+        return [(1.0, x**a, x**b), (1.0, x**b, x**a)]
     if fam == "brownian":
         cb = np.cbrt(x)
-        return [(2.0 * ones, ones), (cb, 1.0 / cb), (1.0 / cb, cb)]
+        return [(2.0, ones, ones), (1.0, cb, 1.0 / cb), (1.0, 1.0 / cb, cb)]
     raise UnsupportedFamilyError(f"kernel family {fam!r} has no separable form")
 
 
@@ -208,15 +196,20 @@ def _kernel_grid_bound(kernel: KernelSpec, grid: SizeGrid) -> float:
     return float(np.max(raw.eval(xx, yy)))
 
 
+def _cap_binds(kernel: KernelSpec, grid: SizeGrid) -> bool:
+    """True when a pointwise cap ``min(K, n)`` lies below K somewhere on the
+    grid; such a kernel is neither separable nor of product form."""
+    if kernel.cap is None or kernel.cap_mode == "product":
+        return False
+    return kernel.cap < _kernel_grid_bound(kernel, grid) * (1.0 - 1e-12)
+
+
 def _fast_path_ok(kernel: KernelSpec, grid: SizeGrid) -> bool:
     if grid.kind != "discrete":
         return False
     if kernel.family in ("tabulated",):
         return False
-    if kernel.cap is None or kernel.cap_mode == "product":
-        return True
-    # a pointwise cap is compatible only if it never binds on the grid
-    return kernel.cap >= _kernel_grid_bound(kernel, grid) * (1.0 - 1e-12)
+    return not _cap_binds(kernel, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +217,14 @@ def _fast_path_ok(kernel: KernelSpec, grid: SizeGrid) -> bool:
 # ---------------------------------------------------------------------------
 
 class _SeparableOperator:
-    """Rates for separable kernels on a discrete grid: FFT convolutions for
-    the gain, prefix and suffix sums for the loss and the overflow flux."""
+    """Rates for separable kernels on a discrete grid.
+
+    The kernel is held as ``K(x, y) = sum_ab C_ab w_a(x) w_b(y)`` over its
+    distinct weight vectors ``w_a`` with a symmetric coefficient matrix
+    ``C``, and as the merged pairs ``(c, a, b)``, a <= b, with ``c = C_aa``
+    or ``c = 2 C_ab``.  The gain takes one real FFT per distinct ``w_a f``,
+    sums ``c W_a W_b`` over the pairs and takes one inverse FFT; the loss and
+    the overflow flux come from prefix and suffix sums of the ``w_a f``."""
 
     path = "separable"
 
@@ -233,7 +232,27 @@ class _SeparableOperator:
         self.x = grid.pivots
         self.n = grid.n
         self.boundary = boundary
-        self.terms = _separable_terms(kernel, self.x)
+        vectors, merged = [], {}
+
+        def index(v):
+            for k, w in enumerate(vectors):
+                if np.array_equal(w, v):
+                    return k
+            vectors.append(v)
+            return len(vectors) - 1
+
+        for c, a, b in _separable_terms(kernel, self.x):
+            ab = tuple(sorted((index(a), index(b))))
+            merged[ab] = merged.get(ab, 0.0) + c
+        self.w = np.array(vectors)
+        self.pairs = [(c, a, b) for (a, b), c in merged.items()]
+        self.coef = np.zeros((len(vectors), len(vectors)))
+        for c, a, b in self.pairs:
+            self.coef[a, b] += 0.5 * c
+            self.coef[b, a] += 0.5 * c
+        m = 2 * self.n - 1
+        self.n_fft = next_fast_len(m, real=True)
+        self.floor_scale = _FFT_ERR_FACTOR * np.finfo(float).eps * math.log2(2.0 * m)
 
     def split(self, f: np.ndarray, refine: bool = False) -> RateSplit:
         """``gain_i = 0.5 * sum_{j+k=i} K(j,k) f_j f_k`` counts only products
@@ -242,28 +261,59 @@ class _SeparableOperator:
         the FFT round-off floor by direct summation."""
         n = self.n
         x = self.x
+        wf = self.w * f
         gain = np.zeros(n)
-        loss_factor = np.zeros(n)
-        gel_rate = 0.0
-        for a, b in self.terms:
-            af = a * f
-            bf = b * f
-            gain[1:] += _conv_prefix(af, bf, n - 1, refine)
-            if self.boundary == "conservative":
-                # sum over partners j <= n - i
-                prefix = np.concatenate(([0.0], np.cumsum(bf)))
-                loss_factor += a * prefix[n - np.arange(1, n + 1)]
-            else:
-                loss_factor += a * float(np.sum(bf))
-                # overflow mass flux: partners k > n - j, via suffix sums,
-                # so the rate is a sum of non-negative products (exactly
-                # zero until the tail is populated)
-                tb = np.cumsum(bf[::-1])
-                txb = np.cumsum((x * bf)[::-1])
-                gel_rate += 0.5 * float(np.dot(af, x * tb + txb))
+        gain[1:] = self._convolution(wf, refine)
         gain *= 0.5
+        gel_rate = 0.0
+        if self.boundary == "conservative":
+            # sum over partners j <= n - i
+            partners = np.zeros_like(wf)
+            partners[:, 1:] = np.cumsum(wf[:, :-1], axis=1)
+            loss_factor = np.sum(self.w * (self.coef @ partners[:, ::-1]), axis=0)
+        else:
+            loss_factor = (self.coef @ np.sum(wf, axis=1)) @ self.w
+            # overflow mass flux: partners k > n - j, via suffix sums, so the
+            # rate is a sum of non-negative products (exactly zero until the
+            # tail is populated)
+            tails = np.cumsum(wf[:, ::-1], axis=1)
+            x_tails = np.cumsum((x * wf)[:, ::-1], axis=1)
+            for c, a, b in self.pairs:
+                gel_rate += 0.5 * c * float(np.dot(wf[a], x * tails[b] + x_tails[b]))
         return RateSplit(gain=gain, loss=f * loss_factor,
                          loss_factor=loss_factor, gel_rate=gel_rate)
+
+    def _convolution(self, wf: np.ndarray, refine: bool) -> np.ndarray:
+        """Entries 0..n-2 of ``sum_pairs c (w_a f) * (w_b f)`` (linear
+        convolution, non-negative).  Entries below the FFT round-off floor
+        are indistinguishable from zero and are zeroed outright: leaving the
+        (sign-biased) noise in place seeds spurious tail growth in the
+        solver.  With ``refine`` every entry small enough that the floor
+        could exceed ``_REL_TARGET`` of its value is recomputed by direct
+        summation, which restores exact zeros and the per-entry relative
+        contract."""
+        n = self.n
+        if 2 * n - 1 < 64:
+            return self._direct(wf, n)[:n - 1]
+        spectra = rfft(wf, self.n_fft, axis=1)
+        conv = irfft(sum(c * spectra[a] * spectra[b] for c, a, b in self.pairs),
+                     self.n_fft)[:n - 1]
+        norms = [float(np.linalg.norm(v)) for v in wf]
+        floor = self.floor_scale * sum(c * norms[a] * norms[b] for c, a, b in self.pairs)
+        if refine:
+            flagged = conv < floor / _REL_TARGET
+            if np.any(flagged):
+                size = int(np.nonzero(flagged)[0][-1]) + 1
+                conv[:size][flagged[:size]] = self._direct(wf, size)[flagged[:size]]
+        else:
+            conv[conv < floor] = 0.0
+        return conv
+
+    def _direct(self, wf: np.ndarray, size: int) -> np.ndarray:
+        """Entries 0..size-1 of the same sum by direct summation; they
+        involve only the first ``size`` entries of each ``w_a f``."""
+        return sum(c * np.convolve(wf[a, :size], wf[b, :size])[:size]
+                   for c, a, b in self.pairs)
 
 
 def fast_gain(dist: SizeDistribution, kernel: KernelSpec, refine: bool = True) -> np.ndarray:
@@ -305,10 +355,9 @@ class _PairTables:
             self.overflow = v > grid.n + 1e-9
             s = np.add.outer(np.arange(m), np.arange(m)) + 1
             self.idx_lo = np.minimum(s, m - 1)
-            self.w_lo = np.ones((m, m))
-            self.idx_hi = self.idx_lo
-            self.w_hi = np.zeros((m, m))
+            self.w_hi = None
         else:
+            # two-point number/mass apportionment between the bracketing cells
             self.overflow = v > p[-1] * (1 + 1e-12)
             vc = np.clip(v, p[0], p[-1])
             j = np.clip(np.searchsorted(p, vc) - 1, 0, m - 2)
@@ -327,10 +376,14 @@ class _PairTables:
         number = density * grid.widths
         pair_react = self.kmat_react * np.outer(number, number)   # ordered pair rates
         on_grid = pair_react * ~self.overflow
-        w = (on_grid * self.w_lo).ravel()
-        gain_num = 0.5 * np.bincount(self.idx_lo.ravel(), weights=w, minlength=n_cells)
-        w = (on_grid * self.w_hi).ravel()
-        gain_num += 0.5 * np.bincount(self.idx_hi.ravel(), weights=w, minlength=n_cells)
+        if self.w_hi is None:
+            gain_num = 0.5 * np.bincount(self.idx_lo.ravel(), weights=on_grid.ravel(),
+                                         minlength=n_cells)
+        else:
+            w = (on_grid * self.w_lo).ravel()
+            gain_num = 0.5 * np.bincount(self.idx_lo.ravel(), weights=w, minlength=n_cells)
+            w = (on_grid * self.w_hi).ravel()
+            gain_num += 0.5 * np.bincount(self.idx_hi.ravel(), weights=w, minlength=n_cells)
         loss_factor = self.kmat_react @ number
         gain = gain_num / grid.widths
         loss = density * loss_factor
@@ -388,7 +441,7 @@ class _Rhs:
 # Embedded Dormand-Prince 5(4) and classical RK4
 # ---------------------------------------------------------------------------
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -396,8 +449,7 @@ _DP_A = [
     np.array([44 / 45, -56 / 15, 32 / 9]),
     np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
+]  # the seventh row equals _DP_B: the last stage is evaluated at y5
 _DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                   -17253 / 339200, 22 / 525, -1 / 40])
@@ -462,10 +514,11 @@ def _advance_rk45(rhs, t0, t1, y, weights, rel_tol, abs_tol, log, t_end, clamp):
         if h < 1e-12 * t_end:
             log.flag = "dt_underflow"
             return y, False
-        for i in range(1, 7):
+        for i in range(1, len(_DP_A)):
             yi = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
             k[i] = rhs(t + _DP_C[i] * h, yi)
         y5 = y + h * sum(b * k[j] for j, b in enumerate(_DP_B) if b)
+        k[6] = rhs(t + h, y5)
         err = h * sum(e * k[j] for j, e in enumerate(_DP_E) if e)
         en = _weighted_norm(err, weights)
         if not math.isfinite(en):
@@ -476,9 +529,10 @@ def _advance_rk45(rhs, t0, t1, y, weights, rel_tol, abs_tol, log, t_end, clamp):
             t += h
             log.accepted += 1
             log.min_dt = min(log.min_dt, h)
-            y = y5
-            y = clamp(y)
-            k[0] = rhs(t, y)  # refresh after clamping (FSAL would reuse k[6])
+            y = clamp(y5)
+            # first same as last: k[6] is the derivative at y5, so it is
+            # reused unless the clamp changed the state
+            k[0] = k[6] if y is y5 else rhs(t, y)
         else:
             log.rejected += 1
         factor = 0.9 * (tol / en) ** 0.2 if en > 0 else 5.0

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,3 +236,14 @@ def test_main_entry_point(tmp_path, capsys):
     path = write_config(tmp_path, "c.json", base_config(out))
     assert cli.main(["simulate", str(path)]) == 0
     assert cli.main(["validate", str(path), "--out", str(tmp_path / "v")]) == 0
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # scipy.signal was most of the start-up time of every command
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, coagkit.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

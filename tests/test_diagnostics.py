@@ -169,6 +169,19 @@ def test_product_l2_requires_product_form(additive_run):
                          "product_l2", A=4.0)
 
 
+def test_product_l2_refuses_binding_pointwise_cap(multiplicative_run):
+    # min(xy, 64) has no product form, so the product bound does not apply
+    # to it; a cap that never binds and a product cap keep the product form
+    with pytest.raises(UnsupportedFamilyError):
+        ck.bound_monitor(multiplicative_run, ck.KernelSpec.multiplicative().truncate(64.0),
+                         "product_l2", A=4.0)
+    n = multiplicative_run.grid.n
+    for kernel in (ck.KernelSpec.multiplicative().truncate(float(n) ** 2),
+                   ck.KernelSpec.product(ck.RadialRate.identity()).truncate(8.0, "product_cap")):
+        reps = ck.bound_monitor(multiplicative_run, kernel, "product_l2", A=4.0)
+        assert all(r.passed for r in reps)
+
+
 def test_equicontinuity_margin(multiplicative_run):
     reps = ck.bound_monitor(multiplicative_run, ck.KernelSpec.multiplicative(),
                             "equicontinuity")

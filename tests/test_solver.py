@@ -3,7 +3,7 @@ import pytest
 
 import coagkit as ck
 from coagkit.errors import DomainError
-from coagkit.solver import _advance_rk45, _StepLog, resolve_kernel
+from coagkit.solver import _advance_rk45, _SeparableOperator, _StepLog, resolve_kernel
 
 
 def brute_force_rates(dist, kernel, boundary):
@@ -71,6 +71,29 @@ def test_rates_against_brute_force(kernel, boundary):
     np.testing.assert_allclose(split.gain, gain_o, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(split.loss, loss_o, rtol=1e-12, atol=1e-14)
     assert split.gel_rate == pytest.approx(gel_o, rel=1e-12, abs=1e-14)
+
+
+SEPARABLE_FAMILIES = [ck.KernelSpec.constant(2.0), ck.KernelSpec.additive(),
+                      ck.KernelSpec.multiplicative(), ck.KernelSpec.power_sum(0.25, 0.5),
+                      ck.KernelSpec.product(ck.RadialRate.power_law(0.75)),
+                      ck.KernelSpec.brownian()]
+
+
+@pytest.mark.parametrize("boundary", ["conservative", "absorbing"])
+@pytest.mark.parametrize("kernel", SEPARABLE_FAMILIES)
+@pytest.mark.parametrize("n", [1, 24, 40])   # 2n - 1 < 64: direct convolution; else FFT
+def test_separable_split_against_brute_force(kernel, boundary, n):
+    rng = np.random.default_rng(31)
+    dist = ck.SizeDistribution(ck.SizeGrid.discrete(n), rng.random(n))
+    op = _SeparableOperator(dist.grid, kernel, boundary)
+    gain_o, loss_o, gel_o = brute_force_rates(dist, kernel, boundary)
+    for refine in (True, False):
+        split = op.split(dist.density, refine)
+        # without refine only the round-off floor of the summed spectrum holds
+        atol = 0.0 if refine else 1e-12 * float(np.max(gain_o))
+        np.testing.assert_allclose(split.gain, gain_o, rtol=1e-12, atol=atol)
+        np.testing.assert_allclose(split.loss, loss_o, rtol=1e-12)
+        assert split.gel_rate == pytest.approx(gel_o, rel=1e-12, abs=0.0)
 
 
 def test_rates_sectional_against_brute_force():
@@ -257,6 +280,21 @@ def test_integrate_brownian_dense_path():
     fast, dense = runs["separable"], runs["dense"]
     for a, b in zip(fast.snapshots, dense.snapshots):
         np.testing.assert_allclose(a.density, b.density, rtol=1e-12, atol=1e-15)
+
+
+def test_rhs_evals_first_same_as_last():
+    # the clamp never fires, so every accepted step reuses its last stage as
+    # the next first stage: six evaluations per step, plus the derivative and
+    # the step-size probe at the start of each snapshot interval
+    grid = ck.SizeGrid.discrete(64)
+    init = ck.init_distribution(grid, "exponential", mean=2.0)
+    cfg = ck.SolverConfig(kernel=ck.KernelSpec.constant(2.0), t_end=1.0,
+                          boundary="conservative")
+    traj = ck.integrate(init, cfg)
+    log = traj.step_log
+    assert log["clamped_mass"] == 0.0
+    intervals = len(traj.snapshots) - 1
+    assert log["rhs_evals"] == 6 * (log["accepted"] + log["rejected"]) + 2 * intervals
 
 
 def test_integrate_sectional_grid():
