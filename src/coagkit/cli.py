@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .compactness import (FunctionFamily, dlvp_construct, eta_limit,
                           eta_modulus, eta_zero_extrapolation, family_tail,
-                          synthetic_family, vp_check)
+                          limit_denominator, synthetic_family, vp_check)
 from .diagnostics import (bound_monitor, comparison_ode, gelation_detect,
                           gelation_functional, weak_form_residual)
 from .errors import (CoagKitError, ConfigError, ConstructionError,
@@ -231,6 +231,9 @@ CONFIG_SCHEMA = {
     },
 }
 
+# Built once: jsonschema.validate would re-check the schema itself on every call.
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
 
 # ---------------------------------------------------------------------------
 # Config -> objects
@@ -242,11 +245,10 @@ def load_config(path) -> dict:
         cfg = json.loads(text)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config schema violation at {loc}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        loc = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config schema violation at {loc}: {error.message}") from error
     return cfg
 
 
@@ -577,7 +579,7 @@ def cmd_compactness(config_path, out: str | None = None, jobs: int = 1) -> int:
     if dcfg is not None:
         terms = dcfg.get("terms", 6)
         alphas = dcfg.get("alphas", [1] * terms)
-        alphas = [Fraction(a).limit_denominator(10**9) if not float(a).is_integer()
+        alphas = [limit_denominator(a, 10**9) if not float(a).is_integer()
                   else int(a) for a in alphas]
         ratio = dcfg.get("beta_ratio", 0.25)
         if float(ratio) == 0.25:
@@ -614,9 +616,8 @@ def cmd_compactness(config_path, out: str | None = None, jobs: int = 1) -> int:
         rng = np.random.default_rng(20240211)
         nsamp = dcfg.get("samples", 1000)
         top = float(phi.breakpoints[min(3, len(phi.breakpoints) - 1)])
-        samples = [(Fraction(r).limit_denominator(10**6),
-                    Fraction(s).limit_denominator(10**6),
-                    Fraction(l).limit_denominator(10**6))
+        samples = [(limit_denominator(r, 10**6), limit_denominator(s, 10**6),
+                    limit_denominator(l, 10**6))
                    for r, s, l in zip(rng.uniform(0, top, nsamp),
                                       rng.uniform(0, top, nsamp),
                                       rng.uniform(0, 4, nsamp))]

@@ -10,11 +10,15 @@
 
 Breakpoints and slopes are kept as exact integers/rationals whenever the
 inputs permit, so the structural identities (derivative continuity, slope
-monotonicity) hold exactly rather than to round-off.
+monotonicity) hold exactly rather than to round-off.  An exact function also
+keeps its tables scaled to integers over one common denominator; Phi and
+Phi' at p/q are then unreduced integer pairs, and ``vp_check`` decides every
+exact margin by integer cross-multiplication, without building rationals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -33,6 +37,7 @@ __all__ = [
     "family_tail",
     "synthetic_family",
     "dlvp_construct",
+    "limit_denominator",
     "vp_eval",
     "vp_check",
     "phi_integral",
@@ -103,11 +108,8 @@ def eta_limit(family: FunctionFamily, thresholds) -> tuple[float, np.ndarray]:
     cs = np.asarray(thresholds, dtype=float)
     if cs.size == 0 or np.any(np.diff(cs) <= 0):
         raise DomainError("thresholds must be a non-empty increasing list")
-    tails = np.array([
-        max(float(np.sum(np.where(f >= c, f * family.measures, 0.0)))
-            for f in family.members)
-        for c in cs
-    ])
+    tail = family_tail(family)
+    tails = np.array([tail(c) for c in cs])
     return float(tails[-1]), tails
 
 
@@ -176,6 +178,32 @@ def _frac(x):
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def limit_denominator(x: float, max_denominator: int) -> Fraction:
+    """``Fraction(x).limit_denominator(max_denominator)`` for a float ``x``.
+
+    The same continued-fraction search, run on ``x.as_integer_ratio()`` in
+    integers; only the result is built as a Fraction.
+    """
+    n, d = float(x).as_integer_ratio()
+    if d <= max_denominator:
+        return Fraction(n, d)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    while True:
+        a = num // den
+        q2 = q0 + a * q1
+        if q2 > max_denominator:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, den = den, num - a * den
+    k = (max_denominator - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # the convergent p1/q1 wins ties against the semiconvergent p2/q2
+    if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
+        return Fraction(p1, q1)
+    return Fraction(p2, q2)
+
+
 @dataclass
 class VPFunction:
     """Piecewise-quadratic convex function with concave derivative.
@@ -235,54 +263,62 @@ class VPFunction:
                     raise DomainError("derivative continuity (c2) violated")
             elif abs(lhs - rhs) > 1e-12 * max(1.0, abs(rhs)):
                 raise DomainError("derivative continuity (c2) violated")
+        if self.exact:
+            # integer tables over one common denominator L
+            L = math.lcm(*(_frac(v).denominator for v in (*A, *P, *V, *n)))
+            self._L = L
+            self._A, self._P, self._V, self._N = (
+                [int(_frac(v) * L) for v in vals] for vals in (A, P, V, n))
 
     # -- scalar exact evaluation ---------------------------------------------
 
-    def _segment(self, r):
-        n = self.breakpoints
-        if r < n[0]:
-            return -1
-        for m in range(len(n) - 1):
-            if r < n[m + 1]:
-                return m
-        return len(n) - 2  # affine continuation uses the last slope
+    def _exact_pairs(self, p: int, q: int):
+        """Phi(p/q) and Phi'(p/q) for integers p >= 0, q > 0, as unreduced
+        ``(num, den)`` integer pairs with ``den > 0``.
+
+        With N_k the last breakpoint <= p/q (k = 0 below N_1, which on
+        [0, N_1) is the same quadratic A_0 r^2 / 2 because N_0 = 1) and
+        d = p/q - N_k: Phi = V_k + P_k d + A_k d^2 / 2, Phi' = P_k + A_k d,
+        where past the last breakpoint A_k is the last slope.
+        """
+        L, N = self._L, self._N
+        pl = p * L
+        k = self._segment(pl, q)
+        a = self._A[min(k, len(self._A) - 1)]
+        Q = q * L
+        e = pl - N[k] * q                 # d = e / Q
+        pq = self._P[k] * Q
+        g = pq + a * e                    # Phi' = g / (L Q)
+        return (2 * self._V[k] * Q * Q + e * (pq + g), 2 * L * Q * Q), (g, L * Q)
+
+    def _segment(self, pl: int, q: int) -> int:
+        """k of the last breakpoint N_k <= pl / (q L), or 0 below N_1."""
+        N = self._N
+        k = 0
+        while k + 1 < len(N) and pl >= N[k + 1] * q:
+            k += 1
+        return k
+
+    def _exact_at(self, r, order: int):
+        if not self.exact:  # float tables: there is nothing exact to return
+            return float(vp_eval(self, float(r), order))
+        r = _frac(r)
+        if r < 0:
+            raise DomainError("argument must be non-negative")
+        p, q = r.numerator, r.denominator
+        if order == 2:
+            k = self._segment(p * self._L, q)
+            return Fraction(self._A[min(k, len(self._A) - 1)], self._L)
+        return Fraction(*self._exact_pairs(p, q)[order])
 
     def deriv_exact(self, r: Fraction) -> Fraction:
-        r = _frac(r)
-        if r < 0:
-            raise DomainError("argument must be non-negative")
-        A = self.slopes
-        n = self.breakpoints
-        if r < n[1]:
-            return A[0] * r
-        if r >= n[-1]:
-            return self.deriv_at[-1] + A[-1] * (r - _frac(n[-1]))
-        m = self._segment(r)
-        return self.deriv_at[m] + A[m] * (r - _frac(n[m]))
+        return self._exact_at(r, 1)
 
     def value_exact(self, r: Fraction) -> Fraction:
-        r = _frac(r)
-        if r < 0:
-            raise DomainError("argument must be non-negative")
-        n = self.breakpoints
-        A = self.slopes
-        if r < n[1]:
-            return A[0] * r ** 2 / 2
-        if r >= n[-1]:
-            d = r - _frac(n[-1])
-            return self.value_at[-1] + self.deriv_at[-1] * d + A[-1] * d ** 2 / 2
-        m = self._segment(r)
-        d = r - _frac(n[m])
-        return self.value_at[m] + self.deriv_at[m] * d + A[m] * d ** 2 / 2
+        return self._exact_at(r, 0)
 
     def second_exact(self, r) -> Fraction:
-        r = _frac(r)
-        if r < 0:
-            raise DomainError("argument must be non-negative")
-        if r >= self.breakpoints[-1]:
-            return _frac(self.slopes[-1])
-        m = self._segment(r)
-        return _frac(self.slopes[max(m, 0)])
+        return self._exact_at(r, 2)
 
     # -- vectorised float evaluation ------------------------------------------
 
@@ -484,17 +520,69 @@ class VPCheckReport:
         }
 
 
+def _record(records, name, ok, margin: float):
+    rec = records.setdefault(name, [0, 0, None])
+    rec[0] += 1
+    rec[1] += 0 if ok else 1
+    rec[2] = margin if rec[2] is None else min(rec[2], margin)
+
+
 def _margin_accumulate(records, name, lhs, rhs, tol):
     """Record margin rhs - lhs >= -tol * scale for one sample."""
     margin = rhs - lhs
     scale = max(1, abs(lhs), abs(rhs)) if isinstance(margin, Fraction) \
         else max(1.0, abs(float(lhs)), abs(float(rhs)))
-    ok = margin >= -tol * scale
-    rec = records.setdefault(name, [0, 0, None])
-    rec[0] += 1
-    rec[1] += 0 if ok else 1
-    mf = float(margin)
-    rec[2] = mf if rec[2] is None else min(rec[2], mf)
+    _record(records, name, margin >= -tol * scale, float(margin))
+
+
+def _record_pair(records, name, num: int, den: int):
+    _record(records, name, num >= 0, num / den)
+
+
+def _exact_margins(phi: VPFunction, samples, records):
+    """The sample checks of ``vp_check`` on rational samples of an exact
+    function, in integers only.
+
+    Every margin rhs - lhs is an unreduced pair ``(num, den)`` with den > 0
+    built by cross-multiplication, so a violation is ``num < 0``, and
+    ``num / den`` (correctly rounded int division) is ``float`` of the exact
+    margin.
+    """
+    pairs = phi._exact_pairs
+    for (r, s, lam) in samples:
+        # int(): numpy integer samples would wrap around in the products
+        pr, qr = int(r.numerator), int(r.denominator)
+        ps, qs = int(s.numerator), int(s.denominator)
+        pl, ql = int(lam.numerator), int(lam.denominator)
+        if pr < 0 or ps < 0 or pl < 0:
+            raise DomainError("samples must be non-negative")
+        pt, qt = pr * qs + ps * qr, qr * qs                  # r + s
+        (fr, hr), (gr, kr) = pairs(pr, qr)                   # Phi = f/h, Phi' = g/k
+        (fs, hs), (gs, ks) = pairs(ps, qs)
+        (ft, ht), (gt, kt) = pairs(pt, qt)
+        if pr > 0 and ps > 0:
+            fm, hm = pairs(pt, 2 * qt)[0]                    # Phi((r + s) / 2)
+            # Phi(mid)/mid = x/y against (Phi(r)/r + Phi(s)/s)/2 = u/w
+            x, y = 2 * fm * qt, hm * pt
+            u, w = fr * qr * hs * ps + fs * qs * hr * pr, 2 * hr * pr * hs * ps
+            _record_pair(records, "b122_ratio_concave", x * w - u * y, y * w)
+        x, y = pr * gr * hr, fr * qr * kr                    # r Phi'(r), Phi(r)
+        den = qr * kr * hr
+        _record_pair(records, "b123_lower", x - y, den)
+        _record_pair(records, "b123_upper", 2 * y - x, den)
+        hrs = hr * hs
+        sum_rs = fr * hs + fs * hr                           # Phi(r) + Phi(s)
+        _record_pair(records, "b123b_cross",
+                     sum_rs * qs * kr - ps * gr * hrs, hrs * qs * kr)
+        fl, hl = pairs(pl * pr, ql * qr)[0]                  # Phi(lambda r)
+        cn, cd = (pl * pl, ql * ql) if pl > ql else (1, 1)   # max(1, lambda^2)
+        _record_pair(records, "b124_scaling", cn * fr * hl - fl * cd * hr, cd * hr * hl)
+        # (r + s)(Phi(r + s) - Phi(r) - Phi(s)) <= 2 (r Phi(s) + s Phi(r))
+        rhs = 2 * (pr * fs * qs * hr + ps * fr * qr * hs)    # over qt * hrs
+        lhs = pt * (ft * hrs - sum_rs * ht)                  # over qt * ht * hrs
+        _record_pair(records, "b125_product", rhs * ht - lhs, qt * ht * hrs)
+        _record_pair(records, "b127_deriv_subadd",
+                     (gr * ks + gs * kr) * kt - gt * kr * ks, kr * ks * kt)
 
 
 def vp_check(phi: VPFunction, samples, member=None, tol: float = 1e-12
@@ -507,40 +595,42 @@ def vp_check(phi: VPFunction, samples, member=None, tol: float = 1e-12
     ``member`` (values, measures) is given, the layer-cake tail bound of the
     integral of Phi(|f|) below each breakpoint.
 
-    In exact mode with rational samples every margin is computed in exact
-    arithmetic and ``tol`` is ignored (exact comparisons).
+    In exact mode with rational samples every margin is decided exactly, by
+    integer cross-multiplication, and ``tol`` is ignored.
     """
     records: dict = {}
     exact = phi.exact and all(
         _is_rational(v) for t in samples for v in t)
-    use_tol = 0 if exact else tol
 
-    def Phi(r):
-        return phi.value_exact(r) if exact else float(vp_eval(phi, float(r), 0))
+    if exact:
+        _exact_margins(phi, samples, records)
+    else:
+        def Phi(r):
+            return float(vp_eval(phi, float(r), 0))
 
-    def dPhi(r):
-        return phi.deriv_exact(r) if exact else float(vp_eval(phi, float(r), 1))
+        def dPhi(r):
+            return float(vp_eval(phi, float(r), 1))
 
-    for (r, s, lam) in samples:
-        if r < 0 or s < 0 or lam < 0:
-            raise DomainError("samples must be non-negative")
-        fr, fs = Phi(r), Phi(s)
-        dfr = dPhi(r)
-        if r > 0 and s > 0:
-            mid = (r + s) / 2 if exact else (float(r) + float(s)) / 2.0
-            _margin_accumulate(records, "b122_ratio_concave",
-                               (fr / r + fs / s) / 2, Phi(mid) / mid, use_tol)
-        _margin_accumulate(records, "b123_lower", fr, r * dfr, use_tol)
-        _margin_accumulate(records, "b123_upper", r * dfr, 2 * fr, use_tol)
-        _margin_accumulate(records, "b123b_cross", s * dfr, fr + fs, use_tol)
-        _margin_accumulate(records, "b124_scaling", Phi(lam * r),
-                           max(1, lam * lam) * fr, use_tol)
-        frs = Phi(r + s)
-        _margin_accumulate(records, "b125_product",
-                           (r + s) * (frs - fr - fs),
-                           2 * (r * fs + s * fr), use_tol)
-        _margin_accumulate(records, "b127_deriv_subadd",
-                           dPhi(r + s), dfr + dPhi(s), use_tol)
+        for (r, s, lam) in samples:
+            if r < 0 or s < 0 or lam < 0:
+                raise DomainError("samples must be non-negative")
+            fr, fs = Phi(r), Phi(s)
+            dfr = dPhi(r)
+            if r > 0 and s > 0:
+                mid = (float(r) + float(s)) / 2.0
+                _margin_accumulate(records, "b122_ratio_concave",
+                                   (fr / r + fs / s) / 2, Phi(mid) / mid, tol)
+            _margin_accumulate(records, "b123_lower", fr, r * dfr, tol)
+            _margin_accumulate(records, "b123_upper", r * dfr, 2 * fr, tol)
+            _margin_accumulate(records, "b123b_cross", s * dfr, fr + fs, tol)
+            _margin_accumulate(records, "b124_scaling", Phi(lam * r),
+                               max(1, lam * lam) * fr, tol)
+            frs = Phi(r + s)
+            _margin_accumulate(records, "b125_product",
+                               (r + s) * (frs - fr - fs),
+                               2 * (r * fs + s * fr), tol)
+            _margin_accumulate(records, "b127_deriv_subadd",
+                               dPhi(r + s), dfr + dPhi(s), tol)
 
     if member is not None:
         values, measures = member

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 
 from .errors import DomainError, UnsupportedFamilyError
@@ -447,6 +446,10 @@ def power_shifted_ixi(lam: float, cross_check: bool = True) -> tuple[float, floa
         raise DomainError("power-shifted xi needs homogeneity lam in (1, 2]")
     if lam == 2.0:
         return 1.0, 1.0
+    # scipy.integrate is imported here, not at module level: it is the larger
+    # part of the import time of coagkit, and only two functionals use it
+    from scipy.integrate import quad
+
     a = (2.0 - lam) / 2.0
     closed = a * beta_fn(a, (lam - 1.0) / 2.0)
     if not cross_check:
@@ -463,6 +466,8 @@ def power_shifted_ixi(lam: float, cross_check: bool = True) -> tuple[float, floa
 def ratio_shifted_ixi(rate: RadialRate) -> float:
     """I_xi for xi(x) = (x / r(x) - 1 / r(1))_+ via the tail integral of
     1 / (r(A) sqrt(A))."""
+    from scipy.integrate import quad
+
     r1 = float(rate(1.0))
 
     def integrand(u):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from coagkit import cli
@@ -238,12 +239,19 @@ def test_main_entry_point(tmp_path, capsys):
     assert cli.main(["validate", str(path), "--out", str(tmp_path / "v")]) == 0
 
 
-def test_cli_import_leaves_out_scipy_signal():
-    # scipy.signal was most of the start-up time of every command
+def test_cli_import_leaves_out_unused_scipy():
+    # scipy.signal and scipy.integrate were most of the start-up time of every
+    # command; scipy.fft, which the rate operator uses, is still imported
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, coagkit.cli; print('scipy.signal' in sys.modules)"
+    code = ("import sys, coagkit.cli; print(any(m in sys.modules for m in "
+            "('scipy.signal', 'scipy.integrate')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_config_schema_is_valid():
+    # load_config builds its validator once and does not re-check the schema
+    jsonschema.validators.validator_for(cli.CONFIG_SCHEMA).check_schema(cli.CONFIG_SCHEMA)

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +8,77 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coagkit as ck
-from coagkit.compactness import VPFunction
+from coagkit import cli
+from coagkit.compactness import VPFunction, limit_denominator
 from coagkit.errors import ConstructionError, DomainError
+
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+
+
+def fraction_phi(phi, r):
+    """Phi(r), Phi'(r) and Phi''(r) in Fraction arithmetic from the function's
+    rational fields: the quadratic A_0 r^2 / 2 below N_1, else the expansion
+    about the last breakpoint N_m <= r with slope A_m (the last slope past the
+    end)."""
+    n, A, P, V = phi.breakpoints, phi.slopes, phi.deriv_at, phi.value_at
+    if r < n[1]:
+        return A[0] * r * r / 2, A[0] * r, A[0]
+    m = max(k for k in range(len(n)) if n[k] <= r)
+    a, d = A[min(m, len(A) - 1)], r - n[m]
+    return V[m] + P[m] * d + a * d * d / 2, P[m] + a * d, a
+
+
+def fraction_vp_check(phi, samples):
+    """Oracle: the sample checks of ``vp_check`` evaluated with Fraction
+    objects, as ``VPCheckReport.to_json_obj`` lays them out."""
+    records = {}
+
+    def add(name, lhs, rhs):
+        margin = rhs - lhs
+        rec = records.setdefault(name, [0, 0, None])
+        rec[0] += 1
+        rec[1] += margin < 0
+        rec[2] = float(margin) if rec[2] is None else min(rec[2], float(margin))
+
+    def Phi(r):
+        return fraction_phi(phi, r)[0]
+
+    def dPhi(r):
+        return fraction_phi(phi, r)[1]
+
+    for r, s, lam in samples:
+        r, s, lam = Fraction(r), Fraction(s), Fraction(lam)
+        fr, fs, dfr = Phi(r), Phi(s), dPhi(r)
+        if r > 0 and s > 0:
+            mid = (r + s) / 2
+            add("b122_ratio_concave", (fr / r + fs / s) / 2, Phi(mid) / mid)
+        add("b123_lower", fr, r * dfr)
+        add("b123_upper", r * dfr, 2 * fr)
+        add("b123b_cross", s * dfr, fr + fs)
+        add("b124_scaling", Phi(lam * r), max(1, lam * lam) * fr)
+        add("b125_product", (r + s) * (Phi(r + s) - fr - fs), 2 * (r * fs + s * fr))
+        add("b127_deriv_subadd", dPhi(r + s), dfr + dPhi(s))
+    checks = [{"name": k, "samples": v[0], "violations": v[1], "min_margin": v[2]}
+              for k, v in records.items()]
+    return {"passed": all(c["violations"] == 0 for c in checks), "checks": checks}
+
+
+def edge_samples(phi):
+    """r = 0 first (so b122 is not the first check), s = 0, lambda below, at
+    and above 1, breakpoints hit exactly, and r + s, lambda r past the end."""
+    n_last = Fraction(phi.breakpoints[-1])
+    out = [(Fraction(0), Fraction(3, 2), Fraction(2)),
+           (Fraction(5, 3), Fraction(0), Fraction(1, 2)),
+           (Fraction(7, 2), Fraction(9, 4), Fraction(1)),
+           (Fraction(1, 3), Fraction(2, 7), Fraction(3))]
+    for b in phi.breakpoints:
+        out.append((Fraction(b), Fraction(b), Fraction(1)))
+        out.append((Fraction(b), Fraction(1, 2), Fraction(1, 3)))
+    out += [(n_last - Fraction(1, 7), n_last / 2, Fraction(5, 2)),
+            (n_last, n_last, Fraction(4)),
+            (3 * n_last, Fraction(11, 5), 2),
+            (0, 0, 0)]
+    return out
 
 
 def rational_singular_member(m=64):
@@ -225,6 +296,100 @@ def test_vp_check_random_constructions(seed):
                 Fraction(b).limit_denominator(10**5),
                 Fraction(c % 4).limit_denominator(10**5)) for a, b, c in pts]
     assert ck.vp_check(phi, samples).passed
+
+
+@given(seed=st.integers(0, 1000))
+@settings(max_examples=25, deadline=None)
+def test_vp_check_matches_fraction_oracle_random(seed):
+    rng = np.random.default_rng(seed)
+    alphas = [Fraction(int(a), int(b)) for a, b in
+              zip(rng.integers(1, 9, 4), rng.integers(1, 5, 4))]
+    betas = [Fraction(1, int(d)**m) for m, d in
+             enumerate(rng.integers(2, 6, 5), start=0)]
+    coeff = int(rng.integers(1, 5))
+    phi = ck.dlvp_construct(lambda c: Fraction(coeff, int(c)), alphas, betas)
+    pts = rng.uniform(0, float(phi.breakpoints[-1]) * 1.5, (20, 3))
+    samples = [(Fraction(a).limit_denominator(10**5),
+                Fraction(b).limit_denominator(10**5),
+                Fraction(c % 4).limit_denominator(10**5)) for a, b, c in pts]
+    samples += edge_samples(phi)
+    assert ck.vp_check(phi, samples).to_json_obj() == fraction_vp_check(phi, samples)
+
+
+@pytest.mark.parametrize("phi", [
+    ck.dlvp_construct(lambda c: Fraction(2, int(c)), [1] * 6,
+                      [Fraction(1, 4**m) for m in range(7)]),
+    VPFunction([1, Fraction(5, 2), Fraction(7, 2), 6],
+               [Fraction(3, 2), Fraction(1, 2), Fraction(2, 3)]),
+    VPFunction([1, 2], [2]),
+], ids=["cli_default", "fraction_breakpoints", "square"])
+def test_vp_check_matches_fraction_oracle_edges(phi):
+    rng = np.random.default_rng(7)
+    top = 1.5 * float(phi.breakpoints[-1])
+    samples = edge_samples(phi) + [
+        tuple(Fraction(v).limit_denominator(1000) for v in t)
+        for t in zip(rng.uniform(0, top, 200), rng.uniform(0, top, 200),
+                     rng.uniform(0, 3, 200))]
+    got = ck.vp_check(phi, samples).to_json_obj()
+    assert got == fraction_vp_check(phi, samples)
+    # r = 0 comes first, so the concavity check is recorded after b123_lower
+    assert [c["name"] for c in got["checks"]][:2] == ["b123_lower", "b123_upper"]
+    for r in [t[0] for t in samples] + [Fraction(b) for b in phi.breakpoints]:
+        assert (phi.value_exact(r), phi.deriv_exact(r), ck.vp_eval(phi, r, 2)) \
+            == fraction_phi(phi, Fraction(r))
+
+
+def test_vp_check_counts_violations_like_the_oracle():
+    # lift Phi by 1 from the second breakpoint on: Phi jumps there and several
+    # inequalities fail; the integer table moves with the rational one
+    phi = VPFunction([1, 2, 5, 9], [1, 1, Fraction(1, 2)])
+    for k in range(2, len(phi.value_at)):
+        phi.value_at[k] += 1
+        phi._V[k] += phi._L
+    rng = np.random.default_rng(3)
+    samples = edge_samples(phi) + [
+        tuple(Fraction(v).limit_denominator(100) for v in t)
+        for t in zip(rng.uniform(0, 12, 300), rng.uniform(0, 12, 300),
+                     rng.uniform(0, 3, 300))]
+    got = ck.vp_check(phi, samples).to_json_obj()
+    assert got == fraction_vp_check(phi, samples)
+    assert not got["passed"]
+
+
+def test_cli_compactness_checks_match_fraction_oracle(tmp_path):
+    path = DEMO_CONFIGS / "compactness_singular.json"
+    assert cli.main(["compactness", str(path), "--out", str(tmp_path)]) == 0
+    dlvp = json.loads((tmp_path / "compactness.json").read_text())["dlvp"]
+    phi = ck.dlvp_construct(lambda c: Fraction(2, c), [1] * 6,
+                            [Fraction(1, 4**m) for m in range(7)])
+    assert dlvp["function"]["breakpoints"] == phi.breakpoints
+    rng = np.random.default_rng(20240211)
+    top = float(phi.breakpoints[3])
+    samples = [(Fraction(r).limit_denominator(10**6),
+                Fraction(s).limit_denominator(10**6),
+                Fraction(l).limit_denominator(10**6))
+               for r, s, l in zip(rng.uniform(0, top, 1000),
+                                  rng.uniform(0, top, 1000),
+                                  rng.uniform(0, 4, 1000))]
+    assert dlvp["checks"] == fraction_vp_check(phi, samples)
+
+
+def test_limit_denominator_matches_fraction():
+    rng = np.random.default_rng(5)
+    floats = list(rng.uniform(0, 3000, 5000))
+    floats += list(rng.standard_normal(5000) * 10.0 ** rng.integers(-8, 9, 5000))
+    for x in floats:
+        assert limit_denominator(x, 10**6) == Fraction(x).limit_denominator(10**6)
+    # small denominators: p/q rounded to a float comes back as p/q
+    for q in range(1, 60):
+        for p in range(-q, 5 * q):
+            got = limit_denominator(p / q, 10**6)
+            assert got == Fraction(p, q) == Fraction(p / q).limit_denominator(10**6)
+    # exact ties between the two bounds, and exact dyadics
+    for m in range(1, 17):
+        for j in range(-80, 81):
+            x = j / 32
+            assert limit_denominator(x, m) == Fraction(x).limit_denominator(m)
 
 
 def test_b111_holds_for_any_member_and_breakpoints():
