@@ -4,9 +4,12 @@ One JSON config file drives one command.  The schema is strict (unknown keys
 are rejected) and every run writes a ``run.json`` carrying the config hash,
 so artifacts are self-describing and reruns are byte-identical.
 
-Exit codes: 0 ok, 1 tolerance failure, 2 config error, 3 flagged trajectory
-(e.g. step-size underflow near gelation), 4 unsupported request,
-5 constructive failure of the convex-function builder.
+Each command reads its config, runs one body, and leaves every error to
+``_exit_code``, the one place that maps errors to exit codes: 0 ok,
+1 tolerance failure, 2 config error (the schema, or building the run and its
+kernel), 3 flagged trajectory (e.g. step-size underflow near gelation),
+4 any other refused request, 5 constructive failure of the convex-function
+builder.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ from .compactness import (FunctionFamily, dlvp_construct, eta_limit,
                           limit_denominator, synthetic_family, vp_check)
 from .diagnostics import (bound_monitor, comparison_ode, gelation_detect,
                           gelation_functional, weak_form_residual)
-from .errors import (CoagKitError, ConfigError, ConstructionError,
-                     DomainError, UnsupportedFamilyError)
+from .errors import CoagKitError, ConfigError, ConstructionError
 from .grids import SizeGrid, init_distribution
 from .kernels import KernelSpec, RadialRate, classify
 from .reference import exact_solution
@@ -46,189 +48,117 @@ EXIT_CONSTRUCTION = 5
 
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
+_DECIMAL = r"^([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$"
+
+
+def _strict(properties: dict, *required: str) -> dict:
+    """Object schema that rejects unknown keys."""
+    return {"type": "object", "additionalProperties": False,
+            **({"required": list(required)} if required else {}),
+            "properties": properties}
+
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kernel", "grid", "init", "solver"],
-    "properties": {
-        "kernel": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["family"],
-            "properties": {
-                "family": {"enum": ["constant", "additive", "multiplicative",
-                                     "power_sum", "product", "brownian",
-                                     "tabulated"]},
-                "params": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "c": _POS,
-                        "alpha": _NUM,
-                        "beta": _NUM,
-                        "rate": {
-                            "type": "object",
-                            "additionalProperties": False,
-                            "required": ["form"],
-                            "properties": {
-                                "form": {"enum": ["power_law", "sqrt_log", "identity"]},
-                                "exponent": _NUM,
-                                "scale": _POS,
-                                "offset": _POS,
-                                "log_exponent": _NUM,
-                            },
-                        },
-                        "x_nodes": {"type": "array", "items": _POS, "minItems": 2},
-                        "matrix": {"type": "array",
-                                    "items": {"type": "array",
-                                              "items": {"type": "number"}}},
-                    },
-                },
-                "cap": _POS,
-                "cap_mode": {"enum": ["cap", "product_cap"]},
-            },
-        },
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["discrete", "geometric", "sectional"]},
-                "n": {"type": "integer", "minimum": 1},
-                "span": {"type": "array", "items": _POS,
-                          "minItems": 2, "maxItems": 2},
-                "ratio": {"type": "number", "exclusiveMinimum": 1},
-                "bins": {"type": "integer", "minimum": 1},
-                "edges": {"type": "array", "items": _POS, "minItems": 2},
-            },
-        },
-        "init": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["family"],
-            "properties": {
-                "family": {"enum": ["monodisperse", "exponential", "tabulated"]},
-                "params": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "size": _POS,
-                        "mean": _POS,
-                        "density": {"type": "array", "items": {"type": "number"}},
-                    },
-                },
-            },
-        },
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["t_end"],
-            "properties": {
-                "scheme": {"enum": ["rk45", "rk4"]},
-                "rel_tol": _POS,
-                "abs_tol": _POS,
-                "dt": _POS,
-                "boundary": {"enum": ["absorbing", "conservative"]},
-                "t_end": _POS,
-                "snapshots": {"type": "array", "items": _POS, "minItems": 1},
-                "truncation_n": _POS,
-                "truncation_mode": {"enum": ["cap", "product_cap"]},
-            },
-        },
-        "diagnostics": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "checks": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["name"],
-                        "properties": {
-                            "name": {"enum": ["phi_gronwall", "psi_moment",
-                                               "product_l2", "equicontinuity",
-                                               "comparison_ode",
-                                               "weak_form_identity"]},
-                            "R": _POS,
-                            "A": _POS,
-                            "theta": {"type": "string"},
-                        },
-                    },
-                },
-            },
-        },
-        "validate": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "sizes": {"type": "integer", "minimum": 1},
-                "tolerances": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "distribution_rel": _POS,
-                        "m0_rel": _POS,
-                        "m1_rel": _POS,
-                        "m2_rel": _POS,
-                    },
-                },
-            },
-        },
-        "compactness": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "source": {"enum": ["run", "bounded", "concentrating", "singular"]},
-                "thresholds": {"type": "array", "items": _POS, "minItems": 1},
-                "eps": {"type": "array", "items": _POS, "minItems": 2},
-                "dlvp": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "alphas": {"type": "array", "items": _POS},
-                        "beta_ratio": _POS,
-                        "terms": {"type": "integer", "minimum": 1},
-                        "tail": {"enum": ["from_family", "inverse", "table"]},
-                        "inverse_coeff": _POS,
-                        "tail_table": {"type": "object",
-                                        "additionalProperties": {"type": "number"}},
-                        "samples": {"type": "integer", "minimum": 1},
-                    },
-                },
-            },
-        },
-        "gelation": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "policy": {"enum": ["mass_drop", "m2_extrapolation"]},
-                "threshold": _POS,
-                "xi": {"type": "object",
-                        "additionalProperties": False,
-                        "properties": {
-                            "kind": {"enum": ["power_shifted", "ratio_shifted"]},
-                            "lam": _POS,
-                        }},
-                "baseline": {"type": "boolean"},
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "directory": {"type": "string"},
-                "formats": {"type": "array",
-                             "items": {"enum": ["csv", "json"]}},
-            },
-        },
-        "sweep": {
-            "type": "array",
-            "items": {"type": "object"},
-        },
-    },
+    **_strict({
+        "kernel": _strict({
+            "family": {"enum": ["constant", "additive", "multiplicative",
+                                "power_sum", "product", "brownian", "tabulated"]},
+            "params": _strict({
+                "c": _POS,
+                "alpha": _NUM,
+                "beta": _NUM,
+                "rate": _strict({
+                    "form": {"enum": ["power_law", "sqrt_log", "identity"]},
+                    "exponent": _NUM,
+                    "scale": _POS,
+                    "offset": _POS,
+                    "log_exponent": _NUM,
+                }, "form"),
+                "x_nodes": {"type": "array", "items": _POS, "minItems": 2},
+                "matrix": {"type": "array",
+                           "items": {"type": "array", "items": {"type": "number"}}},
+            }),
+            "cap": _POS,
+            "cap_mode": {"enum": ["cap", "product_cap"]},
+        }, "family"),
+        "grid": _strict({
+            "kind": {"enum": ["discrete", "geometric", "sectional"]},
+            "n": {"type": "integer", "minimum": 1},
+            "span": {"type": "array", "items": _POS, "minItems": 2, "maxItems": 2},
+            "ratio": {"type": "number", "exclusiveMinimum": 1},
+            "bins": {"type": "integer", "minimum": 1},
+            "edges": {"type": "array", "items": _POS, "minItems": 2},
+        }, "kind"),
+        "init": _strict({
+            "family": {"enum": ["monodisperse", "exponential", "tabulated"]},
+            "params": _strict({
+                "size": _POS,
+                "mean": _POS,
+                "density": {"type": "array", "items": {"type": "number"}},
+            }),
+        }, "family"),
+        "solver": _strict({
+            "scheme": {"enum": ["rk45", "rk4"]},
+            "rel_tol": _POS,
+            "abs_tol": _POS,
+            "dt": _POS,
+            "boundary": {"enum": ["absorbing", "conservative"]},
+            "t_end": _POS,
+            "snapshots": {"type": "array", "items": _POS, "minItems": 1},
+            "truncation_n": _POS,
+            "truncation_mode": {"enum": ["cap", "product_cap"]},
+        }, "t_end"),
+        "diagnostics": _strict({
+            "checks": {"type": "array", "items": _strict({
+                "name": {"enum": ["phi_gronwall", "psi_moment", "product_l2",
+                                  "equicontinuity", "comparison_ode",
+                                  "weak_form_identity"]},
+                "R": _POS,
+                "A": _POS,
+                "theta": {"type": "string"},
+            }, "name")},
+        }),
+        "validate": _strict({
+            "sizes": {"type": "integer", "minimum": 1},
+            "tolerances": _strict({
+                "distribution_rel": _POS,
+                "m0_rel": _POS,
+                "m1_rel": _POS,
+                "m2_rel": _POS,
+            }),
+        }),
+        "compactness": _strict({
+            "source": {"enum": ["run", "bounded", "concentrating", "singular"]},
+            "thresholds": {"type": "array", "items": _POS, "minItems": 1},
+            "eps": {"type": "array", "items": _POS, "minItems": 2},
+            "dlvp": _strict({
+                "alphas": {"type": "array", "items": _POS},
+                "beta_ratio": _POS,
+                "terms": {"type": "integer", "minimum": 1},
+                "tail": {"enum": ["from_family", "inverse", "table"]},
+                "inverse_coeff": _POS,
+                "tail_table": {"type": "object",
+                               "propertyNames": {"pattern": _DECIMAL},
+                               "additionalProperties": {"type": "number"}},
+                "samples": {"type": "integer", "minimum": 1},
+            }),
+        }),
+        "gelation": _strict({
+            "policy": {"enum": ["mass_drop", "m2_extrapolation"]},
+            "threshold": _POS,
+            "xi": _strict({
+                "kind": {"enum": ["power_shifted", "ratio_shifted"]},
+                "lam": _POS,
+            }),
+            "baseline": {"type": "boolean"},
+        }),
+        "output": _strict({
+            "directory": {"type": "string"},
+            "formats": {"type": "array", "items": {"enum": ["csv", "json"]}},
+        }),
+        "sweep": {"type": "array", "items": {"type": "object"}},
+    }, "kernel", "grid", "init", "solver"),
 }
 
 # Built once: jsonschema.validate would re-check the schema itself on every call.
@@ -241,10 +171,14 @@ _CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SC
 
 def load_config(path) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-        cfg = json.loads(text)
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return check_config(cfg)
+
+
+def check_config(cfg: dict) -> dict:
+    """``cfg`` itself if it satisfies the schema; ConfigError otherwise."""
     error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
     if error is not None:
         loc = "/".join(str(p) for p in error.absolute_path) or "<root>"
@@ -347,6 +281,15 @@ def build_run(cfg: dict):
     return init, config
 
 
+def _build(cfg: dict):
+    """``build_run`` and the kernel it integrates; any failure is a config error."""
+    try:
+        init, config = build_run(cfg)
+        return init, config, resolve_kernel(config, init.grid)
+    except (CoagKitError, KeyError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
 # Artifacts
 # ---------------------------------------------------------------------------
@@ -417,21 +360,49 @@ def _rows_csv(rows: list) -> str:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(config_path, out: str | None = None, jobs: int = 1) -> int:
+def _exit_code(run) -> int:
+    """Call ``run()``, a command body returning its exit code, and map the
+    package's errors to theirs.  This is the CLI's only error policy."""
     try:
-        cfg = load_config(config_path)
+        return run()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ConstructionError as exc:
+        print(f"constructive failure: {exc}", file=sys.stderr)
+        return EXIT_CONSTRUCTION
+    except CoagKitError as exc:
+        print(f"unsupported: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
 
-    if "sweep" in cfg and cfg["sweep"]:
+
+def _verdict(traj: Trajectory, passed: bool = True) -> int:
+    if traj.flagged:
+        print(f"trajectory flagged: {traj.step_log['flag']}", file=sys.stderr)
+        return EXIT_FLAGGED
+    return EXIT_OK if passed else EXIT_TOLERANCE
+
+
+def cmd_simulate(config_path, out: str | None = None, jobs: int = 1) -> int:
+    return _exit_code(lambda: _simulate(load_config(config_path), out, jobs))
+
+
+def cmd_validate(config_path, out: str | None = None) -> int:
+    return _exit_code(lambda: _validate(load_config(config_path), out))
+
+
+def cmd_compactness(config_path, out: str | None = None) -> int:
+    return _exit_code(lambda: _compactness(load_config(config_path), out))
+
+
+def cmd_gelation(config_path, out: str | None = None) -> int:
+    return _exit_code(lambda: _gelation(load_config(config_path), out))
+
+
+def _simulate(cfg: dict, out: str | None, jobs: int = 1) -> int:
+    if cfg.get("sweep"):
         return _run_sweep(cfg, out, jobs)
-
-    try:
-        init, config = build_run(cfg)
-    except (CoagKitError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    init, config, kernel = _build(cfg)
     _warn_sparse_snapshots(config, init.grid)
     traj = integrate(init, config)
     out_dir = _out_dir(cfg, out)
@@ -440,32 +411,37 @@ def cmd_simulate(config_path, out: str | None = None, jobs: int = 1) -> int:
         _write(out_dir / "moments.csv", traj.moments_csv())
         _write(out_dir / "snapshots.csv", traj.snapshots_csv())
     _write(out_dir / "run.json", _json_text(_run_json(cfg, traj)))
-    rows = _run_diagnostics(cfg, traj, resolve_kernel(config, traj.grid))
+    rows = _run_diagnostics(cfg, traj, kernel)
     if rows:
         _write(out_dir / "diagnostics.json", _json_text(rows))
         if "csv" in formats:
             _write(out_dir / "diagnostics.csv", _rows_csv(rows))
-    if traj.flagged:
-        print(f"trajectory flagged: {traj.step_log['flag']}", file=sys.stderr)
-        return EXIT_FLAGGED
-    return EXIT_OK
+    return _verdict(traj)
 
 
-def _sweep_entry(args):
-    base_cfg, overrides, out_dir = args
+def _sweep_entry(args) -> int:
+    return _exit_code(lambda: _simulate(_entry_config(*args), None))
+
+
+def _entry_config(base_cfg: dict, overrides: dict, out_dir: Path) -> dict:
+    """The base config with one sweep entry's dotted overrides, checked by
+    the schema and written to ``out_dir/config.json``, the file that
+    ``run.json``'s hash refers to."""
     cfg = copy.deepcopy(base_cfg)
     cfg.pop("sweep", None)
     for dotted, value in overrides.items():
+        *path, key = dotted.split(".")
         node = cfg
-        keys = dotted.split(".")
-        for k in keys[:-1]:
+        for k in path:
             node = node.setdefault(k, {})
-        node[keys[-1]] = value
+            if not isinstance(node, dict):
+                raise ConfigError(f"sweep override {dotted!r}: {k!r} is not an object")
+        node[key] = value
+    check_config(cfg)
     cfg.setdefault("output", {})["directory"] = str(out_dir)
-    tmp = Path(out_dir) / "config.json"
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    _write(tmp, _json_text(cfg))
-    return cmd_simulate(tmp)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write(out_dir / "config.json", _json_text(cfg))
+    return cfg
 
 
 def _run_sweep(cfg: dict, out: str | None, jobs: int) -> int:
@@ -473,90 +449,60 @@ def _run_sweep(cfg: dict, out: str | None, jobs: int) -> int:
     tasks = [(cfg, entry, base / f"sweep_{i:03d}")
              for i, entry in enumerate(cfg["sweep"])]
     if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(jobs, len(tasks))) as pool:
             codes = list(pool.map(_sweep_entry, tasks))
     else:
         codes = [_sweep_entry(t) for t in tasks]
-    return max(codes) if codes else EXIT_OK
+    return max(codes)
 
 
-def cmd_validate(config_path, out: str | None = None, jobs: int = 1) -> int:
-    try:
-        cfg = load_config(config_path)
-        init, config = build_run(cfg)
-    except (ConfigError, CoagKitError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    fam = config.kernel.family
-    try:
-        # the run ends at t_end at the latest, so this probes the oracle's
-        # family and its window of validity before any work is done
-        exact_solution(config.kernel, config.t_end)
-    except (UnsupportedFamilyError, DomainError) as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+def _validate(cfg: dict, out: str | None) -> int:
+    init, config, _ = _build(cfg)
+    # the run ends at t_end at the latest, so this probes the oracle's
+    # family and its window of validity before any work is done
+    exact_solution(config.kernel, config.t_end)
 
     traj = integrate(init, config)
     out_dir = _out_dir(cfg, out)
     vcfg = cfg.get("validate", {})
     tols = vcfg.get("tolerances", {})
     t = traj.times[-1]
-    report = {"t": float(t), "checks": []}
-    ok = True
+    sizes = vcfg.get("sizes", 10) if config.kernel.family == "constant" else 0
+    oracle = exact_solution(config.kernel, float(t), n_sizes=sizes)
 
-    def add(name, got, want, tol):
-        nonlocal ok
-        rel = abs(got - want) / max(abs(want), 1e-300)
-        good = rel <= tol
-        ok = ok and good
-        report["checks"].append({"quantity": name, "computed": got,
-                                 "reference": want, "rel_error": rel,
-                                 "tolerance": tol,
-                                 "verdict": "pass" if good else "fail"})
+    def check(quantity, rel, tol, **values):
+        return {"quantity": quantity, **values, "rel_error": rel, "tolerance": tol,
+                "verdict": "pass" if rel <= tol else "fail"}
 
-    oracle = exact_solution(config.kernel, float(t),
-                            n_sizes=vcfg.get("sizes", 10) if fam == "constant" else 0)
     m = traj.moments
-    add("M0", float(m[0.0][-1]), oracle.moments[0.0], tols.get("m0_rel", 1e-6))
-    add("M1", float(m[1.0][-1] + m.gel_mass[-1]), oracle.moments[1.0],
-        tols.get("m1_rel", 1e-8))
-    if 2.0 in oracle.moments:
-        add("M2", float(m[2.0][-1]), oracle.moments[2.0], tols.get("m2_rel", 1e-3))
+    checks = []
+    for name, got, mu, key, tol in (("M0", m[0.0][-1], 0.0, "m0_rel", 1e-6),
+                                    ("M1", m[1.0][-1] + m.gel_mass[-1], 1.0, "m1_rel", 1e-8),
+                                    ("M2", m[2.0][-1], 2.0, "m2_rel", 1e-3)):
+        if mu in oracle.moments:
+            got, want = float(got), oracle.moments[mu]
+            checks.append(check(name, abs(got - want) / max(abs(want), 1e-300),
+                                tols.get(key, tol), computed=got, reference=want))
     if oracle.distribution is not None:
-        f = traj.snapshots[-1].density[:oracle.distribution.size]
-        rel = float(np.max(np.abs(f - oracle.distribution)
-                           / np.maximum(np.abs(oracle.distribution), 1e-300)))
-        tol = tols.get("distribution_rel", 1e-6)
-        good = rel <= tol
-        ok = ok and good
-        report["checks"].append({"quantity": f"f_1..f_{oracle.distribution.size}",
-                                 "rel_error": rel, "tolerance": tol,
-                                 "verdict": "pass" if good else "fail"})
-    report["verdict"] = "pass" if ok else "fail"
+        want = oracle.distribution
+        f = traj.snapshots[-1].density[:want.size]
+        rel = float(np.max(np.abs(f - want) / np.maximum(np.abs(want), 1e-300)))
+        checks.append(check(f"f_1..f_{want.size}", rel, tols.get("distribution_rel", 1e-6)))
+    ok = all(c["verdict"] == "pass" for c in checks)
+    report = {"t": float(t), "checks": checks, "verdict": "pass" if ok else "fail"}
     _write(out_dir / "validate.json", _json_text(report))
-    if traj.flagged:
-        return EXIT_FLAGGED
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    return _verdict(traj, ok)
 
 
-def cmd_compactness(config_path, out: str | None = None, jobs: int = 1) -> int:
-    try:
-        cfg = load_config(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def _compactness(cfg: dict, out: str | None) -> int:
     sec = cfg.get("compactness", {})
     source = sec.get("source", "run")
-    try:
-        if source == "run":
-            init, config = build_run(cfg)
-            traj = integrate(init, config)
-            family = FunctionFamily.from_snapshots(traj.snapshots)
-        else:
-            family = synthetic_family(source)
-    except (CoagKitError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if source == "run":
+        init, config, _ = _build(cfg)
+        family = FunctionFamily.from_snapshots(integrate(init, config).snapshots)
+    else:
+        family = synthetic_family(source)
 
     thresholds = sec.get("thresholds", [2.0 ** k for k in range(0, 14)])
     eps = sec.get("eps", [2.0 ** -k for k in range(4, 20)])
@@ -600,19 +546,17 @@ def cmd_compactness(config_path, out: str | None = None, jobs: int = 1) -> int:
         elif tail_kind == "table":
             raw = dcfg.get("tail_table", {})
             if not raw:
-                print("config error: tail 'table' needs tail_table",
-                      file=sys.stderr)
-                return EXIT_CONFIG
+                raise ConfigError("tail 'table' needs tail_table")
             tail = {float(k): v for k, v in raw.items()}
         else:
             tail = family_tail(family)
         try:
             phi = dlvp_construct(tail, alphas, betas, terms=terms)
         except ConstructionError as exc:
-            print(f"constructive failure: {exc}", file=sys.stderr)
+            # the partial report names the first unmet breakpoint index
             report["dlvp"] = {"error": str(exc), "first_unmet_index": exc.index}
             _write(_out_dir(cfg, out) / "compactness.json", _json_text(report))
-            return EXIT_CONSTRUCTION
+            raise
         rng = np.random.default_rng(20240211)
         nsamp = dcfg.get("samples", 1000)
         top = float(phi.breakpoints[min(3, len(phi.breakpoints) - 1)])
@@ -629,13 +573,8 @@ def cmd_compactness(config_path, out: str | None = None, jobs: int = 1) -> int:
     return EXIT_OK
 
 
-def cmd_gelation(config_path, out: str | None = None, jobs: int = 1) -> int:
-    try:
-        cfg = load_config(config_path)
-        init, config = build_run(cfg)
-    except (ConfigError, CoagKitError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def _gelation(cfg: dict, out: str | None) -> int:
+    init, config, kernel = _build(cfg)
     sec = cfg.get("gelation", {})
     _warn_sparse_snapshots(config, init.grid)
     traj = integrate(init, config)
@@ -644,7 +583,6 @@ def cmd_gelation(config_path, out: str | None = None, jobs: int = 1) -> int:
         base_cfg = SolverConfig(**{**config.__dict__, "boundary": "conservative"})
         baseline = integrate(init, base_cfg)
     policy = sec.get("policy", "m2_extrapolation")
-    kernel = resolve_kernel(config, traj.grid)
     report = gelation_detect(traj, policy, threshold=sec.get("threshold", 0.01),
                              baseline=baseline, kernel=kernel)
     obj = {
@@ -655,27 +593,20 @@ def cmd_gelation(config_path, out: str | None = None, jobs: int = 1) -> int:
     }
     xi_cfg = sec.get("xi")
     if xi_cfg is not None and kernel.family in ("product", "multiplicative"):
-        rate = kernel.radial_rate()
         xi = ("power_shifted", xi_cfg.get("lam", 1.5)) \
             if xi_cfg.get("kind", "power_shifted") == "power_shifted" else "ratio_shifted"
-        try:
-            func = gelation_functional(traj, rate, xi)
-            obj["functional"] = {
-                "i_xi": func.i_xi,
-                "bound": func.bound,
-                "accumulated": func.functional_values.tolist(),
-                "margin": func.functional_margin,
-                "flags": func.flags,
-            }
-        except CoagKitError as exc:
-            print(f"unsupported: {exc}", file=sys.stderr)
-            return EXIT_UNSUPPORTED
+        func = gelation_functional(traj, kernel.radial_rate(), xi)
+        obj["functional"] = {
+            "i_xi": func.i_xi,
+            "bound": func.bound,
+            "accumulated": func.functional_values.tolist(),
+            "margin": func.functional_margin,
+            "flags": func.flags,
+        }
     out_dir = _out_dir(cfg, out)
     _write(out_dir / "gelation.json", _json_text(obj))
     _write(out_dir / "moments.csv", traj.moments_csv())
-    if traj.flagged:
-        return EXIT_FLAGGED
-    return EXIT_OK
+    return _verdict(traj)
 
 
 def main(argv=None) -> int:
@@ -686,12 +617,15 @@ def main(argv=None) -> int:
     for name, fn in (("simulate", cmd_simulate), ("validate", cmd_validate),
                      ("compactness", cmd_compactness), ("gelation", cmd_gelation)):
         p = sub.add_parser(name)
-        p.add_argument("config", help="path to a JSON config file")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("config_path", metavar="config", help="path to a JSON config file")
         p.add_argument("--out", default=None, help="output directory override")
+        if fn is cmd_simulate:
+            p.add_argument("--jobs", type=int, default=1,
+                           help="worker processes for the entries of a sweep")
         p.set_defaults(func=fn)
-    args = parser.parse_args(argv)
-    return args.func(args.config, out=args.out, jobs=args.jobs)
+    args = vars(parser.parse_args(argv))
+    del args["command"]
+    return args.pop("func")(**args)
 
 
 if __name__ == "__main__":

@@ -115,11 +115,13 @@ def eta_limit(family: FunctionFamily, thresholds) -> tuple[float, np.ndarray]:
 
 def eta_zero_extrapolation(family: FunctionFamily, eps_list) -> float:
     """Linear extrapolation of eta_modulus to eps = 0 from the two smallest
-    eps values (exact for finite families once eps is below the measure of
+    of distinct eps values (exact for finite families once eps is below the measure of
     the top-value cell)."""
     eps = np.sort(np.asarray(eps_list, dtype=float))
     if eps.size < 2:
         raise DomainError("need at least two eps values to extrapolate")
+    if np.any(np.diff(eps) == 0):
+        raise DomainError("eps values must be distinct")
     e1, e2 = eps[0], eps[1]
     h1, h2 = eta_modulus(family, e1), eta_modulus(family, e2)
     return h1 - e1 * (h2 - h1) / (e2 - e1)
@@ -599,6 +601,7 @@ def vp_check(phi: VPFunction, samples, member=None, tol: float = 1e-12
     integer cross-multiplication, and ``tol`` is ignored.
     """
     records: dict = {}
+    samples = list(samples)  # scanned twice: for rationality, then checked
     exact = phi.exact and all(
         _is_rational(v) for t in samples for v in t)
 

@@ -13,7 +13,6 @@ number/mass apportionment used by the solver and ``regrid``.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,13 +137,15 @@ class SizeDistribution:
     def with_time(self, t: float) -> "SizeDistribution":
         return SizeDistribution(self.grid, self.density.copy(), float(t))
 
+    def csv_rows(self, lead: str = "") -> list[str]:
+        """``pivot,width,density`` rows, each after ``lead``; the one row
+        format of this module's and the trajectory's CSV output."""
+        return [f"{lead}{float(p)!r},{float(w)!r},{float(d)!r}"
+                for p, w, d in zip(self.grid.pivots, self.grid.widths, self.density)]
+
     def to_csv(self) -> str:
         """CSV columns pivot,width,density with LF line endings."""
-        buf = io.StringIO()
-        buf.write("pivot,width,density\n")
-        for p, w, d in zip(self.grid.pivots, self.grid.widths, self.density):
-            buf.write(f"{float(p)!r},{float(w)!r},{float(d)!r}\n")
-        return buf.getvalue()
+        return "\n".join(["pivot,width,density", *self.csv_rows()]) + "\n"
 
     def to_json_obj(self) -> dict:
         return {

@@ -94,6 +94,8 @@ class SolverConfig:
             raise DomainError("rk45 tolerances must be positive")
         if self.boundary not in ("absorbing", "conservative"):
             raise DomainError(f"unknown boundary mode {self.boundary!r}")
+        if self.truncation_mode not in ("cap", "product_cap"):
+            raise DomainError(f"unknown truncation mode {self.truncation_mode!r}")
         if self.snapshot_times is not None:
             st = tuple(float(t) for t in self.snapshot_times)
             if not st or any(t <= 0 or t > self.t_end for t in st):
@@ -151,9 +153,7 @@ class Trajectory:
     def snapshots_csv(self) -> str:
         lines = ["t,pivot,width,density"]
         for snap in self.snapshots:
-            t = repr(float(snap.time))
-            for p, w, d in zip(snap.grid.pivots, snap.grid.widths, snap.density):
-                lines.append(f"{t},{float(p)!r},{float(w)!r},{float(d)!r}")
+            lines += snap.csv_rows(f"{float(snap.time)!r},")
         return "\n".join(lines) + "\n"
 
 
@@ -568,8 +568,7 @@ def resolve_kernel(config: SolverConfig, grid: SizeGrid) -> KernelSpec:
     when ``truncation_n`` or its own cap asks for it.  No default applies,
     so the result is the same on every grid."""
     if config.truncation_n is not None:
-        mode = "product_cap" if config.truncation_mode == "product_cap" else "cap"
-        return config.kernel.truncate(config.truncation_n, mode)
+        return config.kernel.truncate(config.truncation_n, config.truncation_mode)
     return config.kernel
 
 

@@ -239,19 +239,122 @@ def test_main_entry_point(tmp_path, capsys):
     assert cli.main(["validate", str(path), "--out", str(tmp_path / "v")]) == 0
 
 
+def _cli_env():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_cli_import_leaves_out_unused_scipy():
     # scipy.signal and scipy.integrate were most of the start-up time of every
     # command; scipy.fft, which the rate operator uses, is still imported
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, coagkit.cli; print(any(m in sys.modules for m in "
             "('scipy.signal', 'scipy.integrate')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
+    out = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
+                         capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
 
 
 def test_config_schema_is_valid():
     # load_config builds its validator once and does not re-check the schema
     jsonschema.validators.validator_for(cli.CONFIG_SCHEMA).check_schema(cli.CONFIG_SCHEMA)
+
+
+def _run_cli(*argv):
+    return subprocess.run([sys.executable, "-m", "coagkit.cli", *map(str, argv)],
+                          env=_cli_env(), capture_output=True, text=True,
+                          timeout=120)
+
+
+def _product_cap_on_multiplicative(cfg):
+    # t_end inside the oracle's window, so validate reaches the kernel
+    cfg["kernel"] = {"family": "multiplicative"}
+    cfg["solver"].update({"t_end": 0.5, "snapshots": [0.25, 0.5],
+                          "truncation_n": 8.0, "truncation_mode": "product_cap"})
+
+
+def _pointwise_cap_on_product_cap(cfg):
+    cfg["kernel"] = {"family": "product", "params": {"rate": {"form": "identity"}},
+                     "cap": 4.0, "cap_mode": "product_cap"}
+    cfg["solver"]["truncation_n"] = 8.0
+
+
+def _compactness(**sec):
+    def edit(cfg):
+        cfg["compactness"] = {"source": "bounded", **sec}
+    return edit
+
+
+# (command, config edit, documented exit code): each of these once escaped
+# the CLI as a traceback, or wrote a NaN and exited 0
+BAD_CONFIGS = {
+    "simulate-product-cap-on-multiplicative":
+        ("simulate", _product_cap_on_multiplicative, 2),
+    "gelation-product-cap-on-multiplicative":
+        ("gelation", _product_cap_on_multiplicative, 2),
+    "validate-product-cap-on-multiplicative":
+        ("validate", _product_cap_on_multiplicative, 2),
+    "simulate-pointwise-cap-on-product-cap":
+        ("simulate", _pointwise_cap_on_product_cap, 2),
+    "simulate-unknown-truncation-mode":
+        ("simulate", lambda cfg: cfg["solver"].update(
+            {"truncation_n": 8.0, "truncation_mode": "product"}), 2),
+    "simulate-sweep-override-through-non-object":
+        ("simulate", lambda cfg: cfg.update(sweep=[{"grid.n.x": 3}]), 2),
+    "compactness-decreasing-thresholds":
+        ("compactness", _compactness(thresholds=[4, 2, 1]), 4),
+    "compactness-fewer-alphas-than-terms":
+        ("compactness", _compactness(dlvp={"terms": 4, "alphas": [1, 1],
+                                           "tail": "inverse"}), 4),
+    "compactness-increasing-tail-table":
+        ("compactness", _compactness(dlvp={"terms": 2, "tail": "table",
+                                           "tail_table": {"1": 0.5, "10": 1.0}}), 4),
+    "compactness-non-numeric-tail-table-key":
+        ("compactness", _compactness(dlvp={"terms": 2, "tail": "table",
+                                           "tail_table": {"one": 1.0}}), 2),
+    "compactness-duplicate-smallest-eps":
+        ("compactness", _compactness(eps=[0.01, 0.01, 0.1]), 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_exits_with_documented_code(tmp_path, case):
+    command, edit, code = BAD_CONFIGS[case]
+    cfg = base_config(tmp_path / "o")
+    cfg["grid"]["n"] = 16
+    edit(cfg)
+    path = write_config(tmp_path, "bad.json", cfg)
+    proc = _run_cli(command, path)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip()
+
+
+def test_jobs_is_a_simulate_option_only(tmp_path):
+    path = write_config(tmp_path, "c.json", base_config(tmp_path / "o"))
+    proc = _run_cli("validate", path, "--jobs", "2")
+    assert proc.returncode == 2
+    assert "--jobs" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_entries_run_in_process(tmp_path, monkeypatch):
+    # the entries are checked and simulated from the merged dict: the config
+    # file is read once, and each entry's config.json is what run.json hashes
+    reads = []
+    load = cli.load_config
+    monkeypatch.setattr(cli, "load_config", lambda p: reads.append(p) or load(p))
+    cfg = base_config(tmp_path / "o")
+    cfg["sweep"] = [{"grid.n": 32}, {"mystery": 1}, {"solver.t_end": 0.5,
+                                                     "solver.snapshots": [0.5]}]
+    path = write_config(tmp_path, "s.json", cfg)
+    assert cli.cmd_simulate(path) == 2
+    assert reads == [path]
+    for i in (0, 2):
+        entry = tmp_path / "o" / f"sweep_{i:03d}"
+        run = json.loads((entry / "run.json").read_text())
+        written = json.loads((entry / "config.json").read_text())
+        assert run["config_sha256"] == cli.config_hash(written)
+        assert written["output"]["directory"] == str(entry)
+    assert not (tmp_path / "o" / "sweep_001").exists()

@@ -152,6 +152,13 @@ def test_eta_limit_equals_extrapolation_finite_families():
         assert abs(est - extrap) <= 1e-12
 
 
+def test_eta_zero_extrapolation_needs_distinct_eps():
+    # two equal smallest eps once divided by zero and returned NaN
+    fam = ck.synthetic_family("bounded")
+    with pytest.raises(DomainError, match="distinct"):
+        ck.eta_zero_extrapolation(fam, [0.01, 0.01, 0.1])
+
+
 # ---------------------------------------------------------------------------
 # the convex-function builder
 # ---------------------------------------------------------------------------
@@ -354,6 +361,17 @@ def test_vp_check_counts_violations_like_the_oracle():
     got = ck.vp_check(phi, samples).to_json_obj()
     assert got == fraction_vp_check(phi, samples)
     assert not got["passed"]
+
+
+def test_vp_check_accepts_a_one_shot_iterator():
+    # the samples are scanned twice; an iterator once came back empty and
+    # passed with no checks
+    phi = VPFunction([1, 2], [2])
+    samples = [(Fraction(1, 2), Fraction(3, 2), Fraction(2)), (1, 2, 0),
+               (Fraction(5, 3), 0, Fraction(1, 3)), (3, 1, 1), (0, 2, 2)]
+    from_list = ck.vp_check(phi, samples).to_json_obj()
+    assert len(from_list["checks"]) == 7
+    assert ck.vp_check(phi, iter(samples)).to_json_obj() == from_list
 
 
 def test_cli_compactness_checks_match_fraction_oracle(tmp_path):

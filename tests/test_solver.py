@@ -261,6 +261,28 @@ def test_resolved_kernel_is_the_requested_one():
     assert resolve_kernel(cfg2, grid) == ck.KernelSpec.multiplicative().truncate(10.0)
 
 
+def test_unknown_truncation_mode_rejected():
+    # an unknown mode once resolved silently to the pointwise cap min(K, n)
+    with pytest.raises(DomainError, match="truncation mode"):
+        ck.SolverConfig(kernel=ck.KernelSpec.multiplicative(), t_end=1.0,
+                        truncation_n=10.0, truncation_mode="product")
+    cfg = ck.SolverConfig(kernel=ck.KernelSpec.product(ck.RadialRate.identity()),
+                          t_end=1.0, truncation_n=10.0, truncation_mode="product_cap")
+    assert resolve_kernel(cfg, ck.SizeGrid.discrete(8)).cap_mode == "product"
+
+
+def test_snapshots_csv_rows_are_the_distribution_rows():
+    grid = ck.SizeGrid.geometric(0.5, 8.0, bins=6)
+    init = ck.init_distribution(grid, "exponential", mean=1.0)
+    traj = ck.integrate(init, ck.SolverConfig(kernel=ck.KernelSpec.constant(2.0),
+                                              t_end=0.2, snapshot_times=(0.1, 0.2)))
+    lines = traj.snapshots_csv().splitlines()
+    assert lines[0] == "t,pivot,width,density"
+    expected = [f"{snap.time!r}," + row for snap in traj.snapshots
+                for row in snap.to_csv().splitlines()[1:]]
+    assert lines[1:] == expected
+
+
 def test_integrate_brownian_dense_path():
     # the same Brownian kernel, tabulated on the pivots, has no separable
     # form: the dense run is an independent oracle for the separable one
