@@ -33,11 +33,11 @@ from .compactness import (FunctionFamily, dlvp_construct, eta_limit,
                           limit_denominator, synthetic_family, vp_check)
 from .diagnostics import (bound_monitor, comparison_ode, gelation_detect,
                           gelation_functional, weak_form_residual)
-from .errors import CoagKitError, ConfigError, ConstructionError
+from .errors import CoagKitError, ConfigError, ConstructionError, UnsupportedFamilyError
 from .grids import SizeGrid, init_distribution
 from .kernels import KernelSpec, RadialRate, classify
 from .reference import exact_solution
-from .solver import SolverConfig, Trajectory, integrate, resolve_kernel
+from .solver import SolverConfig, Trajectory, _cap_binds, integrate, resolve_kernel
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -360,25 +360,26 @@ def _rows_csv(rows: list) -> str:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _exit_code(run) -> int:
+def _exit_code(run, label: str = "") -> int:
     """Call ``run()``, a command body returning its exit code, and map the
-    package's errors to theirs.  This is the CLI's only error policy."""
+    package's errors to theirs.  This is the CLI's only error policy.
+    ``label`` (a sweep entry's name) starts the stderr line."""
     try:
         return run()
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"{label}config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConstructionError as exc:
-        print(f"constructive failure: {exc}", file=sys.stderr)
+        print(f"{label}constructive failure: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
     except CoagKitError as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
+        print(f"{label}unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
 
 
-def _verdict(traj: Trajectory, passed: bool = True) -> int:
+def _verdict(traj: Trajectory, passed: bool = True, label: str = "") -> int:
     if traj.flagged:
-        print(f"trajectory flagged: {traj.step_log['flag']}", file=sys.stderr)
+        print(f"{label}trajectory flagged: {traj.step_log['flag']}", file=sys.stderr)
         return EXIT_FLAGGED
     return EXIT_OK if passed else EXIT_TOLERANCE
 
@@ -399,7 +400,7 @@ def cmd_gelation(config_path, out: str | None = None) -> int:
     return _exit_code(lambda: _gelation(load_config(config_path), out))
 
 
-def _simulate(cfg: dict, out: str | None, jobs: int = 1) -> int:
+def _simulate(cfg: dict, out: str | None, jobs: int = 1, label: str = "") -> int:
     if cfg.get("sweep"):
         return _run_sweep(cfg, out, jobs)
     init, config, kernel = _build(cfg)
@@ -416,11 +417,12 @@ def _simulate(cfg: dict, out: str | None, jobs: int = 1) -> int:
         _write(out_dir / "diagnostics.json", _json_text(rows))
         if "csv" in formats:
             _write(out_dir / "diagnostics.csv", _rows_csv(rows))
-    return _verdict(traj)
+    return _verdict(traj, label=label)
 
 
 def _sweep_entry(args) -> int:
-    return _exit_code(lambda: _simulate(_entry_config(*args), None))
+    label = f"{args[2].name}: "
+    return _exit_code(lambda: _simulate(_entry_config(*args), None, label=label), label)
 
 
 def _entry_config(base_cfg: dict, overrides: dict, out_dir: Path) -> dict:
@@ -458,18 +460,23 @@ def _run_sweep(cfg: dict, out: str | None, jobs: int) -> int:
 
 
 def _validate(cfg: dict, out: str | None) -> int:
-    init, config, _ = _build(cfg)
+    init, config, kernel = _build(cfg)
     # the run ends at t_end at the latest, so this probes the oracle's
-    # family and its window of validity before any work is done
-    exact_solution(config.kernel, config.t_end)
+    # family and its window of validity before any work is done; the oracle
+    # is for the uncapped kernel, so a cap that binds on the grid is refused
+    exact_solution(kernel, config.t_end)
+    if _cap_binds(kernel, init.grid):
+        raise UnsupportedFamilyError(
+            f"the closed-form oracle is for the uncapped {kernel.family} kernel; "
+            f"the cap {kernel.cap:g} binds on the grid")
 
     traj = integrate(init, config)
     out_dir = _out_dir(cfg, out)
     vcfg = cfg.get("validate", {})
     tols = vcfg.get("tolerances", {})
     t = traj.times[-1]
-    sizes = vcfg.get("sizes", 10) if config.kernel.family == "constant" else 0
-    oracle = exact_solution(config.kernel, float(t), n_sizes=sizes)
+    sizes = vcfg.get("sizes", 10) if kernel.family == "constant" else 0
+    oracle = exact_solution(kernel, float(t), n_sizes=sizes)
 
     def check(quantity, rel, tol, **values):
         return {"quantity": quantity, **values, "rel_error": rel, "tolerance": tol,

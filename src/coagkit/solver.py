@@ -12,11 +12,20 @@ grid handled by one of two boundary modes:
 
 One rate operator per grid and kernel answers ``split(density)`` with the
 gain, the loss and the gel rate; the integrator, ``fast_gain`` and the
-weak-form diagnostic all use it.  The kernel and the grid alone choose it:
-separable kernels (constant, additive, multiplicative, two-exponent sums,
-product kernels, Brownian) on integer grids, uncapped or with a cap that
-never binds, take the separable path; everything else takes the dense
-pairwise path.  The run records which one ran as ``step_log["rate_path"]``.
+weak-form diagnostic all use it.  The kernel and the grid alone choose one
+of three paths, and the run records which one ran as
+``step_log["rate_path"]``:
+
+* ``separable`` -- separable kernels (constant, additive, multiplicative,
+  two-exponent sums, product kernels, Brownian) on integer grids, uncapped
+  or with a cap that never binds;
+* ``capped`` -- a pointwise cap ``min(K, c)`` that binds on an integer grid,
+  on a kernel whose separable terms are non-negative and nondecreasing
+  (constant, additive, multiplicative, product with a nondecreasing ``r``,
+  two-exponent sums with exponents >= 0);
+* ``dense`` -- everything else: a binding cap on any other kernel (Brownian,
+  negative exponents), tabulated kernels and sectional grids.
+
 A kernel without a cap is integrated as given; it is truncated only when
 ``truncation_n`` or its own cap asks for it.
 
@@ -24,9 +33,14 @@ The separable path writes the kernel as ``sum_ab C_ab w_a(x) w_b(y)`` over
 its distinct weight vectors.  Each evaluation takes one real FFT per
 distinct ``w_a f``, sums the spectral products ``C_ab W_a W_b`` and takes one
 inverse FFT for the gain; the loss and the overflow flux come from prefix and
-suffix sums.  The integrator is Dormand-Prince 5(4) with the first-same-as-
-last property: an accepted step that the negativity clamp leaves unchanged
-hands its last stage on as the next step's first.
+suffix sums.  The capped path splits the pairs at J0, the number of leading
+cells with ``K(x_j, x_j) < c``: pairs of two later cells see exactly ``c``
+and go through the separable path of the constant kernel ``c``, and the J0
+rows of pairs with a small cell are summed directly.
+
+The integrator is Dormand-Prince 5(4) with the first-same-as-last property:
+an accepted step that the negativity clamp leaves unchanged hands its last
+stage on as the next step's first.
 """
 
 from __future__ import annotations
@@ -51,7 +65,9 @@ __all__ = [
     "integrate",
 ]
 
-_MATRIX_LIMIT = 4096  # dense pairwise path refuses larger grids
+# the dense pairwise path refuses larger grids; the capped path refuses a
+# J0 x N table of more than _MATRIX_LIMIT**2 entries
+_MATRIX_LIMIT = 4096
 
 # FFT round-off contract: the gain's convolution is one inverse FFT of the
 # summed spectra, so one floor covers it, _FFT_ERR_FACTOR * eps * log2(2M) * s2
@@ -316,6 +332,81 @@ class _SeparableOperator:
                    for c, a, b in self.pairs)
 
 
+def _monotone_separable(kernel: KernelSpec, x: np.ndarray) -> bool:
+    """True when every separable term of the kernel has ``c >= 0`` and
+    non-negative weights nondecreasing on ``x``, so K is nondecreasing in
+    each argument."""
+    try:
+        terms = _separable_terms(kernel, x)
+    except UnsupportedFamilyError:
+        return False
+    return all(c >= 0 and np.all(w >= 0) and np.all(np.diff(w) >= 0)
+               for c, a, b in terms for w in (a, b))
+
+
+class _CappedOperator:
+    """Rates for a binding cap ``min(K, c)`` of a monotone separable kernel
+    on a discrete grid.
+
+    K is nondecreasing in each argument, so the first J0 cells, those with
+    ``K(x_j, x_j) < c``, are the only ones that can see less than ``c``:
+    every pair of two later cells sees exactly ``c``.  The pairs of two
+    large cells go through the separable operator of the constant kernel
+    ``c`` on the density with its first J0 cells zeroed; every pair with a
+    small cell goes through the J0 x N table of its capped rates.  The cost
+    is O(J0 N + N log N) time and O(J0 N) memory."""
+
+    path = "capped"
+
+    def __init__(self, grid: SizeGrid, kernel: KernelSpec, boundary: str):
+        x = grid.pivots
+        n = grid.n
+        c = kernel.cap
+        j0 = int(np.count_nonzero(replace(kernel, cap=None).eval(x, x) < c))
+        if j0 * n > _MATRIX_LIMIT ** 2:
+            raise GridError(
+                f"capped path needs a {j0} x {n} table, above the dense path's "
+                f"{_MATRIX_LIMIT}^2 entries")
+        self.j0 = j0
+        self.large = _SeparableOperator(grid, KernelSpec.constant(c), boundary)
+        # rows[j, k] = min(K, c) of small cell j and any cell k, zero where
+        # the pair does not react; the product lands on cell j + k + 1
+        # (cell n collects the off-grid products and is dropped)
+        lands = np.add.outer(np.arange(j0), np.arange(n)) + 1
+        self.rows = np.asarray(kernel.eval(x[:j0, None], x[None, :]))
+        if boundary == "conservative":
+            self.rows[lands >= n] = 0.0
+        self.gain_index = np.minimum(lands, n).ravel()
+        # a small x small pair sits in two rows, a small x large pair in one
+        self.pair_weight = np.where(np.arange(n) < j0, 0.5, 1.0)
+        # overflow mass per unit f_j f_k: partners k > n - 2 - j, which are
+        # among the last j0 cells; zero under the conservative boundary,
+        # whose rows hold no overflowing pair
+        self.tail = tail = max(n - j0, 0)
+        self.gel_rows = np.where(lands[:, tail:] >= n,
+                                 self.pair_weight[tail:] * (x[:j0, None] + x[None, tail:])
+                                 * self.rows[:, tail:], 0.0)
+
+    def split(self, f: np.ndarray, refine: bool = False) -> RateSplit:
+        """The large x large pairs come from the constant-kernel split of
+        ``f`` with its first J0 cells zeroed (with its FFT round-off floor
+        and ``refine``); the pairs with a small cell are added by direct
+        sums, of non-negative products when ``f`` is non-negative."""
+        j0, n = self.j0, f.size
+        f_small = f[:j0]
+        f_large = f.copy()
+        f_large[:j0] = 0.0
+        base = self.large.split(f_large, refine)
+        shifted = f_small[:, None] * self.rows * (self.pair_weight * f)
+        gain = base.gain + np.bincount(self.gain_index, weights=shifted.ravel(),
+                                       minlength=n + 1)[:n]
+        loss_factor = base.loss_factor + f_small @ self.rows
+        loss_factor[:j0] = self.rows @ f
+        gel_rate = base.gel_rate + float(f_small @ (self.gel_rows @ f[self.tail:]))
+        return RateSplit(gain=gain, loss=f * loss_factor,
+                         loss_factor=loss_factor, gel_rate=gel_rate)
+
+
 def fast_gain(dist: SizeDistribution, kernel: KernelSpec, refine: bool = True) -> np.ndarray:
     """Gain term on an integer grid via fast convolution.
 
@@ -343,8 +434,9 @@ class _PairTables:
         m = grid.size
         if m > _MATRIX_LIMIT:
             raise GridError(
-                f"dense pairwise path limited to {_MATRIX_LIMIT} cells; "
-                "use a separable kernel family on a discrete grid")
+                f"dense pairwise path limited to {_MATRIX_LIMIT} cells; on a "
+                "discrete grid a separable kernel runs separable, and a binding "
+                "cap on a nondecreasing separable kernel runs capped")
         p = grid.pivots
         self.grid = grid
         self.boundary = boundary
@@ -396,10 +488,20 @@ class _PairTables:
 
 
 def _rate_operator(grid: SizeGrid, kernel: KernelSpec, boundary: str):
-    """The rate operator for this grid and kernel: separable when the kernel
-    factorises on an integer grid and no pointwise cap binds, dense otherwise."""
+    """The rate operator for this grid and kernel, chosen by the two alone.
+
+    On an integer grid: ``separable`` when the kernel factorises and no
+    pointwise cap binds; ``capped`` when a cap ``min(K, c)`` binds on a
+    kernel whose separable terms have ``c >= 0`` and non-negative,
+    nondecreasing weights (constant, additive, multiplicative, product with
+    a nondecreasing ``r``, ``power_sum`` with exponents >= 0).  Everything
+    else, a binding cap on Brownian or a negative exponent, tabulated
+    kernels and sectional grids, is ``dense``."""
     if _fast_path_ok(kernel, grid):
         return _SeparableOperator(grid, kernel, boundary)
+    if grid.kind == "discrete" and _cap_binds(kernel, grid) \
+            and _monotone_separable(kernel, grid.pivots):
+        return _CappedOperator(grid, kernel, boundary)
     return _PairTables(grid, kernel, boundary)
 
 

@@ -122,6 +122,21 @@ def test_validate_past_oracle_window_exits_4(tmp_path):
     assert cli.cmd_validate(path) == 4
 
 
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+
+
+@pytest.mark.parametrize("truncation_n, code", [(1.0, 4), (3.0, 0)])
+def test_validate_judges_the_integrated_kernel(tmp_path, truncation_n, code):
+    # min(2, 1) is not the rate-2 kernel of the oracle and is refused before
+    # the run; min(2, 3) is, and validates as the uncapped kernel does
+    cfg = json.loads((DEMO_CONFIGS / "constant_validate.json").read_text())
+    cfg["solver"]["truncation_n"] = truncation_n
+    cfg["output"]["directory"] = str(tmp_path / "o")
+    path = write_config(tmp_path, "v.json", cfg)
+    assert cli.cmd_validate(path) == code
+    assert (tmp_path / "o" / "validate.json").exists() == (code == 0)
+
+
 def test_compactness_synthetic_and_dlvp(tmp_path):
     cfg = base_config(tmp_path / "o", **{
         "compactness": {
@@ -215,7 +230,7 @@ def test_diagnostics_use_the_integrated_kernel(tmp_path):
     path = write_config(tmp_path, "w.json", cfg)
     assert cli.cmd_simulate(path) == 0
     run = json.loads((tmp_path / "o" / "run.json").read_text())
-    assert run["step_log"]["rate_path"] == "dense"
+    assert run["step_log"]["rate_path"] == "capped"
     rows = json.loads((tmp_path / "o" / "diagnostics.json").read_text())
     assert rows[0]["check"] == "weak_form_identity"
     assert rows[0]["lhs"] <= 1e-4
@@ -230,6 +245,15 @@ def test_sweep_isolated_outputs(tmp_path):
         assert (tmp_path / "o" / f"sweep_{i:03d}" / "moments.csv").exists()
     m32 = (tmp_path / "o" / "sweep_000" / "snapshots.csv").read_text()
     assert len(m32.splitlines()) == 1 + 3 * 32  # header + 3 snapshots x 32 cells
+
+
+def test_failing_sweep_entry_names_itself(tmp_path, capsys):
+    cfg = base_config(tmp_path / "o")
+    cfg["sweep"] = [{"grid.n": 32}, {"mystery": 1}]
+    path = write_config(tmp_path, "s.json", cfg)
+    assert cli.cmd_simulate(path) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("sweep_001: config error:")
 
 
 def test_main_entry_point(tmp_path, capsys):

@@ -2,22 +2,24 @@ import numpy as np
 import pytest
 
 import coagkit as ck
-from coagkit.errors import DomainError
-from coagkit.solver import _advance_rk45, _SeparableOperator, _StepLog, resolve_kernel
+from coagkit.errors import DomainError, GridError
+from coagkit.solver import (_advance_rk45, _CappedOperator, _SeparableOperator, _StepLog,
+                           resolve_kernel)
 
 
 def brute_force_rates(dist, kernel, boundary):
-    """Pairwise double loop over all ordered pairs (oracle for rates)."""
-    p = dist.grid.pivots
-    n = dist.number
+    """Pairwise double loop over all ordered pairs (oracle for rates), in
+    Python floats over the kernel's values tabulated on the pivots."""
+    p = dist.grid.pivots.tolist()
+    n = dist.number.tolist()
     m = len(p)
-    gain_num = np.zeros(m)
-    loss_num = np.zeros(m)
+    kmat = kernel.eval(dist.grid.pivots[:, None], dist.grid.pivots[None, :]).tolist()
+    gain_num = [0.0] * m
+    loss_num = [0.0] * m
     gel = 0.0
     for a in range(m):
         for b in range(m):
-            k = float(kernel.eval(p[a], p[b]))
-            rate = k * n[a] * n[b]
+            rate = kmat[a][b] * n[a] * n[b]
             v = p[a] + p[b]
             if dist.grid.kind == "discrete":
                 overflow = v > dist.grid.n + 1e-9
@@ -38,7 +40,7 @@ def brute_force_rates(dist, kernel, boundary):
                 gain_num[j] += 0.5 * rate * (1 - t)
                 gain_num[j + 1] += 0.5 * rate * t
     w = dist.grid.widths
-    return gain_num / w, loss_num / w, gel
+    return np.array(gain_num) / w, np.array(loss_num) / w, gel
 
 
 def test_rates_hand_example():
@@ -94,6 +96,81 @@ def test_separable_split_against_brute_force(kernel, boundary, n):
         np.testing.assert_allclose(split.gain, gain_o, rtol=1e-12, atol=atol)
         np.testing.assert_allclose(split.loss, loss_o, rtol=1e-12)
         assert split.gel_rate == pytest.approx(gel_o, rel=1e-12, abs=0.0)
+
+
+# families whose cap runs on the capped path, by name for the test ids
+MONOTONE_FAMILIES = {
+    "additive": ck.KernelSpec.additive(),
+    "multiplicative": ck.KernelSpec.multiplicative(),
+    "power_sum": ck.KernelSpec.power_sum(0.25, 0.5),
+    "product_power_law": ck.KernelSpec.product(ck.RadialRate.power_law(0.75)),
+    "product_sqrt_log": ck.KernelSpec.product(ck.RadialRate.sqrt_log()),
+}
+
+
+def _cap_with_j0(kernel, n, j0):
+    """A cap with exactly ``j0`` leading cells below it on the diagonal."""
+    p = ck.SizeGrid.discrete(n).pivots
+    d = kernel.eval(p, p)
+    if j0 == 0:
+        return 0.5 * d[0]
+    if j0 == n:
+        return 2.0 * d[-1]
+    return 0.5 * (d[j0 - 1] + d[j0])
+
+
+# (n, family, J0): every family at J0 in {0, 1, several, ~n/2} on both sides
+# of the 64-entry direct-sum switch; at n = 512 the multiplicative kernel (the
+# benchmark's truncated run) and the additive one (the grid-convergence
+# sweep).  The constant kernel has J0 = 0.
+CAPPED_CASES = [(n, name, j0) for n in (1, 24, 40) for name in MONOTONE_FAMILIES
+                for j0 in sorted({0, 1, 3, n // 2} & set(range(n + 1)))]
+CAPPED_CASES += [(512, name, j0) for name in ("additive", "multiplicative")
+                 for j0 in (0, 1, 7, 256)]
+CAPPED_CASES += [(n, "constant", 0) for n in (1, 24, 40, 512)]
+
+
+@pytest.mark.parametrize("boundary", ["conservative", "absorbing"])
+@pytest.mark.parametrize("n, name, j0", CAPPED_CASES,
+                         ids=[f"{n}-{name}-J0={j0}" for n, name, j0 in CAPPED_CASES])
+def test_capped_split_against_brute_force(n, name, j0, boundary):
+    kernel = MONOTONE_FAMILIES.get(name, ck.KernelSpec.constant(2.0))
+    capped = kernel.truncate(_cap_with_j0(kernel, n, j0))
+    rng = np.random.default_rng(37)
+    dist = ck.SizeDistribution(ck.SizeGrid.discrete(n), rng.random(n))
+    op = _CappedOperator(dist.grid, capped, boundary)
+    assert op.j0 == j0
+    gain_o, loss_o, gel_o = brute_force_rates(dist, capped, boundary)
+    for refine in (True, False):
+        split = op.split(dist.density, refine)
+        # without refine only the round-off floor of the summed spectrum holds
+        atol = 0.0 if refine else 1e-12 * float(np.max(gain_o))
+        np.testing.assert_allclose(split.gain, gain_o, rtol=1e-12, atol=atol)
+        np.testing.assert_allclose(split.loss, loss_o, rtol=1e-12)
+        assert split.gel_rate == pytest.approx(gel_o, rel=1e-12, abs=0.0)
+
+
+def test_capped_path_refuses_a_table_past_the_dense_budget():
+    # J0 * N above _MATRIX_LIMIT^2 (4096 small cells of 8192) is refused
+    # before any table is built
+    grid = ck.SizeGrid.discrete(8192)
+    kernel = ck.KernelSpec.additive().truncate(8193.0)
+    with pytest.raises(GridError):
+        _CappedOperator(grid, kernel, "absorbing")
+
+
+def test_capped_run_beyond_the_dense_limit_conserves_mass():
+    # min(xy, 64) at N = 8192: twice the cells the dense path allows
+    grid = ck.SizeGrid.discrete(8192)
+    init = ck.init_distribution(grid, "monodisperse", size=1)
+    cfg = ck.SolverConfig(kernel=ck.KernelSpec.multiplicative(), t_end=1.0,
+                          truncation_n=64.0, boundary="absorbing",
+                          snapshot_times=(0.5, 1.0))
+    traj = ck.integrate(init, cfg)
+    assert traj.step_log["rate_path"] == "capped"
+    assert not traj.flagged
+    m = traj.moments
+    np.testing.assert_allclose(m[1.0] + m.gel_mass, 1.0, rtol=0.0, atol=1e-8)
 
 
 def test_rates_sectional_against_brute_force():
@@ -413,10 +490,17 @@ def test_snapshot_times_respected():
         assert traj.moments[1.0][k] == pytest.approx(snap.moment(1.0), rel=1e-14)
 
 
-def test_binding_truncation_records_dense_path():
+def test_binding_truncation_records_rate_path():
+    # a binding cap on a monotone separable kernel runs capped; on Brownian
+    # (a decreasing weight) or a tabulated kernel it stays dense
     grid = ck.SizeGrid.discrete(32)
     init = ck.init_distribution(grid, "monodisperse", size=1)
-    for truncation_n, path in ((5.0, "dense"), (None, "separable")):
-        cfg = ck.SolverConfig(kernel=ck.KernelSpec.multiplicative(), t_end=0.1,
-                              truncation_n=truncation_n)
+    p = grid.pivots
+    tabulated = ck.KernelSpec.tabulated(p, np.add.outer(p, p))
+    for kernel, truncation_n, path in (
+            (ck.KernelSpec.multiplicative(), 5.0, "capped"),
+            (ck.KernelSpec.multiplicative(), None, "separable"),
+            (ck.KernelSpec.brownian(), 5.0, "dense"),
+            (tabulated, 5.0, "dense")):
+        cfg = ck.SolverConfig(kernel=kernel, t_end=0.1, truncation_n=truncation_n)
         assert ck.integrate(init, cfg).step_log["rate_path"] == path
