@@ -248,22 +248,26 @@ def flux_decomposition(dist: SizeDistribution, kernel: KernelSpec, A: float
 
     I1: pairs with both sizes <= A creating mass above A, weighted by the
     excess; I2: small-large pairs weighted by the small size; I3: pairs with
-    both sizes above A, weighted by A/2.
+    both sizes above A, weighted by A/2.  I2 and I3 come from the solver's
+    absorbing rate operator: its loss factor on the density with the small
+    cells zeroed is each cell's reach ``sum_k K(x, p_k) n_k`` over the large
+    cells.  I1 tabulates the kernel on the small cells only.
     """
     lo, hi = dist.grid.span
     if not (lo < A < hi):
         raise DomainError("A must lie within the grid span")
     p = dist.grid.pivots
     n = dist.number
-    kmat = np.asarray(kernel.eval(p[:, None], p[None, :]))
-    pair = kmat * np.outer(n, n)
-    small = p <= A
-    both_small = np.outer(small, small)
-    cross = np.add.outer(p, p) > A
-    i1 = 0.5 * float(np.sum(np.where(both_small & cross,
-                                     (np.add.outer(p, p) - A) * pair, 0.0)))
-    i2 = float(np.sum(np.where(np.outer(small, ~small), p[:, None] * pair, 0.0)))
-    i3 = 0.5 * A * float(np.sum(np.where(np.outer(~small, ~small), pair, 0.0)))
+    s = int(np.searchsorted(p, A, side="right"))   # the small cells p <= A
+    large = dist.density.copy()
+    large[:s] = 0.0
+    reach = _rate_operator(dist.grid, kernel, "absorbing").split(large).loss_factor
+    ps, ns = p[:s], n[:s]
+    i2 = float(np.dot(ps * ns, reach[:s]))
+    i3 = 0.5 * A * float(np.dot(n[s:], reach[s:]))
+    v = np.add.outer(ps, ps)
+    pair = np.asarray(kernel.eval(ps[:, None], ps[None, :])) * np.outer(ns, ns)
+    i1 = 0.5 * float(np.sum(np.where(v > A, (v - A) * pair, 0.0)))
     return i1, i2, i3
 
 

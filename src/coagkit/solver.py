@@ -11,20 +11,21 @@ grid handled by one of two boundary modes:
   grid mass plus gel mass is constant.
 
 One rate operator per grid and kernel answers ``split(density)`` with the
-gain, the loss and the gel rate; the integrator, ``fast_gain`` and the
-weak-form diagnostic all use it.  The kernel and the grid alone choose one
-of three paths, and the run records which one ran as
+gain, the loss and the gel rate; the integrator, ``rates``, ``fast_gain`` and
+the diagnostics all use it.  The kernel and the grid alone choose it, from
+two operators and three paths, and the run records the path that ran as
 ``step_log["rate_path"]``:
 
-* ``separable`` -- separable kernels (constant, additive, multiplicative,
-  two-exponent sums, product kernels, Brownian) on integer grids, uncapped
-  or with a cap that never binds;
-* ``capped`` -- a pointwise cap ``min(K, c)`` that binds on an integer grid,
-  on a kernel whose separable terms are non-negative and nondecreasing
-  (constant, additive, multiplicative, product with a nondecreasing ``r``,
-  two-exponent sums with exponents >= 0);
-* ``dense`` -- everything else: a binding cap on any other kernel (Brownian,
-  negative exponents), tabulated kernels and sectional grids.
+* ``separable`` (``_SeparableOperator``) -- separable kernels (constant,
+  additive, multiplicative, two-exponent sums, product kernels, Brownian)
+  on integer grids, uncapped or with a cap that never binds;
+* ``capped`` (``_PairRows``) -- a pointwise cap ``min(K, c)`` that binds on
+  an integer grid, on a kernel whose separable terms are non-negative and
+  nondecreasing (constant, additive, multiplicative, product with a
+  nondecreasing ``r``, two-exponent sums with exponents >= 0);
+* ``dense`` (``_PairRows``) -- everything else: a binding cap on any other
+  kernel (Brownian, negative exponents), tabulated kernels and sectional
+  grids.
 
 A kernel without a cap is integrated as given; it is truncated only when
 ``truncation_n`` or its own cap asks for it.
@@ -33,10 +34,12 @@ The separable path writes the kernel as ``sum_ab C_ab w_a(x) w_b(y)`` over
 its distinct weight vectors.  Each evaluation takes one real FFT per
 distinct ``w_a f``, sums the spectral products ``C_ab W_a W_b`` and takes one
 inverse FFT for the gain; the loss and the overflow flux come from prefix and
-suffix sums.  The capped path splits the pairs at J0, the number of leading
-cells with ``K(x_j, x_j) < c``: pairs of two later cells see exactly ``c``
-and go through the separable path of the constant kernel ``c``, and the J0
-rows of pairs with a small cell are summed directly.
+suffix sums.  ``_PairRows`` sums J0 rows of the pair table directly.  The
+capped path splits the pairs at J0, the number of leading cells with
+``K(x_j, x_j) < c``: pairs of two later cells see exactly ``c`` and go
+through the separable path of the constant kernel ``c``, and the J0 rows
+hold the pairs with a small cell.  The dense path has J0 = N rows and no
+constant part.
 
 The integrator is Dormand-Prince 5(4) with the first-same-as-last property:
 an accepted step that the negativity clamp leaves unchanged hands its last
@@ -65,8 +68,9 @@ __all__ = [
     "integrate",
 ]
 
-# the dense pairwise path refuses larger grids; the capped path refuses a
-# J0 x N table of more than _MATRIX_LIMIT**2 entries
+# _PairRows refuses a J0 x N pair table of more than _MATRIX_LIMIT**2
+# entries: the dense path (J0 = N) takes at most 4096 cells, and the capped
+# path any grid of N <= 4096 and larger ones with few rows
 _MATRIX_LIMIT = 4096
 
 # FFT round-off contract: the gain's convolution is one inverse FFT of the
@@ -344,66 +348,110 @@ def _monotone_separable(kernel: KernelSpec, x: np.ndarray) -> bool:
                for c, a, b in terms for w in (a, b))
 
 
-class _CappedOperator:
-    """Rates for a binding cap ``min(K, c)`` of a monotone separable kernel
-    on a discrete grid.
+class _PairRows:
+    """Rates from rows of the pair table, for every kernel and grid that is
+    not separable.
 
-    K is nondecreasing in each argument, so the first J0 cells, those with
-    ``K(x_j, x_j) < c``, are the only ones that can see less than ``c``:
-    every pair of two later cells sees exactly ``c``.  The pairs of two
-    large cells go through the separable operator of the constant kernel
-    ``c`` on the density with its first J0 cells zeroed; every pair with a
-    small cell goes through the J0 x N table of its capped rates.  The cost
-    is O(J0 N + N log N) time and O(J0 N) memory."""
+    Row j holds the kernel between cell j and every cell, zero where the
+    pair does not react.  ``gain_index`` names the cell the product lands on,
+    or bucket ``n + j`` when it overflows the grid: the dense path's gel rate
+    weights each row's overflow by ``x_j``.  On a sectional grid a product between two
+    pivots is split between them by number and mass: ``gain_index`` is the
+    lower one and ``hi_weight`` the upper one's share.  J0, the number of
+    rows, is set by the path:
 
-    path = "capped"
+    * ``capped`` -- a binding cap ``min(K, c)`` on a monotone separable
+      kernel on an integer grid.  K is nondecreasing in each argument, so the
+      first J0 cells, those with ``K(x_j, x_j) < c``, are the only ones that
+      can see less than ``c``.  The pairs of two later cells go through the
+      separable operator of the constant kernel ``c`` on the density with its
+      first J0 cells zeroed, and the rows hold every pair with a small cell.
+    * ``dense`` -- everything else: J0 = N and no constant part.
+
+    The cost is O(J0 N + N log N) time and O(J0 N) memory."""
 
     def __init__(self, grid: SizeGrid, kernel: KernelSpec, boundary: str):
         x = grid.pivots
-        n = grid.n
-        c = kernel.cap
-        j0 = int(np.count_nonzero(replace(kernel, cap=None).eval(x, x) < c))
+        n = grid.size
+        self.large = None
+        j0 = n
+        if grid.kind == "discrete" and _cap_binds(kernel, grid) \
+                and _monotone_separable(kernel, x):
+            c = kernel.cap
+            j0 = int(np.count_nonzero(replace(kernel, cap=None).eval(x, x) < c))
+            self.large = _SeparableOperator(grid, KernelSpec.constant(c), boundary)
+        self.path = "dense" if self.large is None else "capped"
         if j0 * n > _MATRIX_LIMIT ** 2:
             raise GridError(
-                f"capped path needs a {j0} x {n} table, above the dense path's "
-                f"{_MATRIX_LIMIT}^2 entries")
-        self.j0 = j0
-        self.large = _SeparableOperator(grid, KernelSpec.constant(c), boundary)
-        # rows[j, k] = min(K, c) of small cell j and any cell k, zero where
-        # the pair does not react; the product lands on cell j + k + 1
-        # (cell n collects the off-grid products and is dropped)
-        lands = np.add.outer(np.arange(j0), np.arange(n)) + 1
+                f"{self.path} path needs a {j0} x {n} pair table, above "
+                f"{_MATRIX_LIMIT}^2 entries; on a discrete grid a separable kernel "
+                "runs separable, and a binding cap on a nondecreasing separable "
+                "kernel runs capped")
+        self.n, self.j0, self.x, self.widths = n, j0, x, grid.widths
         self.rows = np.asarray(kernel.eval(x[:j0, None], x[None, :]))
+        self.hi_weight = None
+        if grid.kind == "discrete":
+            # the product of cells j and k is cell j + k + 1
+            lands = np.add.outer(np.arange(j0), np.arange(n)) + 1
+            overflow = lands >= n
+        else:
+            # two-point number/mass apportionment between the bracketing
+            # pivots; v > x[0], so the lower one exists
+            v = np.add.outer(x, x)
+            overflow = v > x[-1] * (1 + 1e-12)
+            on_grid = np.minimum(v[~overflow], x[-1])
+            lo = np.searchsorted(x, on_grid) - 1
+            lands = np.zeros((n, n), dtype=np.intp)
+            lands[~overflow] = lo
+            self.hi_weight = np.zeros((n, n))
+            self.hi_weight[~overflow] = (on_grid - x[lo]) / (x[lo + 1] - x[lo])
         if boundary == "conservative":
-            self.rows[lands >= n] = 0.0
-        self.gain_index = np.minimum(lands, n).ravel()
-        # a small x small pair sits in two rows, a small x large pair in one
+            self.rows[overflow] = 0.0
+        self.gain_index = np.where(overflow, n + np.arange(j0)[:, None], lands).ravel()
+        # a pair of two rows sits in both, a pair with a later cell in one
         self.pair_weight = np.where(np.arange(n) < j0, 0.5, 1.0)
-        # overflow mass per unit f_j f_k: partners k > n - 2 - j, which are
-        # among the last j0 cells; zero under the conservative boundary,
-        # whose rows hold no overflowing pair
-        self.tail = tail = max(n - j0, 0)
-        self.gel_rows = np.where(lands[:, tail:] >= n,
-                                 self.pair_weight[tail:] * (x[:j0, None] + x[None, tail:])
-                                 * self.rows[:, tail:], 0.0)
+        if self.large is not None:
+            # a small x large pair sits in one row only, so its overflow
+            # mass x_j + x_k needs a table: per unit f_j f_k, partners
+            # k > n - 2 - j, which are among the last j0 cells; zero under
+            # the conservative boundary, whose rows hold no overflowing pair
+            self.tail = tail = n - j0
+            self.gel_rows = np.where(overflow[:, tail:],
+                                     self.pair_weight[tail:] * (x[:j0, None] + x[None, tail:])
+                                     * self.rows[:, tail:], 0.0)
 
     def split(self, f: np.ndarray, refine: bool = False) -> RateSplit:
-        """The large x large pairs come from the constant-kernel split of
-        ``f`` with its first J0 cells zeroed (with its FFT round-off floor
-        and ``refine``); the pairs with a small cell are added by direct
-        sums, of non-negative products when ``f`` is non-negative."""
-        j0, n = self.j0, f.size
-        f_small = f[:j0]
+        """Direct sums over the rows, of non-negative products when ``f`` is
+        non-negative; on the capped path the pairs of two large cells come
+        from the constant-kernel split (with its FFT round-off floor and
+        ``refine``)."""
+        n, j0 = self.n, self.j0
+        number = f * self.widths
+        pairs = number[:j0, None] * self.rows
+        pairs *= self.pair_weight * number
+        hi = None
+        if self.hi_weight is not None:
+            hi = pairs * self.hi_weight
+            pairs -= hi
+        counts = np.bincount(self.gain_index, weights=pairs.ravel(), minlength=n + j0)
+        gain = counts[:n]
+        if hi is not None:
+            gain[1:] += np.bincount(self.gain_index, weights=hi.ravel(), minlength=n)[:n - 1]
+        if self.large is None:
+            loss_factor = self.rows @ number
+            # pair (j, k) overflows in both rows with weight 1/2, so twice
+            # the x-weighted row buckets sum (x_j + x_k) K n_j n_k / 2
+            gel_rate = 2.0 * float(np.dot(self.x, counts[n:]))
+            return RateSplit(gain=gain / self.widths, loss=f * loss_factor,
+                             loss_factor=loss_factor, gel_rate=gel_rate)
+        # capped grids are integer grids, whose widths are 1
         f_large = f.copy()
         f_large[:j0] = 0.0
         base = self.large.split(f_large, refine)
-        shifted = f_small[:, None] * self.rows * (self.pair_weight * f)
-        gain = base.gain + np.bincount(self.gain_index, weights=shifted.ravel(),
-                                       minlength=n + 1)[:n]
-        loss_factor = base.loss_factor + f_small @ self.rows
+        loss_factor = base.loss_factor + f[:j0] @ self.rows
         loss_factor[:j0] = self.rows @ f
-        gel_rate = base.gel_rate + float(f_small @ (self.gel_rows @ f[self.tail:]))
-        return RateSplit(gain=gain, loss=f * loss_factor,
+        gel_rate = base.gel_rate + float(f[:j0] @ (self.gel_rows @ f[self.tail:]))
+        return RateSplit(gain=base.gain + gain, loss=f * loss_factor,
                          loss_factor=loss_factor, gel_rate=gel_rate)
 
 
@@ -424,98 +472,27 @@ def fast_gain(dist: SizeDistribution, kernel: KernelSpec, refine: bool = True) -
     return op.split(dist.density, refine).gain
 
 
-class _PairTables:
-    """Rates for any kernel on either grid kind, from precomputed N x N
-    pair-interaction tables (the dense path)."""
-
-    path = "dense"
-
-    def __init__(self, grid: SizeGrid, kernel: KernelSpec, boundary: str):
-        m = grid.size
-        if m > _MATRIX_LIMIT:
-            raise GridError(
-                f"dense pairwise path limited to {_MATRIX_LIMIT} cells; on a "
-                "discrete grid a separable kernel runs separable, and a binding "
-                "cap on a nondecreasing separable kernel runs capped")
-        p = grid.pivots
-        self.grid = grid
-        self.boundary = boundary
-        self.kmat = np.asarray(kernel.eval(p[:, None], p[None, :]))
-        v = p[:, None] + p[None, :]
-        if grid.kind == "discrete":
-            # product size (i0+1) + (j0+1) lands exactly on cell i0 + j0 + 1
-            self.overflow = v > grid.n + 1e-9
-            s = np.add.outer(np.arange(m), np.arange(m)) + 1
-            self.idx_lo = np.minimum(s, m - 1)
-            self.w_hi = None
-        else:
-            # two-point number/mass apportionment between the bracketing cells
-            self.overflow = v > p[-1] * (1 + 1e-12)
-            vc = np.clip(v, p[0], p[-1])
-            j = np.clip(np.searchsorted(p, vc) - 1, 0, m - 2)
-            lo, hi = p[j], p[j + 1]
-            t = np.clip((vc - lo) / (hi - lo), 0.0, 1.0)
-            self.idx_lo = j
-            self.idx_hi = j + 1
-            self.w_lo = 1.0 - t
-            self.w_hi = t
-        self.react = ~self.overflow if boundary == "conservative" else np.ones_like(self.overflow)
-        self.kmat_react = self.kmat * self.react
-
-    def split(self, density: np.ndarray) -> RateSplit:
-        grid = self.grid
-        n_cells = grid.size
-        number = density * grid.widths
-        pair_react = self.kmat_react * np.outer(number, number)   # ordered pair rates
-        on_grid = pair_react * ~self.overflow
-        if self.w_hi is None:
-            gain_num = 0.5 * np.bincount(self.idx_lo.ravel(), weights=on_grid.ravel(),
-                                         minlength=n_cells)
-        else:
-            w = (on_grid * self.w_lo).ravel()
-            gain_num = 0.5 * np.bincount(self.idx_lo.ravel(), weights=w, minlength=n_cells)
-            w = (on_grid * self.w_hi).ravel()
-            gain_num += 0.5 * np.bincount(self.idx_hi.ravel(), weights=w, minlength=n_cells)
-        loss_factor = self.kmat_react @ number
-        gain = gain_num / grid.widths
-        loss = density * loss_factor
-        gel = 0.0
-        if self.boundary == "absorbing":
-            # mass balance: what the pairs remove and do not put back on
-            # the grid is the mass of the overflowing products
-            gel = float(np.dot(grid.pivots * grid.widths, loss - gain))
-        return RateSplit(gain=gain, loss=loss, loss_factor=loss_factor, gel_rate=gel)
-
-
 def _rate_operator(grid: SizeGrid, kernel: KernelSpec, boundary: str):
-    """The rate operator for this grid and kernel, chosen by the two alone.
-
-    On an integer grid: ``separable`` when the kernel factorises and no
-    pointwise cap binds; ``capped`` when a cap ``min(K, c)`` binds on a
-    kernel whose separable terms have ``c >= 0`` and non-negative,
-    nondecreasing weights (constant, additive, multiplicative, product with
-    a nondecreasing ``r``, ``power_sum`` with exponents >= 0).  Everything
-    else, a binding cap on Brownian or a negative exponent, tabulated
-    kernels and sectional grids, is ``dense``."""
+    """The rate operator for this grid and kernel, chosen by the two alone:
+    ``_SeparableOperator`` when the kernel factorises on an integer grid and
+    no pointwise cap binds, ``_PairRows`` (``capped`` or ``dense``) for
+    everything else."""
+    if boundary not in ("absorbing", "conservative"):
+        raise DomainError(f"unknown boundary mode {boundary!r}")
     if _fast_path_ok(kernel, grid):
         return _SeparableOperator(grid, kernel, boundary)
-    if grid.kind == "discrete" and _cap_binds(kernel, grid) \
-            and _monotone_separable(kernel, grid.pivots):
-        return _CappedOperator(grid, kernel, boundary)
-    return _PairTables(grid, kernel, boundary)
+    return _PairRows(grid, kernel, boundary)
 
 
 def rates(dist: SizeDistribution, kernel: KernelSpec,
           boundary: str = "conservative") -> RateSplit:
     """Gain/loss split of the coagulation operator at one state.
 
-    Reference pairwise implementation: exact index sums on discrete grids,
-    two-point number/mass apportionment of merger products on sectional
-    grids.
+    The solver's own operator with ``refine``: exact index sums on discrete
+    grids, two-point number/mass apportionment of merger products on
+    sectional grids, agreeing with the pairwise sums to 1e-12 relative.
     """
-    if boundary not in ("absorbing", "conservative"):
-        raise DomainError(f"unknown boundary mode {boundary!r}")
-    return _PairTables(dist.grid, kernel, boundary).split(dist.density)
+    return _rate_operator(dist.grid, kernel, boundary).split(dist.density, refine=True)
 
 
 class _Rhs:

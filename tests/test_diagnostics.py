@@ -82,6 +82,19 @@ def test_weak_form_past_dense_table_limit():
     assert res.max_abs() <= 1e-6
 
 
+@pytest.mark.parametrize("grid", [ck.SizeGrid.discrete(16),
+                                  ck.SizeGrid.geometric(0.5, 16.0, bins=12)],
+                         ids=["discrete", "sectional"])
+def test_unknown_boundary_rejected(grid):
+    init = ck.init_distribution(grid, "exponential", mean=2.0)
+    kernel = ck.KernelSpec.additive()
+    traj = ck.integrate(init, ck.SolverConfig(kernel=kernel, t_end=0.1))
+    with pytest.raises(DomainError, match="boundary"):
+        ck.weak_form_residual(traj, kernel, "identity", boundary="bogus")
+    with pytest.raises(DomainError, match="boundary"):
+        ck.rates(init, kernel, "bogus")
+
+
 def test_weak_form_min_with_and_flux_consistency(multiplicative_run):
     # the theta_A collision term equals -(I1 + I2 + I3) at each snapshot
     A = 8.0
@@ -130,6 +143,70 @@ def test_flux_nonnegative_parts(multiplicative_run):
     for snap in multiplicative_run.snapshots[::4]:
         i1, i2, i3 = ck.flux_decomposition(snap, ck.KernelSpec.multiplicative(), 12.0)
         assert i1 >= 0 and i2 >= 0 and i3 >= 0
+
+
+def _flux_oracle(dist, kernel, A):
+    """The three flux integrals from the full N x N pair table."""
+    p = dist.grid.pivots
+    n = dist.number
+    kmat = np.asarray(kernel.eval(p[:, None], p[None, :]))
+    pair = kmat * np.outer(n, n)
+    small = p <= A
+    both_small = np.outer(small, small)
+    cross = np.add.outer(p, p) > A
+    i1 = 0.5 * float(np.sum(np.where(both_small & cross,
+                                     (np.add.outer(p, p) - A) * pair, 0.0)))
+    i2 = float(np.sum(np.where(np.outer(small, ~small), p[:, None] * pair, 0.0)))
+    i3 = 0.5 * A * float(np.sum(np.where(np.outer(~small, ~small), pair, 0.0)))
+    return i1, i2, i3
+
+
+# separable, capped and dense on the discrete grids; all dense on the
+# sectional one
+FLUX_KERNELS = {
+    "constant": lambda p: ck.KernelSpec.constant(2.0),
+    "additive": lambda p: ck.KernelSpec.additive(),
+    "multiplicative": lambda p: ck.KernelSpec.multiplicative(),
+    "brownian": lambda p: ck.KernelSpec.brownian(),
+    "capped_multiplicative": lambda p: ck.KernelSpec.multiplicative().truncate(40.0),
+    "capped_brownian": lambda p: ck.KernelSpec.brownian().truncate(5.0),
+    "tabulated": lambda p: ck.KernelSpec.tabulated(p, np.add.outer(p, p)),
+}
+
+
+@pytest.mark.parametrize("grid", [ck.SizeGrid.discrete(40), ck.SizeGrid.discrete(300),
+                                  ck.SizeGrid.geometric(0.5, 64.0, bins=30)],
+                         ids=["discrete40", "discrete300", "sectional30"])
+@pytest.mark.parametrize("name", list(FLUX_KERNELS))
+def test_flux_against_pair_table(grid, name):
+    kernel = FLUX_KERNELS[name](grid.pivots)
+    rng = np.random.default_rng(41)
+    dist = ck.SizeDistribution(grid, rng.random(grid.size))
+    lo, hi = grid.span
+    for frac in (0.2, 0.5, 0.8):
+        A = lo * (hi / lo) ** frac
+        got = ck.flux_decomposition(dist, kernel, A)
+        for g, o in zip(got, _flux_oracle(dist, kernel, A)):
+            assert g == pytest.approx(o, rel=1e-12, abs=0.0)
+
+
+def test_flux_past_the_dense_limit():
+    # N = 8192: the full pair table would take 0.5 GB; for K = xy the large
+    # cells' reach is x M1_large, so I2 = M2_small M1_large and
+    # I3 = (A/2) M1_large^2, and I1 involves only the cells p <= A
+    grid = ck.SizeGrid.discrete(8192)
+    rng = np.random.default_rng(43)
+    p = grid.pivots
+    dist = ck.SizeDistribution(grid, rng.random(8192) * np.exp(-p / 2000.0))
+    kernel = ck.KernelSpec.multiplicative()
+    A = 8.0
+    i1, i2, i3 = ck.flux_decomposition(dist, kernel, A)
+    n = dist.number
+    m1_large = float(np.dot(p[8:], n[8:]))
+    assert i2 == pytest.approx(float(np.dot(p[:8] ** 2, n[:8])) * m1_large, rel=1e-12)
+    assert i3 == pytest.approx(0.5 * A * m1_large ** 2, rel=1e-12)
+    head = ck.SizeDistribution(ck.SizeGrid.discrete(16), dist.density[:16])
+    assert i1 == pytest.approx(_flux_oracle(head, kernel, A)[0], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import coagkit as ck
 from coagkit.errors import DomainError, GridError
-from coagkit.solver import (_advance_rk45, _CappedOperator, _SeparableOperator, _StepLog,
-                           resolve_kernel)
+from coagkit.solver import (_advance_rk45, _PairRows, _rate_operator, _SeparableOperator,
+                           _StepLog, resolve_kernel)
 
 
 def brute_force_rates(dist, kernel, boundary):
@@ -59,20 +61,45 @@ def test_rates_zero_distribution():
     assert np.all(split.gain == 0.0) and np.all(split.loss == 0.0)
 
 
+def _tabulated_sum(grid):
+    p = grid.pivots
+    return ck.KernelSpec.tabulated(p, np.add.outer(p, p))
+
+
+_DISCRETE_24 = ck.SizeGrid.discrete(24)
+_GEOMETRIC_20 = ck.SizeGrid.geometric(0.5, 64.0, bins=20)
+_ONE_BIN = ck.SizeGrid.sectional([1.0, 2.0])
+# (grid, kernel, the rate path rates() takes)
+RATES_CASES = [
+    (_DISCRETE_24, ck.KernelSpec.constant(2.0), "separable"),
+    (_DISCRETE_24, ck.KernelSpec.additive(), "separable"),
+    (_DISCRETE_24, ck.KernelSpec.multiplicative(), "separable"),
+    (_DISCRETE_24, ck.KernelSpec.brownian(), "separable"),
+    (_DISCRETE_24, ck.KernelSpec.brownian().truncate(5.0), "dense"),
+    (_DISCRETE_24, _tabulated_sum(_DISCRETE_24), "dense"),
+    (_DISCRETE_24, ck.KernelSpec.multiplicative().truncate(40.0), "capped"),
+    (_GEOMETRIC_20, ck.KernelSpec.brownian(), "dense"),
+    (_GEOMETRIC_20, _tabulated_sum(_GEOMETRIC_20), "dense"),
+    (_ONE_BIN, ck.KernelSpec.additive(), "dense"),
+]
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("boundary", ["conservative", "absorbing"])
-@pytest.mark.parametrize("kernel", [ck.KernelSpec.constant(2.0),
-                                     ck.KernelSpec.additive(),
-                                     ck.KernelSpec.multiplicative(),
-                                     ck.KernelSpec.brownian()])
-def test_rates_against_brute_force(kernel, boundary):
+@pytest.mark.parametrize("grid, kernel, path", RATES_CASES,
+                         ids=[f"kernel{i}" for i in range(len(RATES_CASES))])
+def test_rates_against_brute_force(grid, kernel, path, boundary):
+    # a random density, and exp(-3x), whose small gel rate a mass-balance
+    # difference would drown in round-off
+    assert _rate_operator(grid, kernel, boundary).path == path
     rng = np.random.default_rng(17)
-    grid = ck.SizeGrid.discrete(24)
-    dist = ck.SizeDistribution(grid, rng.random(24))
-    split = ck.rates(dist, kernel, boundary)
-    gain_o, loss_o, gel_o = brute_force_rates(dist, kernel, boundary)
-    np.testing.assert_allclose(split.gain, gain_o, rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(split.loss, loss_o, rtol=1e-12, atol=1e-14)
-    assert split.gel_rate == pytest.approx(gel_o, rel=1e-12, abs=1e-14)
+    for density in (rng.random(grid.size), np.exp(-3.0 * grid.pivots)):
+        dist = ck.SizeDistribution(grid, density)
+        split = ck.rates(dist, kernel, boundary)
+        gain_o, loss_o, gel_o = brute_force_rates(dist, kernel, boundary)
+        np.testing.assert_allclose(split.gain, gain_o, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(split.loss, loss_o, rtol=1e-12, atol=1e-14)
+        assert split.gel_rate == pytest.approx(gel_o, rel=1e-12, abs=0.0)
 
 
 SEPARABLE_FAMILIES = [ck.KernelSpec.constant(2.0), ck.KernelSpec.additive(),
@@ -138,7 +165,7 @@ def test_capped_split_against_brute_force(n, name, j0, boundary):
     capped = kernel.truncate(_cap_with_j0(kernel, n, j0))
     rng = np.random.default_rng(37)
     dist = ck.SizeDistribution(ck.SizeGrid.discrete(n), rng.random(n))
-    op = _CappedOperator(dist.grid, capped, boundary)
+    op = _PairRows(dist.grid, capped, boundary)
     assert op.j0 == j0
     gain_o, loss_o, gel_o = brute_force_rates(dist, capped, boundary)
     for refine in (True, False):
@@ -156,7 +183,24 @@ def test_capped_path_refuses_a_table_past_the_dense_budget():
     grid = ck.SizeGrid.discrete(8192)
     kernel = ck.KernelSpec.additive().truncate(8193.0)
     with pytest.raises(GridError):
-        _CappedOperator(grid, kernel, "absorbing")
+        _PairRows(grid, kernel, "absorbing")
+
+
+@pytest.mark.parametrize("grid", [ck.SizeGrid.discrete(4097),
+                                  ck.SizeGrid.geometric(1.0, 1e4, bins=4097)],
+                         ids=["discrete", "sectional"])
+def test_dense_path_refuses_more_than_4096_cells(grid):
+    # refused before any table is allocated: a 4097^2 table is 134 MB
+    nodes = np.geomspace(1.0, 1e4, 8)
+    kernel = ck.KernelSpec.tabulated(nodes, np.add.outer(nodes, nodes))
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridError, match="4097 x 4097"):
+            _rate_operator(grid, kernel, "absorbing")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4097 ** 2
 
 
 def test_capped_run_beyond_the_dense_limit_conserves_mass():
