@@ -242,6 +242,10 @@ def weak_form_residual(traj: Trajectory, kernel: KernelSpec, theta,
     return WeakFormResidual(tag, times, changes - integrals, changes, integrals)
 
 
+# rows of the kernel table flux_decomposition holds at once for I1
+_FLUX_ROWS = 128
+
+
 def flux_decomposition(dist: SizeDistribution, kernel: KernelSpec, A: float
                        ) -> tuple[float, float, float]:
     """The three non-negative mass-flux integrals across size A.
@@ -251,7 +255,8 @@ def flux_decomposition(dist: SizeDistribution, kernel: KernelSpec, A: float
     both sizes above A, weighted by A/2.  I2 and I3 come from the solver's
     absorbing rate operator: its loss factor on the density with the small
     cells zeroed is each cell's reach ``sum_k K(x, p_k) n_k`` over the large
-    cells.  I1 tabulates the kernel on the small cells only.
+    cells.  I1 tabulates the kernel on the small cells only, a block of
+    rows at a time, so its memory does not grow with their number.
     """
     lo, hi = dist.grid.span
     if not (lo < A < hi):
@@ -265,10 +270,17 @@ def flux_decomposition(dist: SizeDistribution, kernel: KernelSpec, A: float
     ps, ns = p[:s], n[:s]
     i2 = float(np.dot(ps * ns, reach[:s]))
     i3 = 0.5 * A * float(np.dot(n[s:], reach[s:]))
-    v = np.add.outer(ps, ps)
-    pair = np.asarray(kernel.eval(ps[:, None], ps[None, :])) * np.outer(ns, ns)
-    i1 = 0.5 * float(np.sum(np.where(v > A, (v - A) * pair, 0.0)))
-    return i1, i2, i3
+    # I1 in blocks of _FLUX_ROWS rows; a row j meets A only with partners
+    # p_k > A - p_j, the first of which the block's last row bounds
+    i1 = 0.0
+    for start in range(0, s, _FLUX_ROWS):
+        rows = slice(start, min(start + _FLUX_ROWS, s))
+        first = int(np.searchsorted(ps, A - ps[rows.stop - 1], side="right"))
+        pj, pk = ps[rows, None], ps[None, first:]
+        excess = np.maximum(pj + pk - A, 0.0)
+        excess *= np.asarray(kernel.eval(pj, pk))
+        i1 += float(ns[rows] @ excess @ ns[first:])
+    return 0.5 * i1, i2, i3
 
 
 # ---------------------------------------------------------------------------

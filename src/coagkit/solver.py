@@ -34,16 +34,21 @@ The separable path writes the kernel as ``sum_ab C_ab w_a(x) w_b(y)`` over
 its distinct weight vectors.  Each evaluation takes one real FFT per
 distinct ``w_a f``, sums the spectral products ``C_ab W_a W_b`` and takes one
 inverse FFT for the gain; the loss and the overflow flux come from prefix and
-suffix sums.  ``_PairRows`` sums J0 rows of the pair table directly.  The
-capped path splits the pairs at J0, the number of leading cells with
-``K(x_j, x_j) < c``: pairs of two later cells see exactly ``c`` and go
-through the separable path of the constant kernel ``c``, and the J0 rows
-hold the pairs with a small cell.  The dense path has J0 = N rows and no
-constant part.
+suffix sums.  All of it runs over the density's support s only (its last
+nonzero cell): the FFT has the power-of-two length that holds the 2s - 1
+convolution entries, and no pair overflows while 2s <= N.  ``_PairRows``
+sums J0 rows of the pair table directly.  The capped path splits the pairs
+at J0, the number of leading cells with ``K(x_j, x_j) < c``: pairs of two
+later cells see exactly ``c`` and go through the separable path of the
+constant kernel ``c``, and the J0 rows hold the pairs with a small cell.
+The dense path has J0 = N rows and no constant part.
 
 The integrator is Dormand-Prince 5(4) with the first-same-as-last property:
-an accepted step that the negativity clamp leaves unchanged hands its last
-stage on as the next step's first.
+an accepted step whose negativity clamp removed only round-off hands its last
+stage on as the next step's first.  It steps exactly onto each snapshot time
+and carries that stage and the step size proposed before the cut into the
+next interval, so only the first interval pays a start derivative and a
+step-size probe.
 """
 
 from __future__ import annotations
@@ -75,11 +80,14 @@ _MATRIX_LIMIT = 4096
 
 # FFT round-off contract: the gain's convolution is one inverse FFT of the
 # summed spectra, so one floor covers it, _FFT_ERR_FACTOR * eps * log2(2M) * s2
-# with s2 = sum over the merged pairs of c ||w_a f||2 ||w_b f||2.  Entries below
-# the floor are zeroed; with ``refine`` entries below floor / _REL_TARGET are
-# recomputed by direct summation so the relative error stays below
-# _REL_TARGET.  The observed worst case is 0.21 * eps * log2(2M) * s2 (random
-# and exponentially decaying densities, six separable families, N <= 4096).
+# with M = 2N - 1 and s2 = sum over the merged pairs of c ||w_a f||2 ||w_b f||2.
+# Entries below the floor are zeroed; with ``refine`` entries below
+# floor / _REL_TARGET are recomputed by direct summation so the relative error
+# stays below _REL_TARGET.  The observed worst case is 0.21 * eps * log2(2M) * s2
+# (random and exponentially decaying densities, six separable families,
+# N <= 4096).  The FFT over the support s is no longer than the full one, so
+# the floor of the full length M still bounds its error, and s2 is the same
+# because the dropped entries are zero.
 _FFT_ERR_FACTOR = 32.0
 _REL_TARGET = 1e-13
 
@@ -244,7 +252,14 @@ class _SeparableOperator:
     ``C``, and as the merged pairs ``(c, a, b)``, a <= b, with ``c = C_aa``
     or ``c = 2 C_ab``.  The gain takes one real FFT per distinct ``w_a f``,
     sums ``c W_a W_b`` over the pairs and takes one inverse FFT; the loss and
-    the overflow flux come from prefix and suffix sums of the ``w_a f``."""
+    the overflow flux come from prefix and suffix sums of the ``w_a f``.
+
+    Each evaluation reads only the support of ``f``, its first s cells.  The
+    FFT length is ``2^ceil(log2(2s - 1))``, at most the full ``n_fft``, so a
+    run makes a few plans, one per power of two; below 64 the convolution is
+    a direct sum.  The gel rate is exactly zero while 2s <= n, and the
+    conservative partner sums are the support's total for all but the last
+    s cells."""
 
     path = "separable"
 
@@ -278,53 +293,65 @@ class _SeparableOperator:
         """``gain_i = 0.5 * sum_{j+k=i} K(j,k) f_j f_k`` counts only products
         that land on the grid, so only the loss and the gel rate depend on
         the boundary mode.  ``refine`` recomputes convolution entries below
-        the FFT round-off floor by direct summation."""
+        the FFT round-off floor by direct summation.
+
+        Only the support of ``f`` is read: past its last nonzero entry every
+        sum gets exact zeros, so the gain is exactly zero past cell 2s - 1
+        and no pair can overflow while 2s <= n."""
         n = self.n
-        x = self.x
-        wf = self.w * f
+        s = _support(f)
+        wf = self.w[:, :s] * f[:s]
         gain = np.zeros(n)
-        gain[1:] = self._convolution(wf, refine)
-        gain *= 0.5
+        top = min(2 * s, n)
+        if top > 1:
+            gain[1:top] = 0.5 * self._convolution(wf, top - 1, refine)
+        loss_factor = (self.coef @ np.sum(wf, axis=1)) @ self.w
         gel_rate = 0.0
         if self.boundary == "conservative":
-            # sum over partners j <= n - i
+            # partners j <= n - i: every cell of the support for the first
+            # n - s cells, a prefix of it for the last s
             partners = np.zeros_like(wf)
             partners[:, 1:] = np.cumsum(wf[:, :-1], axis=1)
-            loss_factor = np.sum(self.w * (self.coef @ partners[:, ::-1]), axis=0)
-        else:
-            loss_factor = (self.coef @ np.sum(wf, axis=1)) @ self.w
+            loss_factor[n - s:] = np.sum(self.w[:, n - s:] * (self.coef @ partners[:, ::-1]),
+                                         axis=0)
+        elif 2 * s > n:
             # overflow mass flux: partners k > n - j, via suffix sums, so the
-            # rate is a sum of non-negative products (exactly zero until the
-            # tail is populated)
-            tails = np.cumsum(wf[:, ::-1], axis=1)
-            x_tails = np.cumsum((x * wf)[:, ::-1], axis=1)
+            # rate is a sum of non-negative products; both cells of an
+            # overflowing pair lie in the last 2s - n cells of the support
+            tip = wf[:, n - s:]
+            x_tip = self.x[n - s:s]
+            tails = np.cumsum(tip[:, ::-1], axis=1)
+            x_tails = np.cumsum((x_tip * tip)[:, ::-1], axis=1)
             for c, a, b in self.pairs:
-                gel_rate += 0.5 * c * float(np.dot(wf[a], x * tails[b] + x_tails[b]))
+                gel_rate += 0.5 * c * float(np.dot(tip[a], x_tip * tails[b] + x_tails[b]))
         return RateSplit(gain=gain, loss=f * loss_factor,
                          loss_factor=loss_factor, gel_rate=gel_rate)
 
-    def _convolution(self, wf: np.ndarray, refine: bool) -> np.ndarray:
-        """Entries 0..n-2 of ``sum_pairs c (w_a f) * (w_b f)`` (linear
-        convolution, non-negative).  Entries below the FFT round-off floor
-        are indistinguishable from zero and are zeroed outright: leaving the
-        (sign-biased) noise in place seeds spurious tail growth in the
-        solver.  With ``refine`` every entry small enough that the floor
-        could exceed ``_REL_TARGET`` of its value is recomputed by direct
-        summation, which restores exact zeros and the per-entry relative
-        contract."""
-        n = self.n
-        if 2 * n - 1 < 64:
-            return self._direct(wf, n)[:n - 1]
-        spectra = rfft(wf, self.n_fft, axis=1)
+    def _convolution(self, wf: np.ndarray, size: int, refine: bool) -> np.ndarray:
+        """Entries 0..size-1 of ``sum_pairs c (w_a f) * (w_b f)`` (linear
+        convolution, non-negative), for ``wf`` trimmed to the support s and
+        size <= 2s - 1.  The FFT length is the power of two that holds all
+        2s - 1 entries, capped at the full length, so few FFT plans are
+        made.  Entries below the FFT round-off floor are indistinguishable
+        from zero and are zeroed outright: leaving the (sign-biased) noise in
+        place seeds spurious tail growth in the solver.  With ``refine``
+        every entry small enough that the floor could exceed ``_REL_TARGET``
+        of its value is recomputed by direct summation, which restores exact
+        zeros and the per-entry relative contract."""
+        m = 2 * wf.shape[1] - 1
+        if m < 64:
+            return self._direct(wf, size)
+        length = min(self.n_fft, 1 << (m - 1).bit_length())
+        spectra = rfft(wf, length, axis=1)
         conv = irfft(sum(c * spectra[a] * spectra[b] for c, a, b in self.pairs),
-                     self.n_fft)[:n - 1]
+                     length)[:size]
         norms = [float(np.linalg.norm(v)) for v in wf]
         floor = self.floor_scale * sum(c * norms[a] * norms[b] for c, a, b in self.pairs)
         if refine:
             flagged = conv < floor / _REL_TARGET
             if np.any(flagged):
-                size = int(np.nonzero(flagged)[0][-1]) + 1
-                conv[:size][flagged[:size]] = self._direct(wf, size)[flagged[:size]]
+                last = int(np.nonzero(flagged)[0][-1]) + 1
+                conv[:last][flagged[:last]] = self._direct(wf, last)[flagged[:last]]
         else:
             conv[conv < floor] = 0.0
         return conv
@@ -334,6 +361,13 @@ class _SeparableOperator:
         involve only the first ``size`` entries of each ``w_a f``."""
         return sum(c * np.convolve(wf[a, :size], wf[b, :size])[:size]
                    for c, a, b in self.pairs)
+
+
+def _support(f: np.ndarray) -> int:
+    """One past the last nonzero entry of ``f``, or 0 when it has none."""
+    nonzero = f[::-1] != 0.0
+    last = int(np.argmax(nonzero))
+    return f.size - last if nonzero[last] else 0
 
 
 def _monotone_separable(kernel: KernelSpec, x: np.ndarray) -> bool:
@@ -577,45 +611,68 @@ def _initial_step(rhs, t0, y0, f0, weights, tol_of) -> float:
     return min(100 * h0, h1)
 
 
-def _advance_rk45(rhs, t0, t1, y, weights, rel_tol, abs_tol, log, t_end, clamp):
-    """Integrate y from t0 to t1 in place; returns (y, ok)."""
+@dataclass
+class _Carry:
+    """Integrator state handed from one snapshot interval to the next: the
+    derivative at the current state (first same as last) and the step size
+    proposed before the last step was cut to land on the snapshot time."""
+
+    k0: np.ndarray | None = None
+    h: float = 0.0
+
+
+def _advance_rk45(rhs, t0, t1, y, weights, rel_tol, abs_tol, log, t_end, clamp, carry):
+    """Integrate y from t0 to t1 in place; returns (y, ok).
+
+    ``clamp(y)`` zeroes the state's negatives and counts those beyond
+    round-off in ``log.clamp_events``.  An empty ``carry`` starts the
+    interval with the derivative at t0 and an initial step probe; ``carry``
+    is left holding the state for the next interval."""
 
     def tol_of(yv):
         return abs_tol + rel_tol * _weighted_norm(yv, weights)
 
-    t = t0
-    f0 = rhs(t, y)
-    h = min(_initial_step(rhs, t, y, f0, weights, tol_of), t1 - t0)
+    if carry.k0 is None:
+        carry.k0 = rhs(t0, y)
+        carry.h = _initial_step(rhs, t0, y, carry.k0, weights, tol_of)
+    t, h = t0, carry.h
     k = [None] * 7
-    k[0] = f0
+    k[0] = carry.k0
     while t < t1 - 1e-14 * max(1.0, t1):
-        h = min(h, t1 - t)
-        if h < 1e-12 * t_end:
+        step = min(h, t1 - t)
+        if step < 1e-12 * t_end:
             log.flag = "dt_underflow"
             return y, False
         for i in range(1, len(_DP_A)):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-            k[i] = rhs(t + _DP_C[i] * h, yi)
-        y5 = y + h * sum(b * k[j] for j, b in enumerate(_DP_B) if b)
-        k[6] = rhs(t + h, y5)
-        err = h * sum(e * k[j] for j, e in enumerate(_DP_E) if e)
+            yi = y + step * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
+            k[i] = rhs(t + _DP_C[i] * step, yi)
+        y5 = y + step * sum(b * k[j] for j, b in enumerate(_DP_B) if b)
+        k[6] = rhs(t + step, y5)
+        err = step * sum(e * k[j] for j, e in enumerate(_DP_E) if e)
         en = _weighted_norm(err, weights)
         if not math.isfinite(en):
             log.flag = "non_finite"
             return y, False
         tol = tol_of(y)
+        factor = 0.9 * (tol / en) ** 0.2 if en > 0 else 5.0
+        proposal = step * min(5.0, max(0.2, factor))
         if en <= tol:
-            t += h
+            t += step
             log.accepted += 1
-            log.min_dt = min(log.min_dt, h)
+            log.min_dt = min(log.min_dt, step)
+            events = log.clamp_events
             y = clamp(y5)
             # first same as last: k[6] is the derivative at y5, so it is
-            # reused unless the clamp changed the state
-            k[0] = k[6] if y is y5 else rhs(t, y)
+            # reused unless the clamp removed more than round-off
+            k[0] = k[6] if log.clamp_events == events else rhs(t, y)
+            if step < h:
+                # the step was cut to land on t1: the next interval starts
+                # from the step proposed before the cut
+                break
         else:
             log.rejected += 1
-        factor = 0.9 * (tol / en) ** 0.2 if en > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
+        h = proposal
+    carry.k0, carry.h = k[0], h
     return y, True
 
 
@@ -685,13 +742,14 @@ def integrate(init: SizeDistribution, config: SolverConfig) -> Trajectory:
     snapshots = [SizeDistribution(grid, init.density.copy(), 0.0)]
     gel_series = [0.0]
     t_prev = 0.0
+    carry = _Carry()
     started = time.perf_counter()
     ok = True
     for t_next in snap_times:
         if config.scheme == "rk45":
             y, ok = _advance_rk45(rhs, t_prev, t_next, y, weights,
                                   config.rel_tol, config.abs_tol, log,
-                                  config.t_end, clamp)
+                                  config.t_end, clamp, carry)
         else:
             y, ok = _advance_rk4(rhs, t_prev, t_next, y, config.dt, log, clamp)
         if not ok:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
@@ -207,6 +209,26 @@ def test_flux_past_the_dense_limit():
     assert i3 == pytest.approx(0.5 * A * m1_large ** 2, rel=1e-12)
     head = ck.SizeDistribution(ck.SizeGrid.discrete(16), dist.density[:16])
     assert i1 == pytest.approx(_flux_oracle(head, kernel, A)[0], rel=1e-12)
+
+
+def test_flux_i1_memory_is_bounded():
+    # with A near the top almost every cell is small; a kernel table over
+    # all of them would take 2000^2 doubles (32 MB) per temporary
+    grid = ck.SizeGrid.discrete(2048)
+    dist = ck.SizeDistribution(grid, np.random.default_rng(5).random(2048))
+    kernel = ck.KernelSpec.multiplicative()
+    A = 2000.0
+    tracemalloc.start()
+    try:
+        i1, _, _ = ck.flux_decomposition(dist, kernel, A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    p, n = grid.pivots[:2000], dist.number[:2000]
+    v = np.add.outer(p, p)
+    oracle = 0.5 * float(np.sum(np.where(v > A, (v - A) * np.outer(p * n, p * n), 0.0)))
+    assert i1 == pytest.approx(oracle, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

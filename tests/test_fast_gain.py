@@ -34,6 +34,23 @@ def test_fast_gain_matches_direct(n):
             assert np.max(np.abs(fast - ref) / denom) <= 1e-12
 
 
+def test_fast_gain_of_a_zero_tail():
+    # the convolution runs over the support only, with a shorter FFT
+    n = 4096
+    rng = np.random.default_rng(61)
+    grid = ck.SizeGrid.discrete(n)
+    for support in (700, 2100):
+        f = rng.random(n)
+        f[support:] = 0.0
+        dist = ck.SizeDistribution(grid, f)
+        for kernel in FAMILIES:
+            fast = ck.fast_gain(dist, kernel)
+            ref = direct_gain(f, kernel)
+            assert np.all(fast[2 * support:] == 0.0)
+            denom = np.where(ref == 0.0, 1.0, np.abs(ref))
+            assert np.max(np.abs(fast - ref) / denom) <= 1e-12
+
+
 def test_fast_gain_point_mass_examples():
     grid = ck.SizeGrid.discrete(64)
     dist = ck.init_distribution(grid, "monodisperse", size=1)

@@ -5,8 +5,8 @@ import pytest
 
 import coagkit as ck
 from coagkit.errors import DomainError, GridError
-from coagkit.solver import (_advance_rk45, _PairRows, _rate_operator, _SeparableOperator,
-                           _StepLog, resolve_kernel)
+from coagkit.solver import (_advance_rk45, _Carry, _PairRows, _rate_operator,
+                           _SeparableOperator, _StepLog, resolve_kernel)
 
 
 def brute_force_rates(dist, kernel, boundary):
@@ -175,6 +175,50 @@ def test_capped_split_against_brute_force(n, name, j0, boundary):
         np.testing.assert_allclose(split.gain, gain_o, rtol=1e-12, atol=atol)
         np.testing.assert_allclose(split.loss, loss_o, rtol=1e-12)
         assert split.gel_rate == pytest.approx(gel_o, rel=1e-12, abs=0.0)
+
+
+# supports s of a density with a zero tail on N = 80: none, one cell, 2s - 1
+# on both sides of the 64-entry direct-sum switch, both sides of the gel
+# rate's 2s > N switch, and the whole grid
+TRIM_N = 80
+TRIM_SUPPORTS = [0, 1, 32, 33, TRIM_N // 2, TRIM_N // 2 + 1, TRIM_N]
+
+
+def _zero_tail(n, support, seed):
+    f = np.random.default_rng(seed).random(n)
+    f[support:] = 0.0
+    return ck.SizeDistribution(ck.SizeGrid.discrete(n), f)
+
+
+def _check_split(op, dist, kernel, boundary):
+    gain_o, loss_o, gel_o = brute_force_rates(dist, kernel, boundary)
+    for refine in (True, False):
+        split = op.split(dist.density, refine)
+        atol = 0.0 if refine else 1e-12 * float(np.max(gain_o))
+        np.testing.assert_allclose(split.gain, gain_o, rtol=1e-12, atol=atol)
+        np.testing.assert_allclose(split.loss, loss_o, rtol=1e-12)
+        assert split.gel_rate == pytest.approx(gel_o, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("support", TRIM_SUPPORTS)
+@pytest.mark.parametrize("boundary", ["conservative", "absorbing"])
+@pytest.mark.parametrize("kernel", SEPARABLE_FAMILIES)
+def test_separable_split_of_a_zero_tail(kernel, boundary, support):
+    dist = _zero_tail(TRIM_N, support, 53)
+    op = _SeparableOperator(dist.grid, kernel, boundary)
+    _check_split(op, dist, kernel, boundary)
+
+
+@pytest.mark.parametrize("support", TRIM_SUPPORTS)
+@pytest.mark.parametrize("boundary", ["conservative", "absorbing"])
+@pytest.mark.parametrize("name", ["additive", "multiplicative"])
+def test_capped_split_of_a_zero_tail(name, boundary, support):
+    kernel = MONOTONE_FAMILIES[name]
+    capped = kernel.truncate(_cap_with_j0(kernel, TRIM_N, 3))
+    dist = _zero_tail(TRIM_N, support, 59)
+    op = _PairRows(dist.grid, capped, boundary)
+    assert op.path == "capped" and op.j0 == 3
+    _check_split(op, dist, capped, boundary)
 
 
 def test_capped_path_refuses_a_table_past_the_dense_budget():
@@ -427,8 +471,8 @@ def test_integrate_brownian_dense_path():
 
 def test_rhs_evals_first_same_as_last():
     # the clamp never fires, so every accepted step reuses its last stage as
-    # the next first stage: six evaluations per step, plus the derivative and
-    # the step-size probe at the start of each snapshot interval
+    # the next first stage, across snapshot times too: six evaluations per
+    # step, plus the derivative and the step-size probe at the start
     grid = ck.SizeGrid.discrete(64)
     init = ck.init_distribution(grid, "exponential", mean=2.0)
     cfg = ck.SolverConfig(kernel=ck.KernelSpec.constant(2.0), t_end=1.0,
@@ -436,8 +480,22 @@ def test_rhs_evals_first_same_as_last():
     traj = ck.integrate(init, cfg)
     log = traj.step_log
     assert log["clamped_mass"] == 0.0
-    intervals = len(traj.snapshots) - 1
-    assert log["rhs_evals"] == 6 * (log["accepted"] + log["rejected"]) + 2 * intervals
+    assert len(traj.snapshots) == 11
+    assert log["rhs_evals"] == 6 * (log["accepted"] + log["rejected"]) + 2
+
+
+def test_round_off_clamps_keep_first_same_as_last():
+    # the capped path's stages leave round-off negatives that the clamp
+    # zeroes without counting an event; the last stage is still reused
+    grid = ck.SizeGrid.discrete(512)
+    init = ck.init_distribution(grid, "monodisperse", size=1)
+    cfg = ck.SolverConfig(kernel=ck.KernelSpec.multiplicative(), t_end=2.0,
+                          boundary="absorbing", truncation_n=64.0)
+    traj = ck.integrate(init, cfg)
+    log = traj.step_log
+    assert log["rate_path"] == "capped"
+    assert log["clamped_mass"] > 0.0 and log["clamp_events"] == 0
+    assert log["rhs_evals"] == 6 * (log["accepted"] + log["rejected"]) + 2
 
 
 def test_integrate_sectional_grid():
@@ -482,7 +540,7 @@ def test_non_finite_stage_flag():
 
     log = _StepLog()
     _, ok = _advance_rk45(NotFinite(), 0.0, 1.0, np.ones(4), np.ones(4),
-                          1e-10, 1e-14, log, 1.0, lambda v: v)
+                          1e-10, 1e-14, log, 1.0, lambda v: v, _Carry())
     assert not ok
     assert log.flag == "non_finite"
     assert log.accepted == 0 and NotFinite.evals <= 8
@@ -503,7 +561,7 @@ def test_dt_underflow_flag():
     y = np.ones(4)
     weights = np.ones(4)
     _, ok = _advance_rk45(Rough(), 0.0, 1.0, y, weights, 1e-10, 1e-14,
-                          log, 1.0, lambda v: v)
+                          log, 1.0, lambda v: v, _Carry())
     assert not ok
     assert log.flag == "dt_underflow"
 
