@@ -365,9 +365,9 @@ class _SeparableOperator:
 
 def _support(f: np.ndarray) -> int:
     """One past the last nonzero entry of ``f``, or 0 when it has none."""
-    nonzero = f[::-1] != 0.0
-    last = int(np.argmax(nonzero))
-    return f.size - last if nonzero[last] else 0
+    nonzero = f != 0.0
+    s = f.size - int(np.argmax(nonzero[::-1]))
+    return s if nonzero[s - 1] else 0
 
 
 def _monotone_separable(kernel: KernelSpec, x: np.ndarray) -> bool:
