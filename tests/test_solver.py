@@ -102,6 +102,18 @@ def test_rates_against_brute_force(grid, kernel, path, boundary):
         assert split.gel_rate == pytest.approx(gel_o, rel=1e-12, abs=0.0)
 
 
+def _check_split(op, dist, kernel, boundary):
+    """``op.split`` with and without ``refine`` against the pairwise oracle."""
+    gain_o, loss_o, gel_o = brute_force_rates(dist, kernel, boundary)
+    for refine in (True, False):
+        split = op.split(dist.density, refine)
+        # without refine only the round-off floor of the summed spectrum holds
+        atol = 0.0 if refine else 1e-12 * float(np.max(gain_o))
+        np.testing.assert_allclose(split.gain, gain_o, rtol=1e-12, atol=atol)
+        np.testing.assert_allclose(split.loss, loss_o, rtol=1e-12)
+        assert split.gel_rate == pytest.approx(gel_o, rel=1e-12, abs=0.0)
+
+
 SEPARABLE_FAMILIES = [ck.KernelSpec.constant(2.0), ck.KernelSpec.additive(),
                       ck.KernelSpec.multiplicative(), ck.KernelSpec.power_sum(0.25, 0.5),
                       ck.KernelSpec.product(ck.RadialRate.power_law(0.75)),
@@ -114,15 +126,7 @@ SEPARABLE_FAMILIES = [ck.KernelSpec.constant(2.0), ck.KernelSpec.additive(),
 def test_separable_split_against_brute_force(kernel, boundary, n):
     rng = np.random.default_rng(31)
     dist = ck.SizeDistribution(ck.SizeGrid.discrete(n), rng.random(n))
-    op = _SeparableOperator(dist.grid, kernel, boundary)
-    gain_o, loss_o, gel_o = brute_force_rates(dist, kernel, boundary)
-    for refine in (True, False):
-        split = op.split(dist.density, refine)
-        # without refine only the round-off floor of the summed spectrum holds
-        atol = 0.0 if refine else 1e-12 * float(np.max(gain_o))
-        np.testing.assert_allclose(split.gain, gain_o, rtol=1e-12, atol=atol)
-        np.testing.assert_allclose(split.loss, loss_o, rtol=1e-12)
-        assert split.gel_rate == pytest.approx(gel_o, rel=1e-12, abs=0.0)
+    _check_split(_SeparableOperator(dist.grid, kernel, boundary), dist, kernel, boundary)
 
 
 # families whose cap runs on the capped path, by name for the test ids
@@ -167,14 +171,7 @@ def test_capped_split_against_brute_force(n, name, j0, boundary):
     dist = ck.SizeDistribution(ck.SizeGrid.discrete(n), rng.random(n))
     op = _PairRows(dist.grid, capped, boundary)
     assert op.j0 == j0
-    gain_o, loss_o, gel_o = brute_force_rates(dist, capped, boundary)
-    for refine in (True, False):
-        split = op.split(dist.density, refine)
-        # without refine only the round-off floor of the summed spectrum holds
-        atol = 0.0 if refine else 1e-12 * float(np.max(gain_o))
-        np.testing.assert_allclose(split.gain, gain_o, rtol=1e-12, atol=atol)
-        np.testing.assert_allclose(split.loss, loss_o, rtol=1e-12)
-        assert split.gel_rate == pytest.approx(gel_o, rel=1e-12, abs=0.0)
+    _check_split(op, dist, capped, boundary)
 
 
 # supports s of a density with a zero tail on N = 80: none, one cell, 2s - 1
@@ -188,16 +185,6 @@ def _zero_tail(n, support, seed):
     f = np.random.default_rng(seed).random(n)
     f[support:] = 0.0
     return ck.SizeDistribution(ck.SizeGrid.discrete(n), f)
-
-
-def _check_split(op, dist, kernel, boundary):
-    gain_o, loss_o, gel_o = brute_force_rates(dist, kernel, boundary)
-    for refine in (True, False):
-        split = op.split(dist.density, refine)
-        atol = 0.0 if refine else 1e-12 * float(np.max(gain_o))
-        np.testing.assert_allclose(split.gain, gain_o, rtol=1e-12, atol=atol)
-        np.testing.assert_allclose(split.loss, loss_o, rtol=1e-12)
-        assert split.gel_rate == pytest.approx(gel_o, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("support", TRIM_SUPPORTS)
