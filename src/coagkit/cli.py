@@ -463,12 +463,17 @@ def _validate(cfg: dict, out: str | None) -> int:
     init, config, kernel = _build(cfg)
     # the run ends at t_end at the latest, so this probes the oracle's
     # family and its window of validity before any work is done; the oracle
-    # is for the uncapped kernel, so a cap that binds on the grid is refused
+    # is for the uncapped kernel, so a cap that binds on the grid is refused,
+    # and for one particle of size 1 on the discrete equation
     exact_solution(kernel, config.t_end)
     if _cap_binds(kernel, init.grid):
         raise UnsupportedFamilyError(
             f"the closed-form oracle is for the uncapped {kernel.family} kernel; "
             f"the cap {kernel.cap:g} binds on the grid")
+    f = init.density
+    if init.grid.kind != "discrete" or f[0] != 1.0 or np.any(f[1:]):
+        raise UnsupportedFamilyError(
+            "the closed-form oracle is for initial density [1, 0, ...] on a discrete grid")
 
     traj = integrate(init, config)
     out_dir = _out_dir(cfg, out)

@@ -96,7 +96,8 @@ class RadialRate:
         return RadialRate(self.form, self.params, cap, self.table)
 
     def is_concave_on(self, lo: float, hi: float, samples: int = 257) -> bool:
-        """Second-difference test on a log-spaced sample of [lo, hi]."""
+        """Second-difference test on an evenly spaced sample of [lo, hi]; the
+        second difference measures curvature only on equal spacing."""
         x = np.linspace(lo, hi, samples)
         r = np.asarray(self(x))
         second = r[:-2] - 2 * r[1:-1] + r[2:]

@@ -43,12 +43,15 @@ later cells see exactly ``c`` and go through the separable path of the
 constant kernel ``c``, and the J0 rows hold the pairs with a small cell.
 The dense path has J0 = N rows and no constant part.
 
-The integrator is Dormand-Prince 5(4) with the first-same-as-last property:
-an accepted step whose negativity clamp removed only round-off hands its last
-stage on as the next step's first.  It steps exactly onto each snapshot time
-and carries that stage and the step size proposed before the cut into the
-next interval, so only the first interval pays a start derivative and a
-step-size probe.
+The integrator is one explicit Runge-Kutta loop over a Butcher tableau:
+Dormand-Prince 5(4) with step-size control (``rk45``) or classical RK4 with a
+fixed step (``rk4``).  Its stages live in one array allocated once per run.
+The last row of each tableau gives the new state, so the last stage is the
+derivative there and is reused as the next step's first (first same as
+last) unless the negativity clamp removed more than round-off.  The loop
+steps exactly onto each snapshot time and carries its stages and step size
+on, so only the start pays a derivative and a step-size probe.  A step size
+below 1e-12 of t_end flags the run for either scheme.
 """
 
 from __future__ import annotations
@@ -214,10 +217,14 @@ def _separable_terms(kernel: KernelSpec,
 
 
 def _kernel_grid_bound(kernel: KernelSpec, grid: SizeGrid) -> float:
-    """Upper bound of the uncapped kernel over grid x grid (corner scan)."""
+    """Upper bound of the uncapped kernel over grid x grid: exact for a
+    product kernel, whose r > 0 need not be monotone, and a corner scan for
+    the other families."""
     raw = replace(kernel, cap=None)
     if kernel.family == "tabulated":
         return float(np.max(kernel.table[1]))
+    if kernel.family in ("multiplicative", "product"):
+        return float(np.max(raw.radial_rate()(grid.pivots))) ** 2
     lo, hi = grid.pivots[0], grid.pivots[-1]
     corners = np.array([lo, hi])
     xx, yy = np.meshgrid(corners, corners)
@@ -551,21 +558,33 @@ class _Rhs:
 
 
 # ---------------------------------------------------------------------------
-# Embedded Dormand-Prince 5(4) and classical RK4
+# Explicit Runge-Kutta schemes as Butcher tableaux
 # ---------------------------------------------------------------------------
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-]  # the seventh row equals _DP_B: the last stage is evaluated at y5
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-                  -17253 / 339200, 22 / 525, -1 / 40])
+def _tableau(c, rows, e=None):
+    """Nodes ``c``, ``a`` from its rows and the error row ``e`` (None for a
+    fixed step).  The last row gives the new state, so the last stage is the
+    derivative there and the next step's first (first same as last)."""
+    a = np.zeros((len(c), len(c)))
+    for i, row in enumerate(rows):
+        a[i, :len(row)] = row
+    return np.array(c), a, None if e is None else np.array(e)
+
+
+_TABLEAUX = {
+    # Dormand & Prince, J. Comput. Appl. Math. 6 (1980) 19-26; e is the
+    # fifth- minus the embedded fourth-order solution
+    "rk45": _tableau(
+        [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0],
+        [[], [1 / 5], [3 / 40, 9 / 40], [44 / 45, -56 / 15, 32 / 9],
+         [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+         [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+         [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]],
+        [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]),
+    # classical RK4, whose next first stage f(t + h, y_new) is a fifth row
+    "rk4": _tableau([0.0, 1 / 2, 1 / 2, 1.0, 1.0],
+                    [[], [1 / 2], [0.0, 1 / 2], [0.0, 0.0, 1.0], [1 / 6, 1 / 3, 1 / 3, 1 / 6]]),
+}
 
 
 class _StepLog:
@@ -611,88 +630,54 @@ def _initial_step(rhs, t0, y0, f0, weights, tol_of) -> float:
     return min(100 * h0, h1)
 
 
-@dataclass
-class _Carry:
-    """Integrator state handed from one snapshot interval to the next: the
-    derivative at the current state (first same as last) and the step size
-    proposed before the last step was cut to land on the snapshot time."""
+def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
+    """Step ``y`` from t = 0 onto each snapshot time in turn and yield it.
 
-    k0: np.ndarray | None = None
-    h: float = 0.0
-
-
-def _advance_rk45(rhs, t0, t1, y, weights, rel_tol, abs_tol, log, t_end, clamp, carry):
-    """Integrate y from t0 to t1 in place; returns (y, ok).
-
-    ``clamp(y)`` zeroes the state's negatives and counts those beyond
-    round-off in ``log.clamp_events``.  An empty ``carry`` starts the
-    interval with the derivative at t0 and an initial step probe; ``carry``
-    is left holding the state for the next interval."""
+    The stage array ``k`` is allocated once; stage i is evaluated at
+    ``y + h (a[i, :i] @ k[:i])``.  A tableau with an error row adapts h from
+    a probe, one without takes ``config.dt``.  ``clamp(y)`` zeroes negatives
+    in place and says whether it removed more than round-off, which alone
+    re-evaluates the first stage.  A step size below ``1e-12 t_end`` or a
+    non-finite error or state sets ``log.flag`` and ends the generator."""
+    c, a, e = _TABLEAUX[config.scheme]
 
     def tol_of(yv):
-        return abs_tol + rel_tol * _weighted_norm(yv, weights)
+        return config.abs_tol + config.rel_tol * _weighted_norm(yv, weights)
 
-    if carry.k0 is None:
-        carry.k0 = rhs(t0, y)
-        carry.h = _initial_step(rhs, t0, y, carry.k0, weights, tol_of)
-    t, h = t0, carry.h
-    k = [None] * 7
-    k[0] = carry.k0
-    while t < t1 - 1e-14 * max(1.0, t1):
-        step = min(h, t1 - t)
-        if step < 1e-12 * t_end:
-            log.flag = "dt_underflow"
-            return y, False
-        for i in range(1, len(_DP_A)):
-            yi = y + step * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-            k[i] = rhs(t + _DP_C[i] * step, yi)
-        y5 = y + step * sum(b * k[j] for j, b in enumerate(_DP_B) if b)
-        k[6] = rhs(t + step, y5)
-        err = step * sum(e * k[j] for j, e in enumerate(_DP_E) if e)
-        en = _weighted_norm(err, weights)
-        if not math.isfinite(en):
-            log.flag = "non_finite"
-            return y, False
-        tol = tol_of(y)
-        factor = 0.9 * (tol / en) ** 0.2 if en > 0 else 5.0
-        proposal = step * min(5.0, max(0.2, factor))
-        if en <= tol:
-            t += step
-            log.accepted += 1
-            log.min_dt = min(log.min_dt, step)
-            events = log.clamp_events
-            y = clamp(y5)
-            # first same as last: k[6] is the derivative at y5, so it is
-            # reused unless the clamp removed more than round-off
-            k[0] = k[6] if log.clamp_events == events else rhs(t, y)
-            if step < h:
-                # the step was cut to land on t1: the next interval starts
-                # from the step proposed before the cut
-                break
-        else:
-            log.rejected += 1
-        h = proposal
-    carry.k0, carry.h = k[0], h
-    return y, True
-
-
-def _advance_rk4(rhs, t0, t1, y, dt, log, clamp):
-    t = t0
-    while t < t1 - 1e-14 * max(1.0, t1):
-        h = min(dt, t1 - t)
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + h / 2 * k1)
-        k3 = rhs(t + h / 2, y + h / 2 * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            log.flag = "non_finite"
-            return y, False
-        y = clamp(y)
-        t += h
-        log.accepted += 1
-        log.min_dt = min(log.min_dt, h)
-    return y, True
+    k = np.empty((c.size, y.size))
+    t = 0.0
+    k[0] = rhs(t, y)
+    h = config.dt if e is None else _initial_step(rhs, t, y, k[0], weights, tol_of)
+    for t1 in config.resolved_snapshots():
+        while t < t1 - 1e-14 * max(1.0, t1):
+            if h < 1e-12 * config.t_end:
+                log.flag = "dt_underflow"
+                return
+            step = min(h, t1 - t)
+            for i in range(1, c.size):
+                y_new = y + step * (a[i, :i] @ k[:i])
+                k[i] = rhs(t + c[i] * step, y_new)
+            if e is None:   # a fixed step passes once its new state is finite
+                en, tol = (0.0 if np.isfinite(y_new).all() else math.nan), 0.0
+            else:
+                en, tol = _weighted_norm(step * (e @ k), weights), tol_of(y)
+            if not math.isfinite(en):
+                log.flag = "non_finite"
+                return
+            if en <= tol:
+                t += step
+                log.accepted += 1
+                log.min_dt = min(log.min_dt, step)
+                y, rough = clamp(y_new)
+                k[0] = rhs(t, y) if rough else k[-1]
+                if step < h:
+                    break   # cut to land on t1: h stays as proposed before the cut
+            else:
+                log.rejected += 1
+            if e is not None:
+                h = step * min(5.0, max(0.2, 0.9 * (tol / en) ** 0.2 if en > 0 else 5.0))
+        t = t1
+        yield y
 
 
 # ---------------------------------------------------------------------------
@@ -711,10 +696,14 @@ def resolve_kernel(config: SolverConfig, grid: SizeGrid) -> KernelSpec:
 def integrate(init: SizeDistribution, config: SolverConfig) -> Trajectory:
     """Run the coagulation dynamics from ``init`` and record snapshots.
 
-    On step-size underflow (gelation stiffness) or a non-finite stage the
-    trajectory collected so far is returned with ``step_log["flag"]`` set
-    to ``"dt_underflow"`` or ``"non_finite"`` rather than raising.
-    ``step_log["rate_path"]`` names the rate operator that ran.
+    One loop (``_steps``) runs the scheme's Butcher tableau, Dormand-Prince
+    5(4) with step-size control (``rk45``) or classical RK4 with the fixed
+    ``dt`` (``rk4``), and lands on each snapshot time.  When the step size
+    falls below ``1e-12 t_end`` (gelation stiffness, or a tiny ``dt``) or a
+    stage is non-finite, the trajectory so far is returned with
+    ``step_log["flag"]`` set to ``"dt_underflow"`` or ``"non_finite"``
+    rather than raising.  ``step_log["rate_path"]`` names the rate operator
+    that ran.
     """
     if not np.all(np.isfinite(init.density)) or np.any(init.density < 0):
         raise DomainError("initial density must be finite and non-negative")
@@ -733,30 +722,16 @@ def integrate(init: SizeDistribution, config: SolverConfig) -> Trajectory:
         if removed:
             log.clamp_events += events
             log.clamped_mass += removed
-            y = y.copy()
             y[:m] = f
-        return y
+        return y, events > 0
 
-    y = np.concatenate([init.density, [0.0]])
-    snap_times = config.resolved_snapshots()
     snapshots = [SizeDistribution(grid, init.density.copy(), 0.0)]
     gel_series = [0.0]
-    t_prev = 0.0
-    carry = _Carry()
+    steps = _steps(rhs, np.concatenate([init.density, [0.0]]), config, weights, clamp, log)
     started = time.perf_counter()
-    ok = True
-    for t_next in snap_times:
-        if config.scheme == "rk45":
-            y, ok = _advance_rk45(rhs, t_prev, t_next, y, weights,
-                                  config.rel_tol, config.abs_tol, log,
-                                  config.t_end, clamp, carry)
-        else:
-            y, ok = _advance_rk4(rhs, t_prev, t_next, y, config.dt, log, clamp)
-        if not ok:
-            break
-        snapshots.append(SizeDistribution(grid, y[:m].copy(), t_next))
+    for t, y in zip(config.resolved_snapshots(), steps):
+        snapshots.append(SizeDistribution(grid, y[:m].copy(), t))
         gel_series.append(max(float(y[m]), 0.0))
-        t_prev = t_next
 
     times = np.array([s.time for s in snapshots])
     values = {mu: np.array([s.moment(mu) for s in snapshots]) for mu in MOMENT_ORDERS}

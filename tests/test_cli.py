@@ -137,6 +137,16 @@ def test_validate_judges_the_integrated_kernel(tmp_path, truncation_n, code):
     assert (tmp_path / "o" / "validate.json").exists() == (code == 0)
 
 
+def test_validate_reads_the_initial_data(tmp_path):
+    # the oracle's one particle of size 1, given as a table, validates
+    cfg = json.loads((DEMO_CONFIGS / "constant_validate.json").read_text())
+    density = [1.0] + [0.0] * (cfg["grid"]["n"] - 1)
+    cfg["init"] = {"family": "tabulated", "params": {"density": density}}
+    cfg["output"]["directory"] = str(tmp_path / "o")
+    path = write_config(tmp_path, "v.json", cfg)
+    assert cli.cmd_validate(path) == 0
+
+
 def test_compactness_synthetic_and_dlvp(tmp_path):
     cfg = base_config(tmp_path / "o", **{
         "compactness": {
@@ -355,6 +365,15 @@ BAD_CONFIGS = {
                                            "tail_table": {"one": 1.0}}), 2),
     "compactness-duplicate-smallest-eps":
         ("compactness", _compactness(eps=[0.01, 0.01, 0.1]), 4),
+    # 1e13 fixed steps: the step-size floor ends the run
+    "simulate-rk4-dt-below-the-step-floor":
+        ("simulate", lambda cfg: cfg["solver"].update({"scheme": "rk4", "dt": 1e-13}), 3),
+    # the oracle is for one particle of size 1
+    "validate-exponential-init":
+        ("validate", lambda cfg: cfg.update(
+            init={"family": "exponential", "params": {"mean": 2.0}}), 4),
+    "validate-monodisperse-size-2":
+        ("validate", lambda cfg: cfg["init"]["params"].update(size=2.0), 4),
 }
 
 

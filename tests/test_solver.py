@@ -5,8 +5,8 @@ import pytest
 
 import coagkit as ck
 from coagkit.errors import DomainError, GridError
-from coagkit.solver import (_advance_rk45, _Carry, _PairRows, _rate_operator,
-                           _SeparableOperator, _StepLog, resolve_kernel)
+from coagkit.solver import (_PairRows, _rate_operator, _SeparableOperator, _StepLog,
+                           _steps, resolve_kernel)
 
 
 def brute_force_rates(dist, kernel, boundary):
@@ -516,7 +516,18 @@ def test_non_finite_initial_density_rejected():
             ck.integrate(ck.SizeDistribution(grid, density), cfg)
 
 
-def test_non_finite_stage_flag():
+def _stub_run(rhs, y, weights, scheme="rk45"):
+    # the step loop on a stub right-hand side, with the identity clamp; True
+    # when it reaches t_end = 1 (rk45 ignores dt)
+    cfg = ck.SolverConfig(kernel=ck.KernelSpec.constant(2.0), t_end=1.0, scheme=scheme,
+                          dt=0.1, rel_tol=1e-10, abs_tol=1e-14)
+    log = _StepLog()
+    states = list(_steps(rhs, y, cfg, weights, lambda v: (v, False), log))
+    return log, len(states) == len(cfg.resolved_snapshots())
+
+
+@pytest.mark.parametrize("scheme", ["rk45", "rk4"])
+def test_non_finite_stage_flag(scheme):
     # a NaN right-hand side must stop the step loop, not grow the step
     class NotFinite:
         evals = 0
@@ -525,9 +536,7 @@ def test_non_finite_stage_flag():
             NotFinite.evals += 1
             return np.full(y.size, np.nan)
 
-    log = _StepLog()
-    _, ok = _advance_rk45(NotFinite(), 0.0, 1.0, np.ones(4), np.ones(4),
-                          1e-10, 1e-14, log, 1.0, lambda v: v, _Carry())
+    log, ok = _stub_run(NotFinite(), np.ones(4), np.ones(4), scheme)
     assert not ok
     assert log.flag == "non_finite"
     assert log.accepted == 0 and NotFinite.evals <= 8
@@ -544,11 +553,9 @@ def test_dt_underflow_flag():
             Rough.evals += 1
             return rng.standard_normal(y.size) * 1e6
 
-    log = _StepLog()
     y = np.ones(4)
     weights = np.ones(4)
-    _, ok = _advance_rk45(Rough(), 0.0, 1.0, y, weights, 1e-10, 1e-14,
-                          log, 1.0, lambda v: v, _Carry())
+    log, ok = _stub_run(Rough(), y, weights)
     assert not ok
     assert log.flag == "dt_underflow"
 
@@ -581,15 +588,19 @@ def test_snapshot_times_respected():
 
 def test_binding_truncation_records_rate_path():
     # a binding cap on a monotone separable kernel runs capped; on Brownian
-    # (a decreasing weight) or a tabulated kernel it stays dense
-    grid = ck.SizeGrid.discrete(32)
+    # (a decreasing weight), a product kernel with a non-monotone r (which
+    # peaks inside the grid, 10 x 10 at x = 8, while its corners are 1 x 1)
+    # or a tabulated kernel it stays dense
+    grid = ck.SizeGrid.discrete(64)
     init = ck.init_distribution(grid, "monodisperse", size=1)
     p = grid.pivots
     tabulated = ck.KernelSpec.tabulated(p, np.add.outer(p, p))
+    peaked = ck.KernelSpec.product(ck.RadialRate.tabulated([1, 8, 64], [1, 10, 1]))
     for kernel, truncation_n, path in (
             (ck.KernelSpec.multiplicative(), 5.0, "capped"),
             (ck.KernelSpec.multiplicative(), None, "separable"),
             (ck.KernelSpec.brownian(), 5.0, "dense"),
+            (peaked, 5.0, "dense"),
             (tabulated, 5.0, "dense")):
         cfg = ck.SolverConfig(kernel=kernel, t_end=0.1, truncation_n=truncation_n)
         assert ck.integrate(init, cfg).step_log["rate_path"] == path
