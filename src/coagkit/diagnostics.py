@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import beta as beta_fn
 
 from .errors import DomainError, UnsupportedFamilyError
 from .grids import SizeDistribution, moment
@@ -462,14 +461,15 @@ def power_shifted_ixi(lam: float, cross_check: bool = True) -> tuple[float, floa
         raise DomainError("power-shifted xi needs homogeneity lam in (1, 2]")
     if lam == 2.0:
         return 1.0, 1.0
-    # scipy.integrate is imported here, not at module level: it is the larger
-    # part of the import time of coagkit, and only two functionals use it
-    from scipy.integrate import quad
-
     a = (2.0 - lam) / 2.0
-    closed = a * beta_fn(a, (lam - 1.0) / 2.0)
+    b = (lam - 1.0) / 2.0
+    # a B(a, b), with both arguments in (0, 1/2)
+    closed = a * math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
     if not cross_check:
         return closed, closed
+    # scipy is imported here, not at module level: it would be most of the
+    # import time of coagkit, and only the two quadrature cross-checks use it
+    from scipy.integrate import quad
 
     def integrand(u):
         # substitution A = 1 + u^2 removes the endpoint singularity

@@ -310,7 +310,7 @@ def regrid(dist: SizeDistribution, target: SizeGrid) -> tuple[SizeDistribution, 
 
 def clamp_negatives(density: np.ndarray, fraction: float = NEGATIVE_CLAMP_FRACTION
                     ) -> tuple[np.ndarray, int, float]:
-    """Zero out round-off negatives.
+    """Zero out round-off negatives, in place.
 
     Returns (density, overshoot_count, removed_total) where overshoot_count
     counts entries below -fraction*max(density), i.e. beyond harmless
@@ -322,4 +322,5 @@ def clamp_negatives(density: np.ndarray, fraction: float = NEGATIVE_CLAMP_FRACTI
     peak = float(np.max(density, initial=0.0))
     overshoot = int(np.count_nonzero(density < -fraction * max(peak, 1e-300)))
     removed = float(-np.sum(density[neg]))
-    return np.where(neg, 0.0, density), overshoot, removed
+    density[neg] = 0.0
+    return density, overshoot, removed

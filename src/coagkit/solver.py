@@ -36,22 +36,34 @@ distinct ``w_a f``, sums the spectral products ``C_ab W_a W_b`` and takes one
 inverse FFT for the gain; the loss and the overflow flux come from prefix and
 suffix sums.  All of it runs over the density's support s only (its last
 nonzero cell): the FFT has the power-of-two length that holds the 2s - 1
-convolution entries, and no pair overflows while 2s <= N.  ``_PairRows``
-sums J0 rows of the pair table directly.  The capped path splits the pairs
-at J0, the number of leading cells with ``K(x_j, x_j) < c``: pairs of two
-later cells see exactly ``c`` and go through the separable path of the
-constant kernel ``c``, and the J0 rows hold the pairs with a small cell.
-The dense path has J0 = N rows and no constant part.
+convolution entries, and no pair overflows while 2s <= N.  The FFTs are
+``numpy.fft``'s, written into work arrays that the operator allocates once,
+as are the prefix and suffix sums and the gain, loss and loss factor it
+returns; so an evaluation allocates no array of the grid's length, and the
+arrays one ``split`` returns stay valid until the next ``split`` on the same
+operator (``rates`` and ``fast_gain`` build a fresh operator per call).
+
+``_PairRows`` sums J0 rows of the pair table directly.  The capped path
+splits the pairs at J0, the number of leading cells with
+``K(x_j, x_j) < c``: pairs of two later cells see exactly ``c`` and go
+through the separable path of the constant kernel ``c``, and the J0 rows
+hold the pairs with a small cell.  The dense path has J0 = N rows and no
+constant part.
 
 The integrator is one explicit Runge-Kutta loop over a Butcher tableau:
 Dormand-Prince 5(4) with step-size control (``rk45``) or classical RK4 with a
-fixed step (``rk4``).  Its stages live in one array allocated once per run.
-The last row of each tableau gives the new state, so the last stage is the
-derivative there and is reused as the next step's first (first same as
-last) unless the negativity clamp removed more than round-off.  The loop
+fixed step (``rk4``).  Its stages, the stage state and one scratch row are
+allocated once per run, each derivative is written into its stage row, and
+the state and the stage state swap on acceptance, so a step allocates no
+array of the state's length either.  The last row of each tableau gives
+the new state, so the last stage is the derivative there and is reused as
+the next step's first (first same as last) unless the negativity clamp
+removed more than round-off.  The loop
 steps exactly onto each snapshot time and carries its stages and step size
-on, so only the start pays a derivative and a step-size probe.  A step size
-below 1e-12 of t_end flags the run for either scheme.
+on, so only the start pays a derivative and a step-size probe.  A fixed
+step counts its steps from the start of each interval, so rounding adds no
+residual step.  A step size below 1e-12 of t_end flags the run for either
+scheme.
 """
 
 from __future__ import annotations
@@ -61,7 +73,7 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .errors import DomainError, GridError, UnsupportedFamilyError
 from .grids import MomentSeries, SizeDistribution, SizeGrid, clamp_negatives
@@ -262,17 +274,24 @@ class _SeparableOperator:
     the overflow flux come from prefix and suffix sums of the ``w_a f``.
 
     Each evaluation reads only the support of ``f``, its first s cells.  The
-    FFT length is ``2^ceil(log2(2s - 1))``, at most the full ``n_fft``, so a
-    run makes a few plans, one per power of two; below 64 the convolution is
-    a direct sum.  The gel rate is exactly zero while 2s <= n, and the
-    conservative partner sums are the support's total for all but the last
-    s cells."""
+    FFT length is ``2^ceil(log2(2s - 1))``, capped at ``n_fft``, the 5-smooth
+    length for the full grid, so a run makes a few plans, one per power of
+    two; below 64 the convolution is a direct sum.  The gel rate is exactly zero
+    while 2s <= n, and the conservative partner sums are the support's total
+    for all but the last s cells.
+
+    Every array an evaluation writes is a work array allocated in
+    ``__init__``: the zero-padded rows ``w_a f``, their spectra with the
+    summed spectral product, the inverse FFT, the prefix or suffix sums,
+    and the gain, loss and loss factor that ``split`` returns.  Those stay
+    valid until the next ``split`` on the same operator; a caller that keeps
+    them longer copies them."""
 
     path = "separable"
 
     def __init__(self, grid: SizeGrid, kernel: KernelSpec, boundary: str):
         self.x = grid.pivots
-        self.n = grid.n
+        self.n = n = grid.n
         self.boundary = boundary
         vectors, merged = [], {}
 
@@ -288,13 +307,25 @@ class _SeparableOperator:
             merged[ab] = merged.get(ab, 0.0) + c
         self.w = np.array(vectors)
         self.pairs = [(c, a, b) for (a, b), c in merged.items()]
-        self.coef = np.zeros((len(vectors), len(vectors)))
+        nv = len(vectors)
+        self.coef = np.zeros((nv, nv))
         for c, a, b in self.pairs:
             self.coef[a, b] += 0.5 * c
             self.coef[b, a] += 0.5 * c
-        m = 2 * self.n - 1
-        self.n_fft = next_fast_len(m, real=True)
+        m = 2 * n - 1
+        self.n_fft = _next_fast_len(m)
         self.floor_scale = _FFT_ERR_FACTOR * np.finfo(float).eps * math.log2(2.0 * m)
+        # rows of _spectra: the nv spectra, the summed spectral product and
+        # one term of it; rows of _sums: two blocks of nv prefix or suffix
+        # sums and a spare row; _mask serves the support and the FFT floor
+        self._wf = np.zeros((nv, self.n_fft))
+        self._spectra = np.empty((nv + 2, self.n_fft // 2 + 1), dtype=complex)
+        self._conv = np.empty(self.n_fft)
+        self._mask = np.empty(n, dtype=bool)
+        self._gain = np.zeros(n)
+        self._loss_factor = np.empty(n)
+        self._loss = np.empty(n)
+        self._sums = np.empty((2 * nv + 1, n))
 
     def split(self, f: np.ndarray, refine: bool = False) -> RateSplit:
         """``gain_i = 0.5 * sum_{j+k=i} K(j,k) f_j f_k`` counts only products
@@ -304,54 +335,77 @@ class _SeparableOperator:
 
         Only the support of ``f`` is read: past its last nonzero entry every
         sum gets exact zeros, so the gain is exactly zero past cell 2s - 1
-        and no pair can overflow while 2s <= n."""
-        n = self.n
-        s = _support(f)
-        wf = self.w[:, :s] * f[:s]
-        gain = np.zeros(n)
+        and no pair can overflow while 2s <= n.
+
+        The returned arrays are the operator's work arrays: they stay valid
+        until the next ``split`` on the same operator."""
+        n, nv = self.n, self.w.shape[0]
+        s = _support(f, self._mask)
+        wf = np.multiply(self.w[:, :s], f[:s], out=self._wf[:, :s])
+        gain = self._gain
         top = min(2 * s, n)
+        gain[top:] = 0.0
         if top > 1:
-            gain[1:top] = 0.5 * self._convolution(wf, top - 1, refine)
-        loss_factor = (self.coef @ np.sum(wf, axis=1)) @ self.w
+            np.multiply(self._convolution(s, top - 1, refine), 0.5, out=gain[1:top])
+        loss_factor = np.matmul(self.coef @ np.sum(wf, axis=1), self.w, out=self._loss_factor)
         gel_rate = 0.0
         if self.boundary == "conservative":
             # partners j <= n - i: every cell of the support for the first
             # n - s cells, a prefix of it for the last s
-            partners = np.zeros_like(wf)
-            partners[:, 1:] = np.cumsum(wf[:, :-1], axis=1)
-            loss_factor[n - s:] = np.sum(self.w[:, n - s:] * (self.coef @ partners[:, ::-1]),
-                                         axis=0)
+            partners, terms = self._sums[:nv, :s], self._sums[nv:2 * nv, :s]
+            partners[:, :1] = 0.0
+            np.cumsum(wf[:, :-1], axis=1, out=partners[:, 1:])
+            np.matmul(self.coef, partners[:, ::-1], out=terms)
+            terms *= self.w[:, n - s:]
+            np.sum(terms, axis=0, out=loss_factor[n - s:])
         elif 2 * s > n:
             # overflow mass flux: partners k > n - j, via suffix sums, so the
             # rate is a sum of non-negative products; both cells of an
             # overflowing pair lie in the last 2s - n cells of the support
             tip = wf[:, n - s:]
             x_tip = self.x[n - s:s]
-            tails = np.cumsum(tip[:, ::-1], axis=1)
-            x_tails = np.cumsum((x_tip * tip)[:, ::-1], axis=1)
+            tails, x_tails = self._sums[:nv, :2 * s - n], self._sums[nv:2 * nv, :2 * s - n]
+            row = self._sums[2 * nv, :2 * s - n]
+            np.cumsum(tip[:, ::-1], axis=1, out=tails)
+            for a in range(nv):
+                np.multiply(x_tip, tip[a], out=row)
+                np.cumsum(row[::-1], out=x_tails[a])
             for c, a, b in self.pairs:
-                gel_rate += 0.5 * c * float(np.dot(tip[a], x_tip * tails[b] + x_tails[b]))
-        return RateSplit(gain=gain, loss=f * loss_factor,
+                np.multiply(x_tip, tails[b], out=row)
+                row += x_tails[b]
+                gel_rate += 0.5 * c * float(np.dot(tip[a], row))
+        return RateSplit(gain=gain, loss=np.multiply(f, loss_factor, out=self._loss),
                          loss_factor=loss_factor, gel_rate=gel_rate)
 
-    def _convolution(self, wf: np.ndarray, size: int, refine: bool) -> np.ndarray:
+    def _convolution(self, s: int, size: int, refine: bool) -> np.ndarray:
         """Entries 0..size-1 of ``sum_pairs c (w_a f) * (w_b f)`` (linear
-        convolution, non-negative), for ``wf`` trimmed to the support s and
-        size <= 2s - 1.  The FFT length is the power of two that holds all
-        2s - 1 entries, capped at the full length, so few FFT plans are
-        made.  Entries below the FFT round-off floor are indistinguishable
-        from zero and are zeroed outright: leaving the (sign-biased) noise in
-        place seeds spurious tail growth in the solver.  With ``refine``
-        every entry small enough that the floor could exceed ``_REL_TARGET``
-        of its value is recomputed by direct summation, which restores exact
-        zeros and the per-entry relative contract."""
-        m = 2 * wf.shape[1] - 1
+        convolution, non-negative), over the support s of the rows in
+        ``_wf``, for size <= 2s - 1.  The FFT length is the power of two
+        that holds all 2s - 1 entries, capped at ``n_fft``, so few FFT plans
+        are made.  Entries
+        below the FFT round-off floor are indistinguishable from zero and are
+        zeroed outright: leaving the (sign-biased) noise in place seeds
+        spurious tail growth in the solver.  With ``refine`` every entry small
+        enough that the floor could exceed ``_REL_TARGET`` of its value is
+        recomputed by direct summation, which restores exact zeros and the
+        per-entry relative contract.  The result is a view of ``_conv``."""
+        wf = self._wf[:, :s]
+        m = 2 * s - 1
         if m < 64:
             return self._direct(wf, size)
         length = min(self.n_fft, 1 << (m - 1).bit_length())
-        spectra = rfft(wf, length, axis=1)
-        conv = irfft(sum(c * spectra[a] * spectra[b] for c, a, b in self.pairs),
-                     length)[:size]
+        self._wf[:, s:length] = 0.0
+        nv, half = wf.shape[0], length // 2 + 1
+        spectra = rfft(self._wf[:, :length], axis=1, out=self._spectra[:nv, :half])
+        total, term = self._spectra[nv, :half], self._spectra[nv + 1, :half]
+        c, a, b = self.pairs[0]
+        np.multiply(spectra[a], c, out=total)
+        total *= spectra[b]
+        for c, a, b in self.pairs[1:]:
+            np.multiply(spectra[a], c, out=term)
+            term *= spectra[b]
+            total += term
+        conv = irfft(total, length, out=self._conv[:length])[:size]
         norms = [float(np.linalg.norm(v)) for v in wf]
         floor = self.floor_scale * sum(c * norms[a] * norms[b] for c, a, b in self.pairs)
         if refine:
@@ -360,7 +414,7 @@ class _SeparableOperator:
                 last = int(np.nonzero(flagged)[0][-1]) + 1
                 conv[:last][flagged[:last]] = self._direct(wf, last)[flagged[:last]]
         else:
-            conv[conv < floor] = 0.0
+            np.copyto(conv, 0.0, where=np.less(conv, floor, out=self._mask[:size]))
         return conv
 
     def _direct(self, wf: np.ndarray, size: int) -> np.ndarray:
@@ -370,9 +424,24 @@ class _SeparableOperator:
                    for c, a, b in self.pairs)
 
 
-def _support(f: np.ndarray) -> int:
-    """One past the last nonzero entry of ``f``, or 0 when it has none."""
-    nonzero = f != 0.0
+def _next_fast_len(m: int) -> int:
+    """The smallest 5-smooth integer ``2^a 3^b 5^c >= m``, a fast FFT
+    length for any m >= 1."""
+    best = 1 << (m - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-m // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+def _support(f: np.ndarray, nonzero: np.ndarray) -> int:
+    """One past the last nonzero entry of ``f``, or 0 when it has none;
+    ``nonzero`` is a boolean work array of the same size."""
+    np.not_equal(f, 0.0, out=nonzero)
     s = f.size - int(np.argmax(nonzero[::-1]))
     return s if nonzero[s - 1] else 0
 
@@ -540,19 +609,20 @@ class _Rhs:
     """Integrator right-hand side over a rate operator, in the
     positivity-preserving form ``max(gain, 0) - loss``.
 
-    State vector: the cell densities followed by the gel mass.
+    State vector: the cell densities followed by the gel mass.  The
+    derivative is written into ``out``.
     """
 
     def __init__(self, op):
         self.op = op
         self.evals = 0
 
-    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
+    def __call__(self, t: float, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         self.evals += 1
         m = y.size - 1
         split = self.op.split(y[:m])
-        out = np.empty(m + 1)
-        out[:m] = np.maximum(split.gain, 0.0) - split.loss
+        np.maximum(split.gain, 0.0, out=out[:m])
+        out[:m] -= split.loss
         out[m] = split.gel_rate
         return out
 
@@ -610,19 +680,19 @@ class _StepLog:
         }
 
 
-def _weighted_norm(v: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.dot(weights, np.abs(v)))
-
-
-def _initial_step(rhs, t0, y0, f0, weights, tol_of) -> float:
-    d0 = _weighted_norm(y0, weights)
-    d1 = _weighted_norm(f0, weights)
+def _initial_step(rhs, y0, f0, norm, tol_of, y1, f1) -> float:
+    """A first step size from the derivative ``f0`` at ``y0`` and one probe
+    evaluation, which overwrites the work rows ``y1`` and ``f1``."""
+    d0 = norm(y0)
+    d1 = norm(f0)
     if d0 < 1e-30 or d1 < 1e-30:
         return 1e-6
     h0 = 0.01 * d0 / d1
-    y1 = y0 + h0 * f0
-    f1 = rhs(t0 + h0, y1)
-    d2 = _weighted_norm(f1 - f0, weights) / h0
+    np.multiply(f0, h0, out=y1)
+    y1 += y0
+    rhs(h0, y1, out=f1)
+    f1 -= f0
+    d2 = norm(f1) / h0
     rate = max(d1, d2)
     if rate <= 1e-30:
         return min(h0 * 100, 1.0)
@@ -633,43 +703,62 @@ def _initial_step(rhs, t0, y0, f0, weights, tol_of) -> float:
 def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
     """Step ``y`` from t = 0 onto each snapshot time in turn and yield it.
 
-    The stage array ``k`` is allocated once; stage i is evaluated at
-    ``y + h (a[i, :i] @ k[:i])``.  A tableau with an error row adapts h from
-    a probe, one without takes ``config.dt``.  ``clamp(y)`` zeroes negatives
-    in place and says whether it removed more than round-off, which alone
-    re-evaluates the first stage.  A step size below ``1e-12 t_end`` or a
-    non-finite error or state sets ``log.flag`` and ends the generator."""
+    The stage array ``k``, the stage state and one scratch row are
+    allocated once, and ``y`` itself is a work array: stage i is evaluated
+    at ``y + h (a[i, :i] @ k[:i])``, built in the stage state, which becomes
+    ``y`` when the step is accepted.  The yielded state is valid until the
+    generator resumes.  A tableau with an error row adapts h from a probe;
+    one without takes ``config.dt`` and counts its steps in each interval,
+    t = t_start + n dt, so rounding adds no residual step.  ``clamp(y)``
+    zeroes negatives in place and says whether it removed more than
+    round-off, which alone re-evaluates the first stage.  A step size below
+    ``1e-12 t_end`` or a non-finite error or state sets ``log.flag`` and
+    ends the generator."""
     c, a, e = _TABLEAUX[config.scheme]
+    k = np.empty((c.size, y.size))
+    stage = np.empty_like(y)
+    scratch = np.empty_like(y)
+
+    def norm(v):   # the weighted norm, through the scratch row
+        return float(np.dot(weights, np.abs(v, out=scratch)))
 
     def tol_of(yv):
-        return config.abs_tol + config.rel_tol * _weighted_norm(yv, weights)
+        return config.abs_tol + config.rel_tol * norm(yv)
 
-    k = np.empty((c.size, y.size))
     t = 0.0
-    k[0] = rhs(t, y)
-    h = config.dt if e is None else _initial_step(rhs, t, y, k[0], weights, tol_of)
+    rhs(t, y, out=k[0])
+    h = config.dt if e is None else _initial_step(rhs, y, k[0], norm, tol_of, stage, k[1])
     for t1 in config.resolved_snapshots():
+        t_start, n = t, 0
         while t < t1 - 1e-14 * max(1.0, t1):
             if h < 1e-12 * config.t_end:
                 log.flag = "dt_underflow"
                 return
             step = min(h, t1 - t)
             for i in range(1, c.size):
-                y_new = y + step * (a[i, :i] @ k[:i])
-                k[i] = rhs(t + c[i] * step, y_new)
+                np.matmul(a[i, :i], k[:i], out=stage)
+                stage *= step
+                stage += y
+                rhs(t + c[i] * step, stage, out=k[i])
             if e is None:   # a fixed step passes once its new state is finite
-                en, tol = (0.0 if np.isfinite(y_new).all() else math.nan), 0.0
+                en, tol = (0.0 if np.isfinite(stage).all() else math.nan), 0.0
             else:
-                en, tol = _weighted_norm(step * (e @ k), weights), tol_of(y)
+                np.matmul(e, k, out=scratch)
+                scratch *= step
+                en, tol = norm(scratch), tol_of(y)
             if not math.isfinite(en):
                 log.flag = "non_finite"
                 return
             if en <= tol:
-                t += step
+                n += 1
+                t = t + step if e is not None else min(t_start + n * h, t1)
                 log.accepted += 1
-                log.min_dt = min(log.min_dt, step)
-                y, rough = clamp(y_new)
-                k[0] = rhs(t, y) if rough else k[-1]
+                log.min_dt = min(log.min_dt, float(step))
+                y, stage = stage, y
+                if clamp(y):
+                    rhs(t, y, out=k[0])
+                else:
+                    k[0] = k[-1]
                 if step < h:
                     break   # cut to land on t1: h stays as proposed before the cut
             else:
@@ -718,12 +807,10 @@ def integrate(init: SizeDistribution, config: SolverConfig) -> Trajectory:
     log = _StepLog()
 
     def clamp(y):
-        f, events, removed = clamp_negatives(y[:m])
-        if removed:
-            log.clamp_events += events
-            log.clamped_mass += removed
-            y[:m] = f
-        return y, events > 0
+        _, events, removed = clamp_negatives(y[:m])
+        log.clamp_events += events
+        log.clamped_mass += removed
+        return events > 0
 
     snapshots = [SizeDistribution(grid, init.density.copy(), 0.0)]
     gel_series = [0.0]

@@ -354,6 +354,13 @@ def test_power_shifted_ixi_beta_identity():
         ck.power_shifted_ixi(1.0)
 
 
+@pytest.mark.parametrize("lam", np.linspace(1.0, 2.0, 41)[1:-1])
+def test_power_shifted_ixi_closed_form_matches_scipy_beta(lam):
+    a = (2.0 - lam) / 2.0
+    closed, _ = ck.power_shifted_ixi(lam, cross_check=False)
+    assert closed == pytest.approx(a * beta_fn(a, (lam - 1.0) / 2.0), rel=1e-13)
+
+
 def test_ratio_shifted_ixi_matches_closed_form():
     # r(x) = x: I_xi = -1 + 0.5 * integral_1^inf A^(-3/2) dA = -1 + 1 = 0 is
     # degenerate; use r(x) = x^0.75: I_xi = -1 + 0.5 * int A^(-5/4) = -1 + 2 = 1

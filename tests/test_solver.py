@@ -5,8 +5,8 @@ import pytest
 
 import coagkit as ck
 from coagkit.errors import DomainError, GridError
-from coagkit.solver import (_PairRows, _rate_operator, _SeparableOperator, _StepLog,
-                           _steps, resolve_kernel)
+from coagkit.solver import (_next_fast_len, _PairRows, _rate_operator, _Rhs,
+                           _SeparableOperator, _StepLog, _steps, resolve_kernel)
 
 
 def brute_force_rates(dist, kernel, boundary):
@@ -118,6 +118,13 @@ SEPARABLE_FAMILIES = [ck.KernelSpec.constant(2.0), ck.KernelSpec.additive(),
                       ck.KernelSpec.multiplicative(), ck.KernelSpec.power_sum(0.25, 0.5),
                       ck.KernelSpec.product(ck.RadialRate.power_law(0.75)),
                       ck.KernelSpec.brownian()]
+
+
+def test_next_fast_len_matches_scipy():
+    # scipy is the independent oracle here only; the solver does not import it
+    from scipy.fft import next_fast_len
+    assert [_next_fast_len(m) for m in range(1, 20000)] \
+        == [next_fast_len(m, real=True) for m in range(1, 20000)]
 
 
 @pytest.mark.parametrize("boundary", ["conservative", "absorbing"])
@@ -506,6 +513,63 @@ def test_rk4_fixed_scheme():
     assert traj.moments[0.0][-1] == pytest.approx(0.5, rel=1e-9)
 
 
+def test_rk4_counts_fixed_steps_per_interval():
+    # t = t_start + n dt within each snapshot interval: accumulating t += dt
+    # ended intervals with residual steps of 1e-14 to 7e-13 (10008 steps)
+    grid = ck.SizeGrid.discrete(8)
+    init = ck.init_distribution(grid, "monodisperse", size=1)
+    cfg = ck.SolverConfig(kernel=ck.KernelSpec.constant(2.0), t_end=1.0,
+                          scheme="rk4", dt=1e-4)
+    log = ck.integrate(init, cfg).step_log
+    assert log["accepted"] == 10000 and log["rejected"] == 0
+    assert log["rhs_evals"] == 4 * 10000 + 1
+    assert type(log["min_dt"]) is float
+    assert log["min_dt"] == pytest.approx(1e-4, rel=1e-9)
+
+
+def _traced_peak(call, repeats):
+    """tracemalloc peak, in bytes, over ``repeats`` calls of ``call``."""
+    tracemalloc.start()
+    try:
+        for _ in range(repeats):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("support", [2 ** 13, 2 ** 14])   # full support: the gel-rate sums
+def test_separable_rhs_allocates_no_full_length_array(support):
+    n = 2 ** 14
+    rhs = _Rhs(_rate_operator(ck.SizeGrid.discrete(n), ck.KernelSpec.multiplicative(),
+                              "absorbing"))
+    y = np.zeros(n + 1)
+    y[:support] = np.random.default_rng(3).uniform(0.5, 1.5, support) \
+        * np.exp(-np.arange(support) / 2048.0)
+    k_row = np.empty(n + 1)
+    rhs(0.0, y, out=k_row)
+    assert k_row[n] > 0.0 if 2 * support > n else k_row[n] == 0.0
+    assert _traced_peak(lambda: rhs(0.0, y, out=k_row), 5) < n * 8
+
+
+def test_rk45_step_allocates_no_full_length_array():
+    # the second snapshot time is closer than the proposed step: one step
+    n = 2 ** 14
+    rhs = _Rhs(_rate_operator(ck.SizeGrid.discrete(n), ck.KernelSpec.multiplicative(),
+                              "absorbing"))
+    y = np.zeros(n + 1)
+    y[:n // 2] = np.exp(-np.arange(n // 2) / 1024.0) / 1024.0
+    cfg = ck.SolverConfig(kernel=ck.KernelSpec.multiplicative(), t_end=1e-6 + 1e-10,
+                          snapshot_times=(1e-6, 1e-6 + 1e-10))
+    weights = 1.0 + np.arange(1.0, n + 2.0)
+    log = _StepLog()
+    steps = _steps(rhs, y, cfg, weights, lambda v: False, log)
+    next(steps)
+    accepted = log.accepted
+    assert _traced_peak(lambda: next(steps), 1) < n * 8
+    assert log.accepted == accepted + 1 and log.flag is None
+
+
 def test_non_finite_initial_density_rejected():
     grid = ck.SizeGrid.discrete(16)
     cfg = ck.SolverConfig(kernel=ck.KernelSpec.constant(2.0), t_end=1.0)
@@ -522,7 +586,7 @@ def _stub_run(rhs, y, weights, scheme="rk45"):
     cfg = ck.SolverConfig(kernel=ck.KernelSpec.constant(2.0), t_end=1.0, scheme=scheme,
                           dt=0.1, rel_tol=1e-10, abs_tol=1e-14)
     log = _StepLog()
-    states = list(_steps(rhs, y, cfg, weights, lambda v: (v, False), log))
+    states = list(_steps(rhs, y, cfg, weights, lambda v: False, log))
     return log, len(states) == len(cfg.resolved_snapshots())
 
 
@@ -532,9 +596,10 @@ def test_non_finite_stage_flag(scheme):
     class NotFinite:
         evals = 0
 
-        def __call__(self, t, y):
+        def __call__(self, t, y, out):
             NotFinite.evals += 1
-            return np.full(y.size, np.nan)
+            out[:] = np.nan
+            return out
 
     log, ok = _stub_run(NotFinite(), np.ones(4), np.ones(4), scheme)
     assert not ok
@@ -549,9 +614,10 @@ def test_dt_underflow_flag():
     class Rough:
         evals = 0
 
-        def __call__(self, t, y):
+        def __call__(self, t, y, out):
             Rough.evals += 1
-            return rng.standard_normal(y.size) * 1e6
+            out[:] = rng.standard_normal(y.size) * 1e6
+            return out
 
     y = np.ones(4)
     weights = np.ones(4)
