@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, UnsupportedFamilyError
 from .grids import SizeDistribution, moment
 from .kernels import KernelSpec, RadialRate, classify, growth_constant
-from .solver import Trajectory, _cap_binds, _rate_operator
+from .solver import Trajectory, _cap_binds, _rate_operator, resolve_kernel
 from .compactness import phi_integral
 
 __all__ = [
@@ -220,13 +220,18 @@ def weak_form_residual(traj: Trajectory, kernel: KernelSpec, theta,
     gain minus loss from the solver's own rate operator, so it honours the
     trajectory's boundary mode: suppressed reactions are excluded, and under
     the absorbing boundary an overflowing product contributes no gain term.
-    With exact dynamics the residual is pure quadrature error.
+    With exact dynamics the residual is pure quadrature error.  The
+    operator the run integrated with is reused when the kernel and the
+    boundary are the ones it integrated.
     """
     grid = traj.grid
     if boundary is None:
         boundary = traj.config.boundary if traj.config is not None else "conservative"
     tag, th = _theta_values(theta, grid.pivots)
-    op = _rate_operator(grid, kernel, boundary)
+    op = traj.operator
+    if op is None or boundary != traj.config.boundary \
+            or kernel != resolve_kernel(traj.config, grid):
+        op = _rate_operator(grid, kernel, boundary)
 
     def collision_term(snap: SizeDistribution) -> float:
         split = op.split(snap.density)

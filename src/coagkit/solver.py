@@ -36,12 +36,17 @@ distinct ``w_a f``, sums the spectral products ``C_ab W_a W_b`` and takes one
 inverse FFT for the gain; the loss and the overflow flux come from prefix and
 suffix sums.  All of it runs over the density's support s only (its last
 nonzero cell): the FFT has the power-of-two length that holds the 2s - 1
-convolution entries, and no pair overflows while 2s <= N.  The FFTs are
-``numpy.fft``'s, written into work arrays that the operator allocates once,
-as are the prefix and suffix sums and the gain, loss and loss factor it
-returns; so an evaluation allocates no array of the grid's length, and the
-arrays one ``split`` returns stay valid until the next ``split`` on the same
-operator (``rates`` and ``fast_gain`` build a fresh operator per call).
+convolution entries, and no pair overflows while 2s <= N.  Past half the
+grid only the first N - 1 entries are needed, so when that transform would
+be longer than ``2 * _BLOCK`` the support is cut into blocks of ``_BLOCK``
+cells, each transformed at length ``2 * _BLOCK``, and the spectral products
+of the block pairs that meet in each output block are summed, inverted and
+overlap-added.  The FFTs are ``numpy.fft``'s, written into work arrays that
+the operator allocates once, as are the prefix and suffix sums and the gain,
+loss and loss factor it returns; so an evaluation allocates no array of the
+grid's length, and the arrays one ``split`` returns stay valid until the
+next ``split`` on the same operator (``rates`` and ``fast_gain`` build a
+fresh operator per call).
 
 ``_PairRows`` sums J0 rows of the pair table directly.  The capped path
 splits the pairs at J0, the number of leading cells with
@@ -49,6 +54,10 @@ splits the pairs at J0, the number of leading cells with
 through the separable path of the constant kernel ``c``, and the J0 rows
 hold the pairs with a small cell.  The dense path has J0 = N rows and no
 constant part.
+
+Every split also reports the density's support, and from it
+``max_loss_factor``, the largest loss rate ``lambda_max`` over the support:
+the stiff direction of the equations.
 
 The integrator is one explicit Runge-Kutta loop over a Butcher tableau:
 Dormand-Prince 5(4) with step-size control (``rk45``) or classical RK4 with a
@@ -58,19 +67,23 @@ the state and the stage state swap on acceptance, so a step allocates no
 array of the state's length either.  The last row of each tableau gives
 the new state, so the last stage is the derivative there and is reused as
 the next step's first (first same as last) unless the negativity clamp
-removed more than round-off.  The loop
-steps exactly onto each snapshot time and carries its stages and step size
-on, so only the start pays a derivative and a step-size probe.  A fixed
-step counts its steps from the start of each interval, so rounding adds no
-residual step.  A step size below 1e-12 of t_end flags the run for either
-scheme.
+removed more than round-off.  Before each step the ``rk45`` step size
+that the error control proposed is capped at ``_STABILITY / lambda_max`` at
+the state the step starts from, inside Dormand-Prince's real stability
+interval, so the cap only shortens a step; ``rk4`` keeps its ``dt``.  Both
+record the largest ``h lambda_max`` over the accepted steps as
+``step_log["max_h_lambda"]``.  The loop steps exactly onto each snapshot
+time and carries its stages and step size on, so only the start pays a
+derivative and a step-size probe.  A fixed step counts its steps from the
+start of each interval, so rounding adds no residual step.  A step size
+below 1e-12 of t_end flags the run for either scheme.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -102,9 +115,26 @@ _MATRIX_LIMIT = 4096
 # (random and exponentially decaying densities, six separable families,
 # N <= 4096).  The FFT over the support s is no longer than the full one, so
 # the floor of the full length M still bounds its error, and s2 is the same
-# because the dropped entries are zero.
+# because the dropped entries are zero.  A blocked sum gives each entry at
+# most two block outputs, each one inverse FFT of length 2 _BLOCK < M of
+# the summed c W_a,i W_b,j with i + j = k, and by Cauchy-Schwarz the sum of
+# ||w_a f|| ||w_b f|| over the blocks i + j = k is at most the norms' product;
+# so its error is at most twice the single transform's bound, which the
+# factor's margin over the observed case covers.  Observed at N = 2^14 with
+# s = 8193, 12000 and 16384: blocked 0.55 * eps * log2(2M) * s2 at most, the
+# single transform 0.60 on the same densities.
 _FFT_ERR_FACTOR = 32.0
 _REL_TARGET = 1e-13
+
+# the separable convolution past half support, when its single transform
+# would be longer than 2 * _BLOCK, runs in blocks of _BLOCK cells, whose
+# transforms of length 2 * _BLOCK keep pocketfft's per-call scratch small
+_BLOCK = 4096
+
+# Dormand-Prince's stability region reaches about -3.3 on the real axis
+# (Hairer & Wanner, Solving ODEs II, IV.2); an rk45 step is capped at
+# _STABILITY / lambda_max, lambda_max the largest loss rate on the support
+_STABILITY = 3.3
 
 MOMENT_ORDERS = (0.0, 0.5, 1.0, 2.0)
 
@@ -161,6 +191,13 @@ class RateSplit:
     loss: np.ndarray
     loss_factor: np.ndarray
     gel_rate: float = 0.0
+    support: int = 0   # one past the density's last nonzero cell
+
+    @property
+    def max_loss_factor(self) -> float:
+        """The largest loss factor over the support: lambda_max, the stiff
+        rate of the equations at this state."""
+        return float(np.maximum.reduce(self.loss_factor[:self.support])) if self.support else 0.0
 
 
 @dataclass
@@ -169,6 +206,9 @@ class Trajectory:
     moments: MomentSeries
     step_log: dict
     config: SolverConfig | None = None
+    # the rate operator the run integrated with, for diagnostics on the same
+    # kernel and boundary
+    operator: object = field(default=None, repr=False, compare=False)
 
     @property
     def flagged(self) -> bool:
@@ -276,14 +316,17 @@ class _SeparableOperator:
     Each evaluation reads only the support of ``f``, its first s cells.  The
     FFT length is ``2^ceil(log2(2s - 1))``, capped at ``n_fft``, the 5-smooth
     length for the full grid, so a run makes a few plans, one per power of
-    two; below 64 the convolution is a direct sum.  The gel rate is exactly zero
-    while 2s <= n, and the conservative partner sums are the support's total
-    for all but the last s cells.
+    two; below 64 the convolution is a direct sum.  Past half support, when
+    that length exceeds ``2 * _BLOCK``, the convolution runs in blocks (see
+    ``_blocked_convolution``).  The gel rate is exactly zero while 2s <= n,
+    and the conservative partner sums are the support's total for all but
+    the last s cells.
 
     Every array an evaluation writes is a work array allocated in
     ``__init__``: the zero-padded rows ``w_a f``, their spectra with the
     summed spectral product, the inverse FFT, the prefix or suffix sums,
-    and the gain, loss and loss factor that ``split`` returns.  Those stay
+    and the gain, loss and loss factor that ``split`` returns; the block
+    outputs only on a grid whose convolution can be blocked.  Those stay
     valid until the next ``split`` on the same operator; a caller that keeps
     them longer copies them."""
 
@@ -316,16 +359,27 @@ class _SeparableOperator:
         self.n_fft = _next_fast_len(m)
         self.floor_scale = _FFT_ERR_FACTOR * np.finfo(float).eps * math.log2(2.0 * m)
         # rows of _spectra: the nv spectra, the summed spectral product and
-        # one term of it; rows of _sums: two blocks of nv prefix or suffix
-        # sums and a spare row; _mask serves the support and the FFT floor
+        # one term of it, wide enough that on a grid that can block they also
+        # hold, as views, the spectra of up to ``count`` blocks and their
+        # summed products, whose inverse FFTs go to _block_outputs; rows of
+        # _sums: two blocks of nv prefix or suffix sums and a spare row;
+        # _mask serves the support and the FFT floor
+        count = -(-n // _BLOCK) if self._fft_length(n) > 2 * _BLOCK else 0
         self._wf = np.zeros((nv, self.n_fft))
-        self._spectra = np.empty((nv + 2, self.n_fft // 2 + 1), dtype=complex)
+        self._spectra = np.empty((nv + 2, max(self.n_fft // 2 + 1, count * (_BLOCK + 1))),
+                                 dtype=complex)
         self._conv = np.empty(self.n_fft)
+        self._block_outputs = np.empty((count, 2 * _BLOCK)) if count else None
         self._mask = np.empty(n, dtype=bool)
         self._gain = np.zeros(n)
         self._loss_factor = np.empty(n)
         self._loss = np.empty(n)
         self._sums = np.empty((2 * nv + 1, n))
+
+    def _fft_length(self, s: int) -> int:
+        """The single transform's length for support s: the power of two
+        that holds the 2s - 1 entries, capped at ``n_fft``."""
+        return min(self.n_fft, 1 << (2 * s - 2).bit_length())
 
     def split(self, f: np.ndarray, refine: bool = False) -> RateSplit:
         """``gain_i = 0.5 * sum_{j+k=i} K(j,k) f_j f_k`` counts only products
@@ -375,37 +429,43 @@ class _SeparableOperator:
                 row += x_tails[b]
                 gel_rate += 0.5 * c * float(np.dot(tip[a], row))
         return RateSplit(gain=gain, loss=np.multiply(f, loss_factor, out=self._loss),
-                         loss_factor=loss_factor, gel_rate=gel_rate)
+                         loss_factor=loss_factor, gel_rate=gel_rate, support=s)
 
     def _convolution(self, s: int, size: int, refine: bool) -> np.ndarray:
         """Entries 0..size-1 of ``sum_pairs c (w_a f) * (w_b f)`` (linear
         convolution, non-negative), over the support s of the rows in
         ``_wf``, for size <= 2s - 1.  The FFT length is the power of two
         that holds all 2s - 1 entries, capped at ``n_fft``, so few FFT plans
-        are made.  Entries
-        below the FFT round-off floor are indistinguishable from zero and are
-        zeroed outright: leaving the (sign-biased) noise in place seeds
-        spurious tail growth in the solver.  With ``refine`` every entry small
-        enough that the floor could exceed ``_REL_TARGET`` of its value is
-        recomputed by direct summation, which restores exact zeros and the
-        per-entry relative contract.  The result is a view of ``_conv``."""
+        are made.  Past half support, when that length exceeds
+        ``2 * _BLOCK``, the entries come from ``_blocked_convolution``.
+
+        Entries below the FFT round-off floor are indistinguishable from
+        zero and are zeroed outright: leaving the (sign-biased) noise in
+        place seeds spurious tail growth in the solver.  With ``refine``
+        every entry small enough that the floor could exceed ``_REL_TARGET``
+        of its value is recomputed by direct summation, which restores exact
+        zeros and the per-entry relative contract.  The result is a view of
+        ``_conv``."""
         wf = self._wf[:, :s]
         m = 2 * s - 1
         if m < 64:
             return self._direct(wf, size)
-        length = min(self.n_fft, 1 << (m - 1).bit_length())
-        self._wf[:, s:length] = 0.0
-        nv, half = wf.shape[0], length // 2 + 1
-        spectra = rfft(self._wf[:, :length], axis=1, out=self._spectra[:nv, :half])
-        total, term = self._spectra[nv, :half], self._spectra[nv + 1, :half]
-        c, a, b = self.pairs[0]
-        np.multiply(spectra[a], c, out=total)
-        total *= spectra[b]
-        for c, a, b in self.pairs[1:]:
-            np.multiply(spectra[a], c, out=term)
-            term *= spectra[b]
-            total += term
-        conv = irfft(total, length, out=self._conv[:length])[:size]
+        length = self._fft_length(s)
+        if 2 * s > self.n and self._block_outputs is not None and length > 2 * _BLOCK:
+            conv = self._blocked_convolution(s, size)
+        else:
+            self._wf[:, s:length] = 0.0
+            nv, half = wf.shape[0], length // 2 + 1
+            spectra = rfft(self._wf[:, :length], axis=1, out=self._spectra[:nv, :half])
+            total, term = self._spectra[nv, :half], self._spectra[nv + 1, :half]
+            c, a, b = self.pairs[0]
+            np.multiply(spectra[a], c, out=total)
+            total *= spectra[b]
+            for c, a, b in self.pairs[1:]:
+                np.multiply(spectra[a], c, out=term)
+                term *= spectra[b]
+                total += term
+            conv = irfft(total, length, out=self._conv[:length])[:size]
         norms = [float(np.linalg.norm(v)) for v in wf]
         floor = self.floor_scale * sum(c * norms[a] * norms[b] for c, a, b in self.pairs)
         if refine:
@@ -415,6 +475,43 @@ class _SeparableOperator:
                 conv[:last][flagged[:last]] = self._direct(wf, last)[flagged[:last]]
         else:
             np.copyto(conv, 0.0, where=np.less(conv, floor, out=self._mask[:size]))
+        return conv
+
+    def _blocked_convolution(self, s: int, size: int) -> np.ndarray:
+        """The same entries, for 2s > n, from blocks of ``_BLOCK`` cells.
+
+        Each block of each row ``w_a f`` is transformed at ``2 * _BLOCK``.
+        Output block k sums ``c W_a,i W_b,j`` over the block pairs with
+        i + j = k, takes one inverse FFT, and holds entries ``k * _BLOCK``
+        to ``k * _BLOCK + 2 * _BLOCK - 2``; the blocks are overlap-added
+        into ``_conv``.  Only blocks k < ceil(size / _BLOCK) are needed, and
+        past 2 n_in - 2 no block pair meets.  No transform is longer than
+        ``2 * _BLOCK``, so pocketfft's per-call scratch stays small."""
+        nv, width = self.w.shape[0], _BLOCK
+        n_in = -(-s // width)
+        n_out = min(-(-size // width), 2 * n_in - 1)
+        self._wf[:, s:n_in * width] = 0.0
+        spectra = rfft(self._wf[:, :n_in * width].reshape(nv, n_in, width), 2 * width, axis=2,
+                       out=self._spectra[:nv, :n_in * (width + 1)].reshape(nv, n_in, width + 1))
+        totals = self._spectra[nv:].reshape(-1)[:(n_out + 1) * (width + 1)]
+        totals = totals.reshape(n_out + 1, width + 1)
+        term = totals[n_out]
+        for k in range(n_out):
+            products = [(c, a, i, b, k - i) for c, a, b in self.pairs
+                        for i in range(max(0, k - n_in + 1), min(k, n_in - 1) + 1)]
+            for index, (c, a, i, b, j) in enumerate(products):
+                product = term if index else totals[k]
+                np.multiply(spectra[a, i], c, out=product)
+                product *= spectra[b, j]
+                if index:
+                    totals[k] += term
+        outputs = irfft(totals[:n_out], 2 * width, axis=1, out=self._block_outputs[:n_out])
+        conv = self._conv[:size]
+        np.copyto(self._conv[:n_out * width].reshape(n_out, width), outputs[:, :width])
+        tails = self._conv[width:n_out * width].reshape(n_out - 1, width)
+        tails += outputs[:-1, width:]
+        rest = conv[n_out * width:]   # reached by no block pair, only by an overlap
+        rest[...] = outputs[-1, width:width + rest.size]
         return conv
 
     def _direct(self, wf: np.ndarray, size: int) -> np.ndarray:
@@ -498,6 +595,7 @@ class _PairRows:
                 "runs separable, and a binding cap on a nondecreasing separable "
                 "kernel runs capped")
         self.n, self.j0, self.x, self.widths = n, j0, x, grid.widths
+        self._mask = np.empty(n, dtype=bool)
         self.rows = np.asarray(kernel.eval(x[:j0, None], x[None, :]))
         self.hi_weight = None
         if grid.kind == "discrete":
@@ -548,21 +646,25 @@ class _PairRows:
         if hi is not None:
             gain[1:] += np.bincount(self.gain_index, weights=hi.ravel(), minlength=n)[:n - 1]
         if self.large is None:
+            s = _support(f, self._mask)
             loss_factor = self.rows @ number
             # pair (j, k) overflows in both rows with weight 1/2, so twice
             # the x-weighted row buckets sum (x_j + x_k) K n_j n_k / 2
             gel_rate = 2.0 * float(np.dot(self.x, counts[n:]))
             return RateSplit(gain=gain / self.widths, loss=f * loss_factor,
-                             loss_factor=loss_factor, gel_rate=gel_rate)
+                             loss_factor=loss_factor, gel_rate=gel_rate, support=s)
         # capped grids are integer grids, whose widths are 1
         f_large = f.copy()
         f_large[:j0] = 0.0
         base = self.large.split(f_large, refine)
+        # past the first j0 cells f_large is f, so only a density held by
+        # them needs its own support
+        s = base.support or _support(f[:j0], self._mask[:j0])
         loss_factor = base.loss_factor + f[:j0] @ self.rows
         loss_factor[:j0] = self.rows @ f
         gel_rate = base.gel_rate + float(f[:j0] @ (self.gel_rows @ f[self.tail:]))
         return RateSplit(gain=base.gain + gain, loss=f * loss_factor,
-                         loss_factor=loss_factor, gel_rate=gel_rate)
+                         loss_factor=loss_factor, gel_rate=gel_rate, support=s)
 
 
 def fast_gain(dist: SizeDistribution, kernel: KernelSpec, refine: bool = True) -> np.ndarray:
@@ -616,11 +718,18 @@ class _Rhs:
     def __init__(self, op):
         self.op = op
         self.evals = 0
+        self.split = None
+
+    @property
+    def max_loss_factor(self) -> float:
+        """lambda_max at the last state evaluated, read before the next
+        evaluation overwrites the operator's work arrays."""
+        return self.split.max_loss_factor
 
     def __call__(self, t: float, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         self.evals += 1
         m = y.size - 1
-        split = self.op.split(y[:m])
+        split = self.split = self.op.split(y[:m])
         np.maximum(split.gain, 0.0, out=out[:m])
         out[:m] -= split.loss
         out[m] = split.gel_rate
@@ -665,6 +774,7 @@ class _StepLog:
         self.clamped_mass = 0.0
         self.flag = None
         self.min_dt = math.inf
+        self.max_h_lambda = 0.0
 
     def as_dict(self, evals: int, runtime: float, rate_path: str) -> dict:
         return {
@@ -674,6 +784,7 @@ class _StepLog:
             "clamped_mass": self.clamped_mass,
             "flag": self.flag,
             "min_dt": None if math.isinf(self.min_dt) else self.min_dt,
+            "max_h_lambda": self.max_h_lambda,
             "rhs_evals": evals,
             "runtime_s": runtime,
             "rate_path": rate_path,
@@ -711,7 +822,11 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
     one without takes ``config.dt`` and counts its steps in each interval,
     t = t_start + n dt, so rounding adds no residual step.  ``clamp(y)``
     zeroes negatives in place and says whether it removed more than
-    round-off, which alone re-evaluates the first stage.  A step size below
+    round-off, which alone re-evaluates the first stage.  After the first
+    stage of a step, ``rhs.max_loss_factor`` is lambda_max at the state the
+    step starts from, and the adaptive h is capped at
+    ``_STABILITY / lambda_max`` before each step; ``log.max_h_lambda`` keeps
+    the largest accepted ``h lambda_max``.  A step size below
     ``1e-12 t_end`` or a non-finite error or state sets ``log.flag`` and
     ends the generator."""
     c, a, e = _TABLEAUX[config.scheme]
@@ -727,10 +842,13 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
 
     t = 0.0
     rhs(t, y, out=k[0])
+    lam = rhs.max_loss_factor
     h = config.dt if e is None else _initial_step(rhs, y, k[0], norm, tol_of, stage, k[1])
     for t1 in config.resolved_snapshots():
         t_start, n = t, 0
         while t < t1 - 1e-14 * max(1.0, t1):
+            if e is not None and h * lam > _STABILITY:
+                h = _STABILITY / lam   # the loss rate's stability bound
             if h < 1e-12 * config.t_end:
                 log.flag = "dt_underflow"
                 return
@@ -754,11 +872,13 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
                 t = t + step if e is not None else min(t_start + n * h, t1)
                 log.accepted += 1
                 log.min_dt = min(log.min_dt, float(step))
+                log.max_h_lambda = max(log.max_h_lambda, step * lam)
                 y, stage = stage, y
                 if clamp(y):
                     rhs(t, y, out=k[0])
                 else:
                     k[0] = k[-1]
+                lam = rhs.max_loss_factor
                 if step < h:
                     break   # cut to land on t1: h stays as proposed before the cut
             else:
@@ -825,4 +945,4 @@ def integrate(init: SizeDistribution, config: SolverConfig) -> Trajectory:
     moments = MomentSeries(times, values, np.asarray(gel_series))
     step_log = log.as_dict(rhs.evals, time.perf_counter() - started, rhs.op.path)
     return Trajectory(snapshots=snapshots, moments=moments, step_log=step_log,
-                      config=config)
+                      config=config, operator=rhs.op)

@@ -246,6 +246,17 @@ def test_diagnostics_use_the_integrated_kernel(tmp_path):
     assert rows[0]["lhs"] <= 1e-4
 
 
+@pytest.mark.parametrize("name, counts", [("constant_validate.json", [(62, 0, 374)]),
+                                          ("grid_convergence_sweep.json", [(57, 0, 344)] * 6)])
+def test_demo_runs_keep_their_steps_under_the_stability_cap(tmp_path, name, counts):
+    # none of these runs is stiff: the cap h <= 3.3 / lambda_max never binds
+    assert cli.cmd_simulate(DEMO_CONFIGS / name, str(tmp_path / "o")) == 0
+    logs = [json.loads(p.read_text())["step_log"]
+            for p in sorted((tmp_path / "o").rglob("run.json"))]
+    assert [(g["accepted"], g["rejected"], g["rhs_evals"]) for g in logs] == counts
+    assert all(0.0 < g["max_h_lambda"] < 3.3 for g in logs)
+
+
 def test_sweep_isolated_outputs(tmp_path):
     cfg = base_config(tmp_path / "o")
     cfg["sweep"] = [{"grid.n": 32}, {"grid.n": 64}]

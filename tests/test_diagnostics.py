@@ -1,10 +1,12 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
 import coagkit as ck
+from coagkit import solver
 from coagkit.errors import DomainError, UnsupportedFamilyError
 
 
@@ -82,6 +84,29 @@ def test_weak_form_past_dense_table_limit():
     assert traj.step_log["rate_path"] == "separable"
     res = ck.weak_form_residual(traj, ck.KernelSpec.constant(2.0), "one")
     assert res.max_abs() <= 1e-6
+
+
+def test_weak_form_reuses_the_operator_of_the_run(monkeypatch):
+    # Brownian min(K, 5) runs dense; the residual on the integrated kernel
+    # and boundary builds no second pair table, and matches a fresh one
+    builds = []
+    build = solver._PairRows.__init__
+    monkeypatch.setattr(solver._PairRows, "__init__",
+                        lambda op, *args: builds.append(args) or build(op, *args))
+    init = ck.init_distribution(ck.SizeGrid.discrete(64), "monodisperse", size=1)
+    cfg = ck.SolverConfig(kernel=ck.KernelSpec.brownian(), t_end=0.5, truncation_n=5.0,
+                          boundary="conservative")
+    traj = ck.integrate(init, cfg)
+    assert traj.step_log["rate_path"] == "dense" and len(builds) == 1
+    kernel = ck.KernelSpec.brownian().truncate(5.0)
+    reused = ck.weak_form_residual(traj, kernel, "identity")
+    assert len(builds) == 1
+    fresh = ck.weak_form_residual(replace(traj, operator=None), kernel, "identity")
+    assert len(builds) == 2
+    np.testing.assert_array_equal(reused.residuals, fresh.residuals)
+    ck.weak_form_residual(traj, kernel, "identity", boundary="absorbing")
+    ck.weak_form_residual(traj, kernel.truncate(4.0), "identity")
+    assert len(builds) == 4
 
 
 @pytest.mark.parametrize("grid", [ck.SizeGrid.discrete(16),

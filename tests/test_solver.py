@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import coagkit as ck
+from coagkit import solver
 from coagkit.errors import DomainError, GridError
-from coagkit.solver import (_next_fast_len, _PairRows, _rate_operator, _Rhs,
+from coagkit.solver import (_STABILITY, _next_fast_len, _PairRows, _rate_operator, _Rhs,
                            _SeparableOperator, _StepLog, _steps, resolve_kernel)
 
 
@@ -100,6 +105,15 @@ def test_rates_against_brute_force(grid, kernel, path, boundary):
         np.testing.assert_allclose(split.gain, gain_o, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(split.loss, loss_o, rtol=1e-12, atol=1e-14)
         assert split.gel_rate == pytest.approx(gel_o, rel=1e-12, abs=0.0)
+        assert split.max_loss_factor == pytest.approx(_max_loss_factor(dist, loss_o), rel=1e-12)
+
+
+def _max_loss_factor(dist, loss):
+    """lambda_max from the pairwise loss: the largest loss / f over the
+    support, for a density that is positive on all of it."""
+    nonzero = np.flatnonzero(dist.density)
+    s = int(nonzero[-1]) + 1 if nonzero.size else 0
+    return float(np.max(loss[:s] / dist.density[:s])) if s else 0.0
 
 
 def _check_split(op, dist, kernel, boundary):
@@ -112,6 +126,7 @@ def _check_split(op, dist, kernel, boundary):
         np.testing.assert_allclose(split.gain, gain_o, rtol=1e-12, atol=atol)
         np.testing.assert_allclose(split.loss, loss_o, rtol=1e-12)
         assert split.gel_rate == pytest.approx(gel_o, rel=1e-12, abs=0.0)
+        assert split.max_loss_factor == pytest.approx(_max_loss_factor(dist, loss_o), rel=1e-12)
 
 
 SEPARABLE_FAMILIES = [ck.KernelSpec.constant(2.0), ck.KernelSpec.additive(),
@@ -183,9 +198,9 @@ def test_capped_split_against_brute_force(n, name, j0, boundary):
 
 # supports s of a density with a zero tail on N = 80: none, one cell, 2s - 1
 # on both sides of the 64-entry direct-sum switch, both sides of the gel
-# rate's 2s > N switch, and the whole grid
+# rate's 2s > N switch, three quarters and the whole grid
 TRIM_N = 80
-TRIM_SUPPORTS = [0, 1, 32, 33, TRIM_N // 2, TRIM_N // 2 + 1, TRIM_N]
+TRIM_SUPPORTS = [0, 1, 32, 33, TRIM_N // 2, TRIM_N // 2 + 1, 3 * TRIM_N // 4, TRIM_N]
 
 
 def _zero_tail(n, support, seed):
@@ -197,10 +212,80 @@ def _zero_tail(n, support, seed):
 @pytest.mark.parametrize("support", TRIM_SUPPORTS)
 @pytest.mark.parametrize("boundary", ["conservative", "absorbing"])
 @pytest.mark.parametrize("kernel", SEPARABLE_FAMILIES)
-def test_separable_split_of_a_zero_tail(kernel, boundary, support):
+def test_separable_split_of_a_zero_tail(kernel, boundary, support, monkeypatch):
     dist = _zero_tail(TRIM_N, support, 53)
     op = _SeparableOperator(dist.grid, kernel, boundary)
+    assert op._block_outputs is None
     _check_split(op, dist, kernel, boundary)
+    # blocks of 8 cells: past half support the convolution is blocked
+    monkeypatch.setattr(solver, "_BLOCK", 8)
+    op = _SeparableOperator(dist.grid, kernel, boundary)
+    assert op._block_outputs is not None
+    _check_split(op, dist, kernel, boundary)
+
+
+@pytest.mark.parametrize("boundary", ["conservative", "absorbing"])
+@pytest.mark.parametrize("kernel", SEPARABLE_FAMILIES)
+def test_blocked_convolution_past_the_last_block_pair(kernel, boundary, monkeypatch):
+    # N = 74, s = 38 in blocks of 8: entry 72 lies in output block 9, which
+    # no block pair reaches; only block 8's overlap holds it.  The work
+    # arrays start as NaN, so an entry the blocks leave unwritten shows
+    monkeypatch.setattr(solver, "_BLOCK", 8)
+    dist = _zero_tail(74, 38, 67)
+    op = _SeparableOperator(dist.grid, kernel, boundary)
+    op._conv[:] = np.nan
+    op._spectra[:] = np.nan
+    _check_split(op, dist, kernel, boundary)
+
+
+_FULL_N = 2 ** 14
+
+
+@pytest.mark.parametrize("kernel", [ck.KernelSpec.multiplicative(), ck.KernelSpec.additive(),
+                                    ck.KernelSpec.brownian()],
+                         ids=["multiplicative", "additive", "brownian"])
+def test_blocked_convolution_at_full_support_matches_the_direct_sum(kernel):
+    f = np.random.default_rng(61).uniform(0.5, 1.5, _FULL_N) * np.exp(-np.arange(_FULL_N) / 4096.0)
+    op = _SeparableOperator(ck.SizeGrid.discrete(_FULL_N), kernel, "absorbing")
+    assert op._block_outputs is not None
+    want = 0.5 * op._direct(op.w * f, _FULL_N - 1)
+    for refine in (True, False):
+        gain = op.split(f, refine).gain
+        assert gain[0] == 0.0
+        np.testing.assert_allclose(gain[1:], want, rtol=1e-12,
+                                   atol=0.0 if refine else 1e-12 * float(np.max(want)))
+
+
+def _src_env():
+    src = str(Path(ck.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_blocked_convolution_takes_few_page_faults():
+    # a transform of 32768 points takes pocketfft scratch that glibc maps and
+    # unmaps on every call, about 190 minor faults per rfft/irfft pair in a
+    # process without scipy; blocks of 4096 cells keep the scratch on the heap
+    code = f"""
+import resource, sys
+import numpy as np
+import coagkit as ck
+from coagkit.solver import _SeparableOperator
+n = {_FULL_N}
+f = np.random.default_rng(61).uniform(0.5, 1.5, n) * np.exp(-np.arange(n) / 4096.0)
+op = _SeparableOperator(ck.SizeGrid.discrete(n), ck.KernelSpec.multiplicative(), "absorbing")
+for _ in range(2):
+    op.split(f)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    op.split(f)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print([m for m in sys.modules if m.startswith("scipy")])
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                         text=True, check=True, timeout=120).stdout.split("\n")
+    assert out[1] == "[]"
+    assert int(out[0]) < 20 * 190 // 10
 
 
 @pytest.mark.parametrize("support", TRIM_SUPPORTS)
@@ -492,6 +577,60 @@ def test_round_off_clamps_keep_first_same_as_last():
     assert log["rhs_evals"] == 6 * (log["accepted"] + log["rejected"]) + 2
 
 
+def _seeded(seed, stream, n):
+    """The benchmark's initial data: a unit-mass density on sizes 1..4 with
+    weights drawn uniformly from [0.5, 1.5]."""
+    w = np.random.default_rng([seed, stream]).uniform(0.5, 1.5, 4)
+    f = np.zeros(n)
+    f[:4] = w / np.dot(np.arange(1.0, 5.0), w)
+    return ck.SizeDistribution(ck.SizeGrid.discrete(n), f)
+
+
+def test_gelation_steps_within_the_stability_bound():
+    # K = xy on N = 2^14 to 0.93 t_gel: past t ~ 0.3 t_gel the error control
+    # alone proposed steps with h lambda_max up to 4.4, outside the
+    # stability interval, and took 20 rejected steps and 7861 clamp events
+    init = _seeded(11, 0, 2 ** 14)
+    m2_0 = init.moment(2.0)
+    fractions = np.concatenate([np.linspace(0.1, 0.5, 5), np.linspace(0.55, 0.93, 20)])
+    snaps = tuple(float(v / m2_0) for v in fractions)
+    cfg = ck.SolverConfig(kernel=ck.KernelSpec.multiplicative(), t_end=snaps[-1],
+                          snapshot_times=snaps, rel_tol=1e-8, boundary="absorbing")
+    traj = ck.integrate(init, cfg)
+    log = traj.step_log
+    assert log["flag"] is None and log["rejected"] == 0
+    assert log["max_h_lambda"] == pytest.approx(_STABILITY, rel=1e-12)
+    t = traj.times[-1]
+    assert traj.moments[2.0][-1] == pytest.approx(m2_0 / (1.0 - m2_0 * t), rel=3e-6)
+
+
+@pytest.mark.parametrize("stream, kernel, solver_args, counts", [
+    (1, ck.KernelSpec.brownian(), {"boundary": "conservative", "t_end": 4.0}, (44, 0, 266)),
+    (2, ck.KernelSpec.multiplicative(), {"boundary": "absorbing", "t_end": 2.0,
+                                         "truncation_n": 64.0}, (67, 0, 404)),
+], ids=["brownian", "truncated"])
+def test_stability_cap_leaves_non_stiff_runs_alone(stream, kernel, solver_args, counts):
+    # the benchmark's brownian and truncated runs (N = 512) keep their steps,
+    # and their separable operators never block a convolution
+    traj = ck.integrate(_seeded(11, stream, 512), ck.SolverConfig(kernel=kernel, **solver_args))
+    log = traj.step_log
+    assert (log["accepted"], log["rejected"], log["rhs_evals"]) == counts
+    assert 0.0 < log["max_h_lambda"] < _STABILITY
+    op = traj.operator
+    assert getattr(op, "large", op)._block_outputs is None
+
+
+def test_rk4_records_but_keeps_its_step():
+    # dt lambda_max = 0.4 * 2 M0(0) = 0.8 at the start; RK4 keeps dt
+    grid = ck.SizeGrid.discrete(32)
+    init = ck.init_distribution(grid, "monodisperse", size=1)
+    cfg = ck.SolverConfig(kernel=ck.KernelSpec.constant(2.0), t_end=2.0, snapshot_times=(2.0,),
+                          scheme="rk4", dt=0.4, boundary="conservative")
+    log = ck.integrate(init, cfg).step_log
+    assert log["accepted"] == 5 and log["min_dt"] == pytest.approx(0.4)
+    assert log["max_h_lambda"] == pytest.approx(0.8, rel=1e-12)
+
+
 def test_integrate_sectional_grid():
     grid = ck.SizeGrid.geometric(1e-2, 1e3, bins=160)
     init = ck.init_distribution(grid, "exponential", mean=1.0)
@@ -595,6 +734,7 @@ def test_non_finite_stage_flag(scheme):
     # a NaN right-hand side must stop the step loop, not grow the step
     class NotFinite:
         evals = 0
+        max_loss_factor = 0.0
 
         def __call__(self, t, y, out):
             NotFinite.evals += 1
@@ -613,6 +753,7 @@ def test_dt_underflow_flag():
 
     class Rough:
         evals = 0
+        max_loss_factor = 0.0
 
         def __call__(self, t, y, out):
             Rough.evals += 1
