@@ -169,9 +169,13 @@ _CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SC
 # Config -> objects
 # ---------------------------------------------------------------------------
 
+def _non_finite(name: str):
+    raise ConfigError(f"non-finite number {name} in the config")
+
+
 def load_config(path) -> dict:
     try:
-        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_non_finite)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return check_config(cfg)

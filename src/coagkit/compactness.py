@@ -636,22 +636,20 @@ def vp_check(phi: VPFunction, samples, member=None, tol: float = 1e-12
                                dPhi(r + s), dfr + dPhi(s), tol)
 
     if member is not None:
-        values, measures = member
-        pairs = list(zip(values, measures))
+        pairs = list(zip(*member))   # read once: either may be an iterator
         exact_m = exact and all(
             _is_rational(v) and _is_rational(w) for v, w in pairs)
         if exact_m:
             norm1 = sum((abs(v) * w for v, w in pairs), Fraction(0))
         else:
-            norm1 = float(np.dot(np.abs(np.asarray(values, float)),
-                                 np.asarray(measures, float)))
+            va = np.abs(np.asarray([v for v, _ in pairs], float))
+            wa = np.asarray([w for _, w in pairs], float)
+            norm1 = float(np.dot(va, wa))
         dphi1 = phi.deriv_exact(Fraction(1)) if exact_m else float(vp_eval(phi, 1.0, 1))
 
         def tail_at(nm):
             if exact_m:
                 return sum((abs(v) * w for v, w in pairs if abs(v) >= nm), Fraction(0))
-            va = np.abs(np.asarray(values, float))
-            wa = np.asarray(measures, float)
             return float(np.sum(np.where(va >= nm, va * wa, 0.0)))
 
         nbp = phi.breakpoints
@@ -661,8 +659,6 @@ def vp_check(phi: VPFunction, samples, member=None, tol: float = 1e-12
                 lhs = sum((phi.value_exact(abs(v)) * w
                            for v, w in pairs if abs(v) < nk), Fraction(0))
             else:
-                va = np.abs(np.asarray(values, float))
-                wa = np.asarray(measures, float)
                 below = va < nk
                 lhs = float(np.sum(np.asarray(vp_eval(phi, va[below], 0)) * wa[below]))
             rhs = dphi1 * norm1

@@ -71,18 +71,20 @@ class MarginReport:
         return self.rhs - self.lhs
 
     @property
-    def min_margin(self) -> float:
+    def _checked_margins(self) -> np.ndarray:
         # t = 0 is an equality by construction for the Gronwall-type bounds
-        m = self.margins[1:] if self.times.size > 1 and self.times[0] == 0.0 \
+        return self.margins[1:] if self.times.size > 1 and self.times[0] == 0.0 \
             else self.margins
+
+    @property
+    def min_margin(self) -> float:
+        m = self._checked_margins
         return float(np.min(m)) if m.size else math.inf
 
     @property
     def passed(self) -> bool:
         scale = float(np.max(np.abs(self.rhs), initial=0.0))
-        m = self.margins[1:] if self.times.size > 1 and self.times[0] == 0.0 \
-            else self.margins
-        return _verdict(m, scale)
+        return _verdict(self._checked_margins, scale)
 
     def rows(self) -> list:
         return [{

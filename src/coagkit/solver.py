@@ -109,9 +109,8 @@ _MATRIX_LIMIT = 4096
 # FFT round-off contract: the gain's convolution is one inverse FFT of the
 # summed spectra, so one floor covers it, _FFT_ERR_FACTOR * eps * log2(2M) * s2
 # with M = 2N - 1 and s2 = sum over the merged pairs of c ||w_a f||2 ||w_b f||2.
-# Entries below the floor are zeroed; with ``refine`` entries below
-# floor / _REL_TARGET are recomputed by direct summation so the relative error
-# stays below _REL_TARGET.  The observed worst case is 0.21 * eps * log2(2M) * s2
+# Entries below the floor are zeroed.  The observed worst case is
+# 0.21 * eps * log2(2M) * s2
 # (random and exponentially decaying densities, six separable families,
 # N <= 4096).  The FFT over the support s is no longer than the full one, so
 # the floor of the full length M still bounds its error, and s2 is the same
@@ -124,7 +123,6 @@ _MATRIX_LIMIT = 4096
 # s = 8193, 12000 and 16384: blocked 0.55 * eps * log2(2M) * s2 at most, the
 # single transform 0.60 on the same densities.
 _FFT_ERR_FACTOR = 32.0
-_REL_TARGET = 1e-13
 
 # the separable convolution past half support, when its single transform
 # would be longer than 2 * _BLOCK, runs in blocks of _BLOCK cells, whose
@@ -157,14 +155,15 @@ class SolverConfig:
     truncation_mode: str = "cap"    # "cap" | "product_cap"
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise DomainError("t_end must be positive")
+        if not 0 < self.t_end < math.inf:
+            raise DomainError("t_end must be positive and finite")
         if self.scheme not in ("rk45", "rk4"):
             raise DomainError(f"unknown scheme {self.scheme!r}")
-        if self.scheme == "rk4" and (self.dt is None or self.dt <= 0):
-            raise DomainError("rk4 needs a positive fixed dt")
-        if self.scheme == "rk45" and (self.rel_tol <= 0 or self.abs_tol <= 0):
-            raise DomainError("rk45 tolerances must be positive")
+        if self.scheme == "rk4" and (self.dt is None or not 0 < self.dt < math.inf):
+            raise DomainError("rk4 needs a positive and finite fixed dt")
+        if self.scheme == "rk45" and not (0 < self.rel_tol < math.inf
+                                          and 0 < self.abs_tol < math.inf):
+            raise DomainError("rk45 tolerances must be positive and finite")
         if self.boundary not in ("absorbing", "conservative"):
             raise DomainError(f"unknown boundary mode {self.boundary!r}")
         if self.truncation_mode not in ("cap", "product_cap"):
@@ -316,11 +315,11 @@ class _SeparableOperator:
     Each evaluation reads only the support of ``f``, its first s cells.  The
     FFT length is ``2^ceil(log2(2s - 1))``, capped at ``n_fft``, the 5-smooth
     length for the full grid, so a run makes a few plans, one per power of
-    two; below 64 the convolution is a direct sum.  Past half support, when
-    that length exceeds ``2 * _BLOCK``, the convolution runs in blocks (see
-    ``_blocked_convolution``).  The gel rate is exactly zero while 2s <= n,
-    and the conservative partner sums are the support's total for all but
-    the last s cells.
+    two; below 64 entries, or with ``refine``, the convolution is a direct
+    sum.  Past half support, when that length exceeds ``2 * _BLOCK``, the
+    convolution runs in blocks (see ``_blocked_convolution``).  The gel
+    rate is exactly zero while 2s <= n, and the conservative partner sums
+    are the support's total for all but the last s cells.
 
     Every array an evaluation writes is a work array allocated in
     ``__init__``: the zero-padded rows ``w_a f``, their spectra with the
@@ -384,8 +383,9 @@ class _SeparableOperator:
     def split(self, f: np.ndarray, refine: bool = False) -> RateSplit:
         """``gain_i = 0.5 * sum_{j+k=i} K(j,k) f_j f_k`` counts only products
         that land on the grid, so only the loss and the gel rate depend on
-        the boundary mode.  ``refine`` recomputes convolution entries below
-        the FFT round-off floor by direct summation.
+        the boundary mode.  With ``refine`` the convolution is the direct
+        sum, exact up to summation order; without it, past 2s - 1 >= 64, it
+        is the FFT, exact up to the round-off floor (``_convolution``).
 
         Only the support of ``f`` is read: past its last nonzero entry every
         sum gets exact zeros, so the gain is exactly zero past cell 2s - 1
@@ -400,7 +400,9 @@ class _SeparableOperator:
         top = min(2 * s, n)
         gain[top:] = 0.0
         if top > 1:
-            np.multiply(self._convolution(s, top - 1, refine), 0.5, out=gain[1:top])
+            conv = self._direct(wf, top - 1) if refine or 2 * s - 1 < 64 \
+                else self._convolution(s, top - 1)
+            np.multiply(conv, 0.5, out=gain[1:top])
         loss_factor = np.matmul(self.coef @ np.sum(wf, axis=1), self.w, out=self._loss_factor)
         gel_rate = 0.0
         if self.boundary == "conservative":
@@ -431,25 +433,20 @@ class _SeparableOperator:
         return RateSplit(gain=gain, loss=np.multiply(f, loss_factor, out=self._loss),
                          loss_factor=loss_factor, gel_rate=gel_rate, support=s)
 
-    def _convolution(self, s: int, size: int, refine: bool) -> np.ndarray:
+    def _convolution(self, s: int, size: int) -> np.ndarray:
         """Entries 0..size-1 of ``sum_pairs c (w_a f) * (w_b f)`` (linear
-        convolution, non-negative), over the support s of the rows in
-        ``_wf``, for size <= 2s - 1.  The FFT length is the power of two
-        that holds all 2s - 1 entries, capped at ``n_fft``, so few FFT plans
-        are made.  Past half support, when that length exceeds
-        ``2 * _BLOCK``, the entries come from ``_blocked_convolution``.
+        convolution, non-negative) by FFT, exact up to the round-off floor
+        (``_FFT_ERR_FACTOR``), over the support s of the rows in ``_wf``,
+        for size <= 2s - 1.  The FFT length is the power of two that holds
+        all 2s - 1 entries, capped at ``n_fft``, so few FFT plans are made.
+        Past half support, when that length exceeds ``2 * _BLOCK``, the
+        entries come from ``_blocked_convolution``.
 
-        Entries below the FFT round-off floor are indistinguishable from
-        zero and are zeroed outright: leaving the (sign-biased) noise in
-        place seeds spurious tail growth in the solver.  With ``refine``
-        every entry small enough that the floor could exceed ``_REL_TARGET``
-        of its value is recomputed by direct summation, which restores exact
-        zeros and the per-entry relative contract.  The result is a view of
+        Entries below the floor are indistinguishable from zero and are
+        zeroed outright: leaving the (sign-biased) noise in place seeds
+        spurious tail growth in the solver.  The result is a view of
         ``_conv``."""
         wf = self._wf[:, :s]
-        m = 2 * s - 1
-        if m < 64:
-            return self._direct(wf, size)
         length = self._fft_length(s)
         if 2 * s > self.n and self._block_outputs is not None and length > 2 * _BLOCK:
             conv = self._blocked_convolution(s, size)
@@ -468,13 +465,7 @@ class _SeparableOperator:
             conv = irfft(total, length, out=self._conv[:length])[:size]
         norms = [float(np.linalg.norm(v)) for v in wf]
         floor = self.floor_scale * sum(c * norms[a] * norms[b] for c, a, b in self.pairs)
-        if refine:
-            flagged = conv < floor / _REL_TARGET
-            if np.any(flagged):
-                last = int(np.nonzero(flagged)[0][-1]) + 1
-                conv[:last][flagged[:last]] = self._direct(wf, last)[flagged[:last]]
-        else:
-            np.copyto(conv, 0.0, where=np.less(conv, floor, out=self._mask[:size]))
+        np.copyto(conv, 0.0, where=np.less(conv, floor, out=self._mask[:size]))
         return conv
 
     def _blocked_convolution(self, s: int, size: int) -> np.ndarray:
@@ -631,8 +622,9 @@ class _PairRows:
     def split(self, f: np.ndarray, refine: bool = False) -> RateSplit:
         """Direct sums over the rows, of non-negative products when ``f`` is
         non-negative; on the capped path the pairs of two large cells come
-        from the constant-kernel split (with its FFT round-off floor and
-        ``refine``)."""
+        from the constant-kernel split: with ``refine`` its direct sum, exact
+        up to summation order; without it its FFT, exact up to the round-off
+        floor."""
         n, j0 = self.n, self.j0
         number = f * self.widths
         pairs = number[:j0, None] * self.rows
@@ -668,12 +660,13 @@ class _PairRows:
 
 
 def fast_gain(dist: SizeDistribution, kernel: KernelSpec, refine: bool = True) -> np.ndarray:
-    """Gain term on an integer grid via fast convolution.
+    """Gain term on an integer grid from the separable rate operator.
 
-    Returns ``gain_i = 0.5 * sum_{j+k=i} K(j,k) f_j f_k`` for i = 1..N,
-    agreeing with the direct pairwise sum to 1e-12 relative entrywise.
-    Requires a separable family; a pointwise kernel cap that binds on the
-    grid destroys separability and is refused.
+    Returns ``gain_i = 0.5 * sum_{j+k=i} K(j,k) f_j f_k`` for i = 1..N.
+    With ``refine``, the default, it is the direct sum, exact up to
+    summation order; without it, it is the FFT, exact up to the round-off
+    floor.  Requires a separable family; a pointwise kernel cap that binds
+    on the grid destroys separability and is refused.
     """
     if dist.grid.kind != "discrete":
         raise GridError("fast_gain requires a discrete integer grid")
@@ -700,9 +693,10 @@ def rates(dist: SizeDistribution, kernel: KernelSpec,
           boundary: str = "conservative") -> RateSplit:
     """Gain/loss split of the coagulation operator at one state.
 
-    The solver's own operator with ``refine``: exact index sums on discrete
-    grids, two-point number/mass apportionment of merger products on
-    sectional grids, agreeing with the pairwise sums to 1e-12 relative.
+    The solver's own operator with ``refine``, so every rate is a direct
+    sum, exact up to summation order: index sums on discrete grids,
+    two-point number/mass apportionment of merger products on sectional
+    grids.
     """
     return _rate_operator(dist.grid, kernel, boundary).split(dist.density, refine=True)
 

@@ -376,6 +376,13 @@ BAD_CONFIGS = {
                                            "tail_table": {"one": 1.0}}), 2),
     "compactness-duplicate-smallest-eps":
         ("compactness", _compactness(eps=[0.01, 0.01, 0.1]), 4),
+    # json reads NaN and Infinity; a config refuses them before any solve
+    "simulate-t-end-nan":
+        ("simulate", lambda cfg: cfg["solver"].update(t_end=float("nan")), 2),
+    "simulate-t-end-infinity":
+        ("simulate", lambda cfg: cfg["solver"].update(t_end=float("inf")), 2),
+    "simulate-rel-tol-nan":
+        ("simulate", lambda cfg: cfg["solver"].update(rel_tol=float("nan")), 2),
     # 1e13 fixed steps: the step-size floor ends the run
     "simulate-rk4-dt-below-the-step-floor":
         ("simulate", lambda cfg: cfg["solver"].update({"scheme": "rk4", "dt": 1e-13}), 3),

@@ -418,6 +418,9 @@ def test_b111_holds_for_any_member_and_breakpoints():
     measures = rng.uniform(0.01, 0.2, 40)
     rep = ck.vp_check(phi, [], member=(values, measures))
     assert rep["b111_tail_bound"].violations == 0
+    # a member of one-shot iterators gives the same report
+    assert ck.vp_check(phi, [], member=(iter(values), iter(measures))).to_json_obj() \
+        == rep.to_json_obj()
 
 
 def test_phi_integral_examples():

@@ -116,11 +116,29 @@ def _max_loss_factor(dist, loss):
     return float(np.max(loss[:s] / dist.density[:s])) if s else 0.0
 
 
+def _no_fft(*args, **kwargs):
+    raise AssertionError("an FFT ran")
+
+
 def _check_split(op, dist, kernel, boundary):
-    """``op.split`` with and without ``refine`` against the pairwise oracle."""
+    """``op.split`` with and without ``refine`` against the pairwise oracle.
+    With ``refine`` no FFT runs, and a separable gain is the direct sum bit
+    for bit."""
     gain_o, loss_o, gel_o = brute_force_rates(dist, kernel, boundary)
     for refine in (True, False):
-        split = op.split(dist.density, refine)
+        with pytest.MonkeyPatch.context() as patch:
+            if refine:
+                patch.setattr(solver, "rfft", _no_fft)
+                patch.setattr(solver, "irfft", _no_fft)
+            split = op.split(dist.density, refine)
+        if refine and isinstance(op, _SeparableOperator):
+            # over the support's rows: zero padding reorders np.convolve's sums
+            s = split.support
+            top = min(2 * s, op.n)
+            want = np.zeros(op.n)
+            if top > 1:
+                want[1:top] = 0.5 * op._direct(op.w[:, :s] * dist.density[:s], top - 1)
+            np.testing.assert_array_equal(split.gain, want)
         # without refine only the round-off floor of the summed spectrum holds
         atol = 0.0 if refine else 1e-12 * float(np.max(gain_o))
         np.testing.assert_allclose(split.gain, gain_o, rtol=1e-12, atol=atol)
@@ -772,6 +790,12 @@ def test_flagged_trajectory_partial_snapshots():
     # instead check the config validation surface
     with pytest.raises(DomainError):
         ck.SolverConfig(kernel=ck.KernelSpec.constant(2.0), t_end=-1.0)
+    # json parses 1e999 to inf, with no non-finite constant in the text
+    for bad in (float("nan"), float("inf")):
+        for fields in ({"t_end": bad}, {"t_end": 1.0, "rel_tol": bad},
+                       {"t_end": 1.0, "abs_tol": bad}, {"t_end": 1.0, "scheme": "rk4", "dt": bad}):
+            with pytest.raises(DomainError, match="finite"):
+                ck.SolverConfig(kernel=ck.KernelSpec.constant(2.0), **fields)
     with pytest.raises(DomainError):
         ck.SolverConfig(kernel=ck.KernelSpec.constant(2.0), t_end=1.0,
                         scheme="rk4")
