@@ -17,8 +17,10 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import copy
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -37,7 +39,7 @@ from .errors import CoagKitError, ConfigError, ConstructionError, UnsupportedFam
 from .grids import SizeGrid, init_distribution
 from .kernels import KernelSpec, RadialRate, classify
 from .reference import exact_solution
-from .solver import SolverConfig, Trajectory, _cap_binds, integrate, resolve_kernel
+from .solver import SolverConfig, Trajectory, _cap_binds, integrate
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -169,13 +171,19 @@ _CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SC
 # Config -> objects
 # ---------------------------------------------------------------------------
 
-def _non_finite(name: str):
-    raise ConfigError(f"non-finite number {name} in the config")
+def _finite_number(text: str) -> float:
+    """``float(text)``, or ConfigError when it is not finite: ``NaN``,
+    ``Infinity``, or a literal such as ``1e999`` that overflows."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text} in the config")
+    return value
 
 
 def load_config(path) -> dict:
     try:
-        cfg = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_non_finite)
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"),
+                         parse_float=_finite_number, parse_constant=_finite_number)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return check_config(cfg)
@@ -258,18 +266,22 @@ def _warn_sparse_snapshots(config: SolverConfig, grid: SizeGrid):
     except CoagKitError:
         return
     if any(g.label == "gelling" for g in labels) \
-            and len(config.resolved_snapshots()) < 8:
+            and len(config.snapshot_times) < 8:
         print("warning: gelling kernel with sparse snapshots; trajectory "
               "time integrals use trapezoidal quadrature on snapshot times",
               file=sys.stderr)
 
 
 def build_run(cfg: dict):
+    """The initial distribution and the solver config of a run; the
+    config's kernel is the one integrated, ``solver.truncation_n`` applied."""
     kernel = build_kernel(cfg["kernel"])
+    s = cfg["solver"]
+    if "truncation_n" in s:
+        kernel = kernel.truncate(s["truncation_n"], s.get("truncation_mode", "cap"))
     grid = build_grid(cfg["grid"])
     init_sec = cfg["init"]
     init = init_distribution(grid, init_sec["family"], **init_sec.get("params", {}))
-    s = cfg["solver"]
     config = SolverConfig(
         kernel=kernel,
         t_end=s["t_end"],
@@ -279,17 +291,14 @@ def build_run(cfg: dict):
         rel_tol=s.get("rel_tol", 1e-8),
         abs_tol=s.get("abs_tol", 1e-12),
         boundary=s.get("boundary", "absorbing"),
-        truncation_n=s.get("truncation_n"),
-        truncation_mode=s.get("truncation_mode", "cap"),
     )
     return init, config
 
 
 def _build(cfg: dict):
-    """``build_run`` and the kernel it integrates; any failure is a config error."""
+    """``build_run``; any failure is a config error."""
     try:
-        init, config = build_run(cfg)
-        return init, config, resolve_kernel(config, init.grid)
+        return build_run(cfg)
     except (CoagKitError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -407,7 +416,7 @@ def cmd_gelation(config_path, out: str | None = None) -> int:
 def _simulate(cfg: dict, out: str | None, jobs: int = 1, label: str = "") -> int:
     if cfg.get("sweep"):
         return _run_sweep(cfg, out, jobs)
-    init, config, kernel = _build(cfg)
+    init, config = _build(cfg)
     _warn_sparse_snapshots(config, init.grid)
     traj = integrate(init, config)
     out_dir = _out_dir(cfg, out)
@@ -416,7 +425,7 @@ def _simulate(cfg: dict, out: str | None, jobs: int = 1, label: str = "") -> int
         _write(out_dir / "moments.csv", traj.moments_csv())
         _write(out_dir / "snapshots.csv", traj.snapshots_csv())
     _write(out_dir / "run.json", _json_text(_run_json(cfg, traj)))
-    rows = _run_diagnostics(cfg, traj, kernel)
+    rows = _run_diagnostics(cfg, traj, config.kernel)
     if rows:
         _write(out_dir / "diagnostics.json", _json_text(rows))
         if "csv" in formats:
@@ -464,7 +473,8 @@ def _run_sweep(cfg: dict, out: str | None, jobs: int) -> int:
 
 
 def _validate(cfg: dict, out: str | None) -> int:
-    init, config, kernel = _build(cfg)
+    init, config = _build(cfg)
+    kernel = config.kernel
     # the run ends at t_end at the latest, so this probes the oracle's
     # family and its window of validity before any work is done; the oracle
     # is for the uncapped kernel, so a cap that binds on the grid is refused,
@@ -515,7 +525,7 @@ def _compactness(cfg: dict, out: str | None) -> int:
     sec = cfg.get("compactness", {})
     source = sec.get("source", "run")
     if source == "run":
-        init, config, _ = _build(cfg)
+        init, config = _build(cfg)
         family = FunctionFamily.from_snapshots(integrate(init, config).snapshots)
     else:
         family = synthetic_family(source)
@@ -590,14 +600,14 @@ def _compactness(cfg: dict, out: str | None) -> int:
 
 
 def _gelation(cfg: dict, out: str | None) -> int:
-    init, config, kernel = _build(cfg)
+    init, config = _build(cfg)
+    kernel = config.kernel
     sec = cfg.get("gelation", {})
     _warn_sparse_snapshots(config, init.grid)
     traj = integrate(init, config)
     baseline = None
     if sec.get("baseline"):
-        base_cfg = SolverConfig(**{**config.__dict__, "boundary": "conservative"})
-        baseline = integrate(init, base_cfg)
+        baseline = integrate(init, dataclasses.replace(config, boundary="conservative"))
     policy = sec.get("policy", "m2_extrapolation")
     report = gelation_detect(traj, policy, threshold=sec.get("threshold", 0.01),
                              baseline=baseline, kernel=kernel)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, UnsupportedFamilyError
 from .grids import SizeDistribution, moment
 from .kernels import KernelSpec, RadialRate, classify, growth_constant
-from .solver import Trajectory, _cap_binds, _rate_operator, resolve_kernel
+from .solver import Trajectory, _cap_binds, _rate_operator
 from .compactness import phi_integral
 
 __all__ = [
@@ -232,7 +232,7 @@ def weak_form_residual(traj: Trajectory, kernel: KernelSpec, theta,
     tag, th = _theta_values(theta, grid.pivots)
     op = traj.operator
     if op is None or boundary != traj.config.boundary \
-            or kernel != resolve_kernel(traj.config, grid):
+            or kernel != traj.config.kernel:
         op = _rate_operator(grid, kernel, boundary)
 
     def collision_term(snap: SizeDistribution) -> float:

@@ -225,24 +225,20 @@ class KernelSpec:
 
     def truncate(self, n: float, mode: str = "cap") -> "KernelSpec":
         """Truncated kernel: ``mode="cap"`` gives min(K, n) pointwise,
-        ``mode="product_cap"`` gives min(r, n)(x) * min(r, n)(y)."""
+        ``mode="product_cap"`` gives min(r, n)(x) * min(r, n)(y).  Stacking
+        caps of one mode keeps the smaller; the two modes do not stack, since
+        neither form holds the other."""
         if n <= 0:
             raise DomainError("truncation level must be positive")
-        if mode == "cap":
-            cap = n if self.cap is None or self.cap_mode == "product" else min(self.cap, n)
-            if self.cap is not None and self.cap_mode == "product":
-                # a kernel cap on top of a product cap: keep the product form
-                # inside, apply min(K, n) outside via the smaller kernel cap
-                raise UnsupportedFamilyError(
-                    "cannot stack a pointwise cap on a product-capped kernel"
-                )
-            return KernelSpec(self.family, self.params, self.rate, self.table, cap, "kernel")
-        if mode == "product_cap":
-            if self.family != "product":
-                raise UnsupportedFamilyError("product_cap requires a product kernel")
-            cap = n if self.cap is None else min(self.cap, n)
-            return KernelSpec(self.family, self.params, self.rate, self.table, cap, "product")
-        raise DomainError(f"unknown truncation mode {mode!r}")
+        if mode not in ("cap", "product_cap"):
+            raise DomainError(f"unknown truncation mode {mode!r}")
+        if mode == "product_cap" and self.family != "product":
+            raise UnsupportedFamilyError("product_cap requires a product kernel")
+        cap_mode = "kernel" if mode == "cap" else "product"
+        if self.cap is not None and self.cap_mode != cap_mode:
+            raise UnsupportedFamilyError("cannot stack a pointwise cap and a product cap")
+        cap = n if self.cap is None else min(self.cap, n)
+        return KernelSpec(self.family, self.params, self.rate, self.table, cap, cap_mode)
 
     # -- structure -----------------------------------------------------------
 

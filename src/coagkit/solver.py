@@ -1,8 +1,10 @@
 """Time integration of the coagulation equations with truncated kernels.
 
-The right-hand side is assembled as ``max(gain, 0) - loss`` (the
-positivity-preserving split), with merger products that would exceed the
-grid handled by one of two boundary modes:
+The right-hand side is ``gain - loss``, unclipped, so the gain and the loss
+move the same mass even at a Runge-Kutta stage state with negative entries;
+the state itself is kept non-negative by a clamp after each accepted step.
+Merger products that would exceed the grid are handled by one of two
+boundary modes:
 
 * ``conservative`` -- overflowing reactions are suppressed entirely, so the
   on-grid mass is constant by construction;
@@ -27,8 +29,8 @@ two operators and three paths, and the run records the path that ran as
   kernel (Brownian, negative exponents), tabulated kernels and sectional
   grids.
 
-A kernel without a cap is integrated as given; it is truncated only when
-``truncation_n`` or its own cap asks for it.
+The kernel is integrated as given: a truncation is the kernel's own cap,
+``min(K, n)`` or ``min(r, n)(x) min(r, n)(y)`` (``KernelSpec.truncate``).
 
 The separable path writes the kernel as ``sum_ab C_ab w_a(x) w_b(y)`` over
 its distinct weight vectors.  Each evaluation takes one real FFT per
@@ -143,6 +145,10 @@ MOMENT_ORDERS = (0.0, 0.5, 1.0, 2.0)
 
 @dataclass
 class SolverConfig:
+    """One run: ``kernel`` is the kernel integrated, truncation included
+    (``KernelSpec.truncate``), and ``snapshot_times`` defaults to ten evenly
+    spaced times ending at ``t_end``."""
+
     kernel: KernelSpec
     t_end: float
     snapshot_times: tuple | None = None
@@ -151,8 +157,6 @@ class SolverConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     boundary: str = "absorbing"     # "absorbing" | "conservative"
-    truncation_n: float | None = None
-    truncation_mode: str = "cap"    # "cap" | "product_cap"
 
     def __post_init__(self):
         if not 0 < self.t_end < math.inf:
@@ -166,20 +170,14 @@ class SolverConfig:
             raise DomainError("rk45 tolerances must be positive and finite")
         if self.boundary not in ("absorbing", "conservative"):
             raise DomainError(f"unknown boundary mode {self.boundary!r}")
-        if self.truncation_mode not in ("cap", "product_cap"):
-            raise DomainError(f"unknown truncation mode {self.truncation_mode!r}")
-        if self.snapshot_times is not None:
-            st = tuple(float(t) for t in self.snapshot_times)
-            if not st or any(t <= 0 or t > self.t_end for t in st):
-                raise DomainError("snapshot times must lie in (0, t_end]")
-            if any(b <= a for a, b in zip(st, st[1:])):
-                raise DomainError("snapshot times must be strictly increasing")
-            self.snapshot_times = st
-
-    def resolved_snapshots(self) -> tuple:
-        if self.snapshot_times is not None:
-            return self.snapshot_times
-        return tuple(np.linspace(0.0, self.t_end, 11)[1:])
+        if self.snapshot_times is None:
+            self.snapshot_times = np.linspace(0.0, self.t_end, 11)[1:]
+        st = tuple(float(t) for t in self.snapshot_times)
+        if not st or any(t <= 0 or t > self.t_end for t in st):
+            raise DomainError("snapshot times must lie in (0, t_end]")
+        if any(b <= a for a, b in zip(st, st[1:])):
+            raise DomainError("snapshot times must be strictly increasing")
+        self.snapshot_times = st
 
 
 @dataclass
@@ -702,8 +700,7 @@ def rates(dist: SizeDistribution, kernel: KernelSpec,
 
 
 class _Rhs:
-    """Integrator right-hand side over a rate operator, in the
-    positivity-preserving form ``max(gain, 0) - loss``.
+    """Integrator right-hand side over a rate operator, ``gain - loss``.
 
     State vector: the cell densities followed by the gel mass.  The
     derivative is written into ``out``.
@@ -724,8 +721,7 @@ class _Rhs:
         self.evals += 1
         m = y.size - 1
         split = self.split = self.op.split(y[:m])
-        np.maximum(split.gain, 0.0, out=out[:m])
-        out[:m] -= split.loss
+        np.subtract(split.gain, split.loss, out=out[:m])
         out[m] = split.gel_rate
         return out
 
@@ -838,7 +834,7 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
     rhs(t, y, out=k[0])
     lam = rhs.max_loss_factor
     h = config.dt if e is None else _initial_step(rhs, y, k[0], norm, tol_of, stage, k[1])
-    for t1 in config.resolved_snapshots():
+    for t1 in config.snapshot_times:
         t_start, n = t, 0
         while t < t1 - 1e-14 * max(1.0, t1):
             if e is not None and h * lam > _STABILITY:
@@ -888,11 +884,7 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
 # ---------------------------------------------------------------------------
 
 def resolve_kernel(config: SolverConfig, grid: SizeGrid) -> KernelSpec:
-    """Kernel actually integrated: the configured kernel, truncated only
-    when ``truncation_n`` or its own cap asks for it.  No default applies,
-    so the result is the same on every grid."""
-    if config.truncation_n is not None:
-        return config.kernel.truncate(config.truncation_n, config.truncation_mode)
+    """Kernel actually integrated: ``config.kernel``, on every grid."""
     return config.kernel
 
 
@@ -911,7 +903,7 @@ def integrate(init: SizeDistribution, config: SolverConfig) -> Trajectory:
     if not np.all(np.isfinite(init.density)) or np.any(init.density < 0):
         raise DomainError("initial density must be finite and non-negative")
     grid = init.grid
-    rhs = _Rhs(_rate_operator(grid, resolve_kernel(config, grid), config.boundary))
+    rhs = _Rhs(_rate_operator(grid, config.kernel, config.boundary))
 
     m = grid.size
     weights = np.empty(m + 1)
@@ -930,7 +922,7 @@ def integrate(init: SizeDistribution, config: SolverConfig) -> Trajectory:
     gel_series = [0.0]
     steps = _steps(rhs, np.concatenate([init.density, [0.0]]), config, weights, clamp, log)
     started = time.perf_counter()
-    for t, y in zip(config.resolved_snapshots(), steps):
+    for t, y in zip(config.snapshot_times, steps):
         snapshots.append(SizeDistribution(grid, y[:m].copy(), t))
         gel_series.append(max(float(y[m]), 0.0))
 

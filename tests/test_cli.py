@@ -7,7 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from coagkit import cli
+from coagkit import KernelSpec, cli
 
 
 def write_config(tmp_path, name, cfg):
@@ -135,6 +135,30 @@ def test_validate_judges_the_integrated_kernel(tmp_path, truncation_n, code):
     path = write_config(tmp_path, "v.json", cfg)
     assert cli.cmd_validate(path) == code
     assert (tmp_path / "o" / "validate.json").exists() == (code == 0)
+
+
+def test_kernel_cap_and_truncation_n_build_one_kernel(tmp_path):
+    # both spellings of min(xy, 64) become config.kernel when the run is built
+    cfgs = []
+    for name, edit in (("cap", lambda c: c["kernel"].update(cap=64.0)),
+                       ("trunc", lambda c: c["solver"].update(truncation_n=64.0))):
+        cfg = base_config(tmp_path / name, kernel={"family": "multiplicative"})
+        cfg["solver"].update(boundary="absorbing", t_end=2.0)
+        edit(cfg)
+        cfgs.append(cfg)
+        assert cli.cmd_simulate(write_config(tmp_path, f"{name}.json", cfg)) == 0
+    kernels = [cli.build_run(cfg)[1].kernel for cfg in cfgs]
+    assert kernels[0] == kernels[1] == KernelSpec.multiplicative().truncate(64.0)
+    assert (tmp_path / "cap" / "moments.csv").read_bytes() \
+        == (tmp_path / "trunc" / "moments.csv").read_bytes()
+
+
+def test_sweep_truncation_entries_build_capped_kernels(tmp_path):
+    cfg = json.loads((DEMO_CONFIGS / "grid_convergence_sweep.json").read_text())
+    entries = [e for e in cfg["sweep"] if "solver.truncation_n" in e]
+    caps = [cli.build_run(cli._entry_config(cfg, entry, tmp_path / str(i)))[1].kernel.cap
+            for i, entry in enumerate(entries)]
+    assert caps == [64.0, 128.0, 256.0]
 
 
 def test_validate_reads_the_initial_data(tmp_path):
@@ -324,6 +348,13 @@ def _pointwise_cap_on_product_cap(cfg):
     cfg["solver"]["truncation_n"] = 8.0
 
 
+def _product_cap_on_pointwise_cap(cfg):
+    # once ran min(r, 4)(x) min(r, 4)(y), with K(3, 3) = 9 above the cap 4
+    cfg["kernel"] = {"family": "product", "params": {"rate": {"form": "identity"}},
+                     "cap": 4.0}
+    cfg["solver"].update({"truncation_n": 8.0, "truncation_mode": "product_cap"})
+
+
 def _tabulated_kernel_on(grid):
     # 4097 cells: one past the dense pair table's limit
     def edit(cfg):
@@ -353,6 +384,8 @@ BAD_CONFIGS = {
         ("validate", _product_cap_on_multiplicative, 2),
     "simulate-pointwise-cap-on-product-cap":
         ("simulate", _pointwise_cap_on_product_cap, 2),
+    "simulate-product-cap-on-pointwise-cap":
+        ("simulate", _product_cap_on_pointwise_cap, 2),
     "simulate-unknown-truncation-mode":
         ("simulate", lambda cfg: cfg["solver"].update(
             {"truncation_n": 8.0, "truncation_mode": "product"}), 2),
@@ -406,6 +439,24 @@ def test_bad_config_exits_with_documented_code(tmp_path, case):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("section, key", [("kernel", "c"), ("init", "mean")])
+def test_overflowing_number_literal_exits_2(tmp_path, section, key):
+    # json reads 1e999 as inf with no NaN or Infinity literal; json.dumps
+    # cannot write it, so the literal goes into the text
+    cfg = base_config(tmp_path / "o")
+    cfg["grid"]["n"] = 16
+    if section == "init":
+        cfg["init"] = {"family": "exponential", "params": {}}
+    cfg[section]["params"][key] = 123.25
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg).replace("123.25", "1e999"), encoding="utf-8")
+    proc = _run_cli("simulate", path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        "config error: non-finite number 1e999 in the config"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_jobs_is_a_simulate_option_only(tmp_path):

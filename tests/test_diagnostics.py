@@ -94,11 +94,10 @@ def test_weak_form_reuses_the_operator_of_the_run(monkeypatch):
     monkeypatch.setattr(solver._PairRows, "__init__",
                         lambda op, *args: builds.append(args) or build(op, *args))
     init = ck.init_distribution(ck.SizeGrid.discrete(64), "monodisperse", size=1)
-    cfg = ck.SolverConfig(kernel=ck.KernelSpec.brownian(), t_end=0.5, truncation_n=5.0,
-                          boundary="conservative")
+    kernel = ck.KernelSpec.brownian().truncate(5.0)
+    cfg = ck.SolverConfig(kernel=kernel, t_end=0.5, boundary="conservative")
     traj = ck.integrate(init, cfg)
     assert traj.step_log["rate_path"] == "dense" and len(builds) == 1
-    kernel = ck.KernelSpec.brownian().truncate(5.0)
     reused = ck.weak_form_residual(traj, kernel, "identity")
     assert len(builds) == 1
     fresh = ck.weak_form_residual(replace(traj, operator=None), kernel, "identity")

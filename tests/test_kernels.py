@@ -57,6 +57,19 @@ def test_product_cap_requires_product_family():
         ck.KernelSpec.additive().truncate(5.0, "product_cap")
 
 
+def test_pointwise_and_product_caps_do_not_stack():
+    # min(r, 4)(x) min(r, 4)(y) holds no min(K, 4): a product cap on a
+    # pointwise cap once became it, with K(3, 3) = 9 where 4 was asked for
+    kernel = ck.KernelSpec.product(ck.RadialRate.identity())
+    with pytest.raises(UnsupportedFamilyError, match="stack"):
+        kernel.truncate(4.0).truncate(8.0, "product_cap")
+    with pytest.raises(UnsupportedFamilyError, match="stack"):
+        kernel.truncate(4.0, "product_cap").truncate(8.0)
+    # caps of one mode keep the smaller
+    assert kernel.truncate(4.0).truncate(8.0).cap == 4.0
+    assert kernel.truncate(8.0, "product_cap").truncate(4.0, "product_cap").cap == 4.0
+
+
 def test_symmetry_exact_on_random_pairs():
     rng = np.random.default_rng(123)
     x = rng.uniform(1e-3, 1e3, 10_000)

@@ -348,9 +348,8 @@ def test_capped_run_beyond_the_dense_limit_conserves_mass():
     # min(xy, 64) at N = 8192: twice the cells the dense path allows
     grid = ck.SizeGrid.discrete(8192)
     init = ck.init_distribution(grid, "monodisperse", size=1)
-    cfg = ck.SolverConfig(kernel=ck.KernelSpec.multiplicative(), t_end=1.0,
-                          truncation_n=64.0, boundary="absorbing",
-                          snapshot_times=(0.5, 1.0))
+    cfg = ck.SolverConfig(kernel=ck.KernelSpec.multiplicative().truncate(64.0), t_end=1.0,
+                          boundary="absorbing", snapshot_times=(0.5, 1.0))
     traj = ck.integrate(init, cfg)
     assert traj.step_log["rate_path"] == "capped"
     assert not traj.flagged
@@ -477,9 +476,8 @@ def test_truncation_cauchy_in_cap():
     init = ck.init_distribution(grid, "monodisperse", size=1)
 
     def run(cap):
-        cfg = ck.SolverConfig(kernel=ck.KernelSpec.multiplicative(), t_end=0.4,
-                              rel_tol=1e-10, boundary="conservative",
-                              truncation_n=cap)
+        cfg = ck.SolverConfig(kernel=ck.KernelSpec.multiplicative().truncate(cap), t_end=0.4,
+                              rel_tol=1e-10, boundary="conservative")
         return ck.integrate(init, cfg).snapshots[-1].density
 
     gaps = []
@@ -517,20 +515,23 @@ def test_resolved_kernel_is_the_requested_one():
                    ck.KernelSpec.power_sum(-0.5, 0.5),
                    ck.KernelSpec.additive().truncate(50.0)):
         cfg = ck.SolverConfig(kernel=kernel, t_end=1.0)
-        assert resolve_kernel(cfg, grid) == kernel
-    cfg2 = ck.SolverConfig(kernel=ck.KernelSpec.multiplicative(), t_end=1.0,
-                           truncation_n=10.0)
-    assert resolve_kernel(cfg2, grid) == ck.KernelSpec.multiplicative().truncate(10.0)
+        assert resolve_kernel(cfg, grid) == kernel == cfg.kernel
 
 
 def test_unknown_truncation_mode_rejected():
     # an unknown mode once resolved silently to the pointwise cap min(K, n)
     with pytest.raises(DomainError, match="truncation mode"):
-        ck.SolverConfig(kernel=ck.KernelSpec.multiplicative(), t_end=1.0,
-                        truncation_n=10.0, truncation_mode="product")
-    cfg = ck.SolverConfig(kernel=ck.KernelSpec.product(ck.RadialRate.identity()),
-                          t_end=1.0, truncation_n=10.0, truncation_mode="product_cap")
-    assert resolve_kernel(cfg, ck.SizeGrid.discrete(8)).cap_mode == "product"
+        ck.KernelSpec.multiplicative().truncate(10.0, "product")
+    kernel = ck.KernelSpec.product(ck.RadialRate.identity()).truncate(10.0, "product_cap")
+    assert kernel.cap_mode == "product"
+
+
+def test_default_snapshot_times_are_set_once():
+    # ten evenly spaced Python floats ending at t_end, checked as given ones are
+    times = ck.SolverConfig(kernel=ck.KernelSpec.constant(2.0), t_end=1.0).snapshot_times
+    assert len(times) == 10 and all(type(t) is float for t in times)
+    assert times[-1] == 1.0
+    np.testing.assert_allclose(times, np.arange(1, 11) / 10, rtol=1e-15)
 
 
 def test_snapshots_csv_rows_are_the_distribution_rows():
@@ -586,8 +587,8 @@ def test_round_off_clamps_keep_first_same_as_last():
     # zeroes without counting an event; the last stage is still reused
     grid = ck.SizeGrid.discrete(512)
     init = ck.init_distribution(grid, "monodisperse", size=1)
-    cfg = ck.SolverConfig(kernel=ck.KernelSpec.multiplicative(), t_end=2.0,
-                          boundary="absorbing", truncation_n=64.0)
+    cfg = ck.SolverConfig(kernel=ck.KernelSpec.multiplicative().truncate(64.0), t_end=2.0,
+                          boundary="absorbing")
     traj = ck.integrate(init, cfg)
     log = traj.step_log
     assert log["rate_path"] == "capped"
@@ -622,20 +623,27 @@ def test_gelation_steps_within_the_stability_bound():
     assert traj.moments[2.0][-1] == pytest.approx(m2_0 / (1.0 - m2_0 * t), rel=3e-6)
 
 
-@pytest.mark.parametrize("stream, kernel, solver_args, counts", [
-    (1, ck.KernelSpec.brownian(), {"boundary": "conservative", "t_end": 4.0}, (44, 0, 266)),
-    (2, ck.KernelSpec.multiplicative(), {"boundary": "absorbing", "t_end": 2.0,
-                                         "truncation_n": 64.0}, (67, 0, 404)),
+@pytest.mark.parametrize("stream, kernel, solver_args, counts, max_drift", [
+    (1, ck.KernelSpec.brownian(), {"boundary": "conservative", "t_end": 4.0}, (44, 0, 266),
+     None),
+    (2, ck.KernelSpec.multiplicative().truncate(64.0), {"boundary": "absorbing", "t_end": 2.0},
+     (67, 0, 404), 1e-12),
 ], ids=["brownian", "truncated"])
-def test_stability_cap_leaves_non_stiff_runs_alone(stream, kernel, solver_args, counts):
+def test_stability_cap_leaves_non_stiff_runs_alone(stream, kernel, solver_args, counts,
+                                                   max_drift):
     # the benchmark's brownian and truncated runs (N = 512) keep their steps,
-    # and their separable operators never block a convolution
+    # and their separable operators never block a convolution.  The truncated
+    # run's grid + gel mass drifted by 3.5e-12 while the right-hand side
+    # clipped the negative gain of Dormand-Prince stage states
     traj = ck.integrate(_seeded(11, stream, 512), ck.SolverConfig(kernel=kernel, **solver_args))
     log = traj.step_log
     assert (log["accepted"], log["rejected"], log["rhs_evals"]) == counts
     assert 0.0 < log["max_h_lambda"] < _STABILITY
     op = traj.operator
     assert getattr(op, "large", op)._block_outputs is None
+    if max_drift is not None:
+        m = traj.moments
+        assert np.max(np.abs(m[1.0] + m.gel_mass - m[1.0][0])) <= max_drift
 
 
 def test_rk4_records_but_keeps_its_step():
@@ -744,7 +752,7 @@ def _stub_run(rhs, y, weights, scheme="rk45"):
                           dt=0.1, rel_tol=1e-10, abs_tol=1e-14)
     log = _StepLog()
     states = list(_steps(rhs, y, cfg, weights, lambda v: False, log))
-    return log, len(states) == len(cfg.resolved_snapshots())
+    return log, len(states) == len(cfg.snapshot_times)
 
 
 @pytest.mark.parametrize("scheme", ["rk45", "rk4"])
@@ -827,11 +835,11 @@ def test_binding_truncation_records_rate_path():
     p = grid.pivots
     tabulated = ck.KernelSpec.tabulated(p, np.add.outer(p, p))
     peaked = ck.KernelSpec.product(ck.RadialRate.tabulated([1, 8, 64], [1, 10, 1]))
-    for kernel, truncation_n, path in (
-            (ck.KernelSpec.multiplicative(), 5.0, "capped"),
-            (ck.KernelSpec.multiplicative(), None, "separable"),
-            (ck.KernelSpec.brownian(), 5.0, "dense"),
-            (peaked, 5.0, "dense"),
-            (tabulated, 5.0, "dense")):
-        cfg = ck.SolverConfig(kernel=kernel, t_end=0.1, truncation_n=truncation_n)
+    for kernel, path in (
+            (ck.KernelSpec.multiplicative().truncate(5.0), "capped"),
+            (ck.KernelSpec.multiplicative(), "separable"),
+            (ck.KernelSpec.brownian().truncate(5.0), "dense"),
+            (peaked.truncate(5.0), "dense"),
+            (tabulated.truncate(5.0), "dense")):
+        cfg = ck.SolverConfig(kernel=kernel, t_end=0.1)
         assert ck.integrate(init, cfg).step_log["rate_path"] == path
