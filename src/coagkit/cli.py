@@ -21,12 +21,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -163,8 +164,103 @@ CONFIG_SCHEMA = {
     }, "kernel", "grid", "init", "solver"),
 }
 
-# Built once: jsonschema.validate would re-check the schema itself on every call.
-_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+# ---------------------------------------------------------------------------
+# Schema checker: the keywords CONFIG_SCHEMA uses, under JSON Schema 2020-12
+# ---------------------------------------------------------------------------
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Number) and not isinstance(v, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": _is_number,
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+
+
+def _json_equal(a, b) -> bool:
+    """JSON equality of an enum's scalar and a value: ``true`` is not 1,
+    while 1.0 is 1."""
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _suspects(items: list, schema: dict):
+    """Indices of the ``items`` that may violate ``schema``: for a plain
+    number schema, those failing one tight loop; otherwise all of them."""
+    if schema.get("type") != "number" \
+            or not schema.keys() <= {"type", "minimum", "exclusiveMinimum"}:
+        return range(len(items))
+    lo = schema.get("minimum", -math.inf)
+    above = schema.get("exclusiveMinimum", -math.inf)
+    return [i for i, v in enumerate(items)
+            if not ((type(v) is float or type(v) is int) and v >= lo and v > above)]
+
+
+def _violations(value, schema: dict, path: tuple):
+    """``(path, message)`` for each violation of ``schema`` by ``value``, in
+    the order of the schema's keywords; ``$schema`` is ignored."""
+    matched = "type" in schema and _TYPES[schema["type"]](value)
+    is_obj, is_arr = isinstance(value, dict), isinstance(value, list)
+    for key, arg in schema.items():
+        msg = None
+        if key == "type" and not matched:
+            msg = f"{value!r} is not of type {arg!r}"
+        elif key == "enum" and not any(_json_equal(e, value) for e in arg):
+            msg = f"{value!r} is not one of {arg!r}"
+        elif key == "minimum" and _is_number(value) and value < arg:
+            msg = f"{value!r} is less than the minimum of {arg!r}"
+        elif key == "exclusiveMinimum" and _is_number(value) and value <= arg:
+            msg = f"{value!r} is less than or equal to the minimum of {arg!r}"
+        elif key == "pattern" and isinstance(value, str) and not re.search(arg, value):
+            msg = f"{value!r} does not match {arg!r}"
+        elif key == "minItems" and is_arr and len(value) < arg:
+            msg = f"{value!r} " + ("should be non-empty" if arg == 1 else "is too short")
+        elif key == "maxItems" and is_arr and len(value) > arg:
+            msg = f"{value!r} is too long"
+        elif key == "items" and is_arr:
+            for i in _suspects(value, arg):
+                yield from _violations(value[i], arg, path + (i,))
+        elif key == "required" and is_obj:
+            for name in arg:
+                if name not in value:
+                    yield path, f"{name!r} is a required property"
+        elif key == "properties" and is_obj:
+            for name, sub in arg.items():
+                if name in value:
+                    yield from _violations(value[name], sub, path + (name,))
+        elif key == "propertyNames" and is_obj:
+            for name in value:
+                yield from _violations(name, arg, path)
+        elif key == "additionalProperties" and is_obj:
+            extras = [k for k in value if k not in schema.get("properties", {})]
+            if isinstance(arg, dict):
+                for name in extras:
+                    yield from _violations(value[name], arg, path + (name,))
+            elif not arg and extras:
+                names = ", ".join(map(repr, sorted(extras, key=str)))
+                verb = "was" if len(extras) == 1 else "were"
+                msg = f"Additional properties are not allowed ({names} {verb} unexpected)"
+        if msg is not None:
+            yield path, msg
+
+
+def check_config(cfg: dict) -> dict:
+    """``cfg`` itself if it satisfies the schema; ConfigError otherwise.
+
+    Of several violations the error names the shallowest, the last in path
+    order among those, and the first found at that path: the choice of the
+    reference validator's ``best_match`` on this schema."""
+    found = list(_violations(cfg, CONFIG_SCHEMA, ()))
+    if found:
+        path, msg = max(found, key=lambda v: (-len(v[0]), v[0]))
+        loc = "/".join(map(str, path)) or "<root>"
+        raise ConfigError(f"config schema violation at {loc}: {msg}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +283,6 @@ def load_config(path) -> dict:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return check_config(cfg)
-
-
-def check_config(cfg: dict) -> dict:
-    """``cfg`` itself if it satisfies the schema; ConfigError otherwise."""
-    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
-    if error is not None:
-        loc = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"config schema violation at {loc}: {error.message}") from error
-    return cfg
 
 
 def config_hash(cfg: dict) -> str:
@@ -488,13 +575,16 @@ def _validate(cfg: dict, out: str | None) -> int:
     if init.grid.kind != "discrete" or f[0] != 1.0 or np.any(f[1:]):
         raise UnsupportedFamilyError(
             "the closed-form oracle is for initial density [1, 0, ...] on a discrete grid")
+    vcfg = cfg.get("validate", {})
+    cells = init.grid.size
+    sizes = vcfg.get("sizes", min(10, cells)) if kernel.family == "constant" else 0
+    if sizes > cells:
+        raise ConfigError(f"validate.sizes {sizes} exceeds the {cells} cells of the grid")
 
     traj = integrate(init, config)
     out_dir = _out_dir(cfg, out)
-    vcfg = cfg.get("validate", {})
     tols = vcfg.get("tolerances", {})
     t = traj.times[-1]
-    sizes = vcfg.get("sizes", 10) if kernel.family == "constant" else 0
     oracle = exact_solution(kernel, float(t), n_sizes=sizes)
 
     def check(quantity, rel, tol, **values):

@@ -420,6 +420,11 @@ def classify(kernel: KernelSpec, domain: tuple[float, float],
     else:
         labels.extend(_classify_sampled(kernel, x_min, x_max, samples))
 
+    if kernel.cap is not None:
+        # either cap bounds K, and a bounded kernel does not gel; min(K, n)
+        # is not r(x) r(y) either, while min(r, n)(x) min(r, n)(y) is
+        dropped = {"gelling", "product_form"} if kernel.cap_mode == "kernel" else {"gelling"}
+        labels = [g for g in labels if g.label not in dropped]
     return labels
 
 

@@ -1,13 +1,19 @@
+import copy
+import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coagkit import KernelSpec, cli
+from coagkit.errors import ConfigError
 
 
 def write_config(tmp_path, name, cfg):
@@ -231,6 +237,32 @@ def test_gelation_command(tmp_path):
     assert rep["functional"]["margin"] > 0
 
 
+def test_capped_gelling_kernel_is_not_treated_as_gelling(tmp_path, capsys):
+    # min(xy, 4) is bounded: no sparse-snapshot warning, no gelation-time bound
+    cfg = base_config(tmp_path / "o", kernel={"family": "multiplicative"},
+                      gelation={"policy": "m2_extrapolation"})
+    cfg["grid"]["n"] = 64
+    cfg["solver"] = {"boundary": "absorbing", "t_end": 2.0, "snapshots": [1.0, 2.0],
+                     "truncation_n": 4.0}
+    path = write_config(tmp_path, "g.json", cfg)
+    assert cli.cmd_simulate(path) == 0
+    assert cli.cmd_gelation(path) == 0
+    assert capsys.readouterr().err == ""
+    rep = json.loads((tmp_path / "o" / "gelation.json").read_text())
+    assert rep["t_gel_upper_bound"] is None
+
+
+def test_validate_default_sizes_fit_a_small_grid(tmp_path):
+    # the default of 10 compared sizes once overran an 8-cell grid
+    cfg = json.loads((DEMO_CONFIGS / "constant_validate.json").read_text())
+    cfg["grid"]["n"] = 8
+    cfg["validate"].pop("sizes", None)
+    cfg["output"]["directory"] = str(tmp_path / "o")
+    assert cli.cmd_validate(write_config(tmp_path, "v.json", cfg)) == 1
+    checks = json.loads((tmp_path / "o" / "validate.json").read_text())["checks"]
+    assert checks[-1]["quantity"] == "f_1..f_8"
+
+
 def test_simulate_diagnostics_rows(tmp_path):
     cfg = base_config(tmp_path / "o", **{
         "diagnostics": {"checks": [{"name": "phi_gronwall", "R": 10.0},
@@ -314,19 +346,216 @@ def _cli_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy was most of the start-up time of every command; only the two
-    # quadrature cross-checks of the gelation functionals import it
+def test_cli_import_loads_no_scipy_or_jsonschema():
+    # scipy was most of the start-up time of every command, and jsonschema
+    # much of the rest; only the two quadrature cross-checks of the gelation
+    # functionals import scipy, and only the tests import jsonschema
     code = ("import sys, coagkit.cli; "
-            "print([m for m in sys.modules if m.startswith('scipy')])")
+            "print([m for m in sys.modules if m.startswith(('scipy', 'jsonschema'))])")
     out = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
                          capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
 
 
 def test_config_schema_is_valid():
-    # load_config builds its validator once and does not re-check the schema
+    # the owned checker reads the schema as data and does not check it
     jsonschema.validators.validator_for(cli.CONFIG_SCHEMA).check_schema(cli.CONFIG_SCHEMA)
+
+
+# the keywords check_config implements; "$schema" is read by no one
+CHECKED_KEYWORDS = {"$schema", "type", "enum", "required", "properties",
+                    "additionalProperties", "items", "minItems", "maxItems",
+                    "minimum", "exclusiveMinimum", "propertyNames", "pattern"}
+
+
+def test_config_schema_uses_only_checked_keywords():
+    # a keyword the checker does not know would be silently ignored
+    def walk(schema, where):
+        assert schema.keys() <= CHECKED_KEYWORDS, (where, schema.keys() - CHECKED_KEYWORDS)
+        assert schema.get("type", "object") in cli._TYPES, where
+        assert schema.get("additionalProperties", False) is False \
+            or isinstance(schema["additionalProperties"], dict), where
+        assert all(isinstance(e, (str, int, float, bool)) for e in schema.get("enum", ())), where
+        for name, sub in schema.get("properties", {}).items():
+            walk(sub, f"{where}/{name}")
+        for key in ("items", "propertyNames", "additionalProperties"):
+            if isinstance(schema.get(key), dict):
+                walk(schema[key], f"{where}<{key}>")
+    walk(cli.CONFIG_SCHEMA, "")
+
+
+# ---------------------------------------------------------------------------
+# check_config against jsonschema, the oracle
+# ---------------------------------------------------------------------------
+
+_ORACLE = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)(cli.CONFIG_SCHEMA)
+
+
+def _benchmark_configs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return [bench.WORKLOADS[name](11, True).cfg for name in sorted(bench.WORKLOADS)]
+
+
+def _every_section_config():
+    # every property of the schema, once, so that mutations reach each keyword
+    nodes = [1.0, 10.0, 100.0]
+    return base_config("o", **{
+        "kernel": {"family": "product", "cap": 8.0, "cap_mode": "cap",
+                   "params": {"c": 1.0, "alpha": 0.5, "beta": 0.5,
+                              "rate": {"form": "power_law", "exponent": 1.0, "scale": 1.0,
+                                       "offset": 2.0, "log_exponent": 0.5},
+                              "x_nodes": nodes, "matrix": [nodes, nodes, nodes]}},
+        "grid": {"kind": "geometric", "n": 8, "span": [1.0, 100.0], "ratio": 1.5,
+                 "bins": 8, "edges": [0.5, 1.5, 2.5]},
+        "init": {"family": "tabulated",
+                 "params": {"size": 1.0, "mean": 2.0, "density": [1.0, 0.5, 0.0]}},
+        "solver": {"scheme": "rk4", "rel_tol": 1e-8, "abs_tol": 1e-12, "dt": 0.01,
+                   "boundary": "absorbing", "t_end": 1.0, "snapshots": [0.5, 1.0],
+                   "truncation_n": 8.0, "truncation_mode": "cap"},
+        "diagnostics": {"checks": [{"name": "phi_gronwall", "R": 10.0, "A": 4.0,
+                                    "theta": "identity"}]},
+        "validate": {"sizes": 10, "tolerances": {"distribution_rel": 1e-6, "m0_rel": 1e-6,
+                                                 "m1_rel": 1e-8, "m2_rel": 1e-3}},
+        "compactness": {"source": "bounded", "thresholds": [1.0, 2.0], "eps": [0.1, 0.01],
+                        "dlvp": {"alphas": [1.0, 1.0], "beta_ratio": 0.25, "terms": 2,
+                                 "tail": "table", "inverse_coeff": 2.0,
+                                 "tail_table": {"1": 1.0, "1e2": 0.5, ".5": 2.0},
+                                 "samples": 10}},
+        "gelation": {"policy": "mass_drop", "threshold": 0.01,
+                     "xi": {"kind": "power_shifted", "lam": 2.0}, "baseline": True},
+        "sweep": [{"grid.n": 4}],
+    })
+
+
+VALID_CONFIGS = ([json.loads(p.read_text()) for p in sorted(DEMO_CONFIGS.glob("*.json"))]
+                 + _benchmark_configs() + [_every_section_config()])
+
+
+def _verdicts(cfg):
+    """check_config's error location and message, and jsonschema's errors."""
+    try:
+        cli.check_config(cfg)
+        ours = None
+    except ConfigError as exc:
+        ours = re.fullmatch(r"config schema violation at (.*?): (.*)", str(exc), re.S)
+        assert ours is not None, str(exc)
+    return ours, list(_ORACLE.iter_errors(cfg))
+
+
+def _loc(error):
+    return "/".join(map(str, error.absolute_path)) or "<root>"
+
+
+def _assert_agrees_with_jsonschema(cfg):
+    # the verdicts agree, and the error named is best_match's: with one
+    # violation that is the violation; with several it is at one of their
+    # paths, chosen by the same rule
+    ours, errors = _verdicts(cfg)
+    assert (ours is None) == (not errors), (ours, [e.message for e in errors])
+    if errors:
+        assert ours.group(1) in {_loc(e) for e in errors}
+        best = jsonschema.exceptions.best_match(errors)
+        assert ours.groups() == (_loc(best), best.message)
+
+
+@pytest.mark.parametrize("index", range(len(VALID_CONFIGS)))
+def test_check_config_accepts_the_demo_and_benchmark_configs(index):
+    assert _verdicts(VALID_CONFIGS[index]) == (None, [])
+
+
+def _nodes(value, path=()):
+    yield path, value
+    children = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _mutate(cfg, kind, pick, other):
+    """Apply one mutation of ``kind`` to the ``pick``-th node it fits."""
+    fits = {
+        "delete": lambda path, v: len(path) > 0,
+        "unknown_key": lambda path, v: isinstance(v, dict),
+        "swap_type": lambda path, v: len(path) > 0,
+        "bool_for_number": lambda path, v: isinstance(v, (int, float))
+        and not isinstance(v, bool),
+        "float_for_integer": lambda path, v: type(v) is int,
+        "negative": lambda path, v: type(v) in (int, float),
+        "zero": lambda path, v: type(v) in (int, float),
+        "empty_array": lambda path, v: isinstance(v, list),
+        "long_array": lambda path, v: isinstance(v, list) and len(v) > 0,
+        "tail_table_key": lambda path, v: path[-1:] == ("tail_table",),
+    }[kind]
+    candidates = [path for path, v in _nodes(cfg) if fits(path, v)]
+    if not candidates:
+        return
+    path = candidates[pick % len(candidates)]
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    node = parent[path[-1]] if path else cfg
+    if kind == "delete":
+        del parent[path[-1]]
+    elif kind == "unknown_key":
+        node[("mystery", "extra", "zz")[pick % 3]] = 1
+    elif kind == "swap_type":
+        parent[path[-1]] = other
+    elif kind == "bool_for_number":
+        parent[path[-1]] = pick % 2 == 0
+    elif kind == "float_for_integer":
+        parent[path[-1]] = float(node) + (0.5 if pick % 2 else 0.0)
+    elif kind == "negative":
+        parent[path[-1]] = -abs(node) - (pick % 2)
+    elif kind == "zero":
+        parent[path[-1]] = 0 if pick % 2 else 0.0
+    elif kind == "empty_array":
+        node.clear()
+    elif kind == "long_array":
+        node.extend(copy.deepcopy(node[:1]) * (1 + pick % 3))
+    else:
+        node[("one", "-1", "1e", "1.2.3", "2")[pick % 5]] = 1.0
+
+
+MUTATION_KINDS = ("delete", "unknown_key", "swap_type", "bool_for_number",
+                  "float_for_integer", "negative", "zero", "empty_array",
+                  "long_array", "tail_table_key")
+OTHER_VALUES = ("x", None, [], {}, True, False, 1, 2.5, [1.0], {"a": 1}, "cap")
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, len(VALID_CONFIGS) - 1),
+       st.lists(st.tuples(st.sampled_from(MUTATION_KINDS), st.integers(0, 10**6),
+                          st.sampled_from(OTHER_VALUES)), min_size=1, max_size=3))
+def test_check_config_agrees_with_jsonschema(index, mutations):
+    cfg = copy.deepcopy(VALID_CONFIGS[index])
+    for kind, pick, other in mutations:
+        _mutate(cfg, kind, pick, copy.deepcopy(other))
+    _assert_agrees_with_jsonschema(cfg)
+
+
+def test_check_config_number_and_enum_semantics():
+    # JSON Schema 2020-12: a bool is not a number, 1.0 is an integer, and
+    # enum compares JSON values, so true is not 1
+    cfg = base_config("o")
+    for edit, ok in ((lambda c: c["grid"].update(n=128.0), True),
+                     (lambda c: c["grid"].update(n=128.5), False),
+                     (lambda c: c["grid"].update(n=True), False),
+                     (lambda c: c["solver"].update(t_end=True), False),
+                     (lambda c: c["init"]["params"].update(density=[1.0, False]), False),
+                     (lambda c: c.update(gelation={"baseline": 1}), False),
+                     (lambda c: c.update(gelation={"baseline": True}), True),
+                     (lambda c: c["kernel"].update(cap=8, cap_mode="cap"), True),
+                     (lambda c: c["kernel"].update(cap_mode=True), False)):
+        edited = copy.deepcopy(cfg)
+        edit(edited)
+        ours, errors = _verdicts(edited)
+        assert (ours is None, not errors) == (ok, ok)
+    assert cli._json_equal(1, 1.0) and not cli._json_equal(True, 1)
+    # unknown keys are named in sorted order, not in the order of the file
+    _assert_agrees_with_jsonschema(base_config("o", zz=1, aa=2))
 
 
 def _run_cli(*argv):
@@ -425,7 +654,18 @@ BAD_CONFIGS = {
             init={"family": "exponential", "params": {"mean": 2.0}}), 4),
     "validate-monodisperse-size-2":
         ("validate", lambda cfg: cfg["init"]["params"].update(size=2.0), 4),
+    # one size past the 16 cells: once a broadcast traceback, exit 1
+    "validate-sizes-beyond-the-grid":
+        ("validate", lambda cfg: cfg.update(validate={"sizes": 17}), 2),
 }
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_check_config_agrees_with_jsonschema_on_bad_configs(case):
+    cfg = base_config("o")
+    cfg["grid"]["n"] = 16
+    BAD_CONFIGS[case][1](cfg)
+    _assert_agrees_with_jsonschema(cfg)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))

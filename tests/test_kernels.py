@@ -110,6 +110,19 @@ def test_classify_multiplicative():
     assert labels["gelling"].constants == {"lam": 2.0, "kappa_m": 1.0}
 
 
+def test_classify_capped_kernels_do_not_gel():
+    # min(xy, 64) <= 64 is bounded, so it neither gels nor is r(x) r(y);
+    # min(x, 8) min(y, 8) <= 64 keeps its product form but does not gel
+    labels = {g.label: g for g in
+              ck.classify(ck.KernelSpec.multiplicative().truncate(64.0), (1, 512))}
+    assert set(labels) == {"bounded"}
+    assert labels["bounded"].constants == {"kappa0": 64.0}
+    product = ck.KernelSpec.product(ck.RadialRate.identity())
+    labels = {g.label for g in ck.classify(product.truncate(8.0, "product_cap"), (1, 512))}
+    assert labels == {"product_form"}
+    assert {g.label for g in ck.classify(product, (1, 512))} == {"product_form", "gelling"}
+
+
 def test_classify_power_sum_gelling():
     labels = {g.label: g for g in ck.classify(ck.KernelSpec.power_sum(0.75, 0.75), (1, 100))}
     assert labels["gelling"].constants["lam"] == 1.5
