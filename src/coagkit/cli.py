@@ -6,10 +6,10 @@ so artifacts are self-describing and reruns are byte-identical.
 
 Each command reads its config, runs one body, and leaves every error to
 ``_exit_code``, the one place that maps errors to exit codes: 0 ok,
-1 tolerance failure, 2 config error (the schema, or building the run and its
-kernel), 3 flagged trajectory (e.g. step-size underflow near gelation),
-4 any other refused request, 5 constructive failure of the convex-function
-builder.
+1 tolerance failure, 2 config error (the schema, a key the run would not
+read, or building the run and its kernel), 3 flagged trajectory (e.g.
+step-size underflow near gelation), 4 any other refused request,
+5 constructive failure of the convex-function builder.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import concurrent.futures
 import copy
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import numbers
@@ -290,59 +291,47 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _call(fn, kwargs: dict, where: str, keys: dict | None = None):
+    """``fn(**kwargs)``, with ``kwargs`` first checked against ``fn``'s
+    signature: a keyword ``fn`` does not take, or a required parameter left
+    out, is a ConfigError naming the config key ``where.name``; ``keys`` maps
+    a parameter to its key where the two names differ.  So each default
+    lives in a library signature and nowhere else."""
+    params = inspect.signature(fn).parameters
+    required = [n for n, p in params.items() if p.default is p.empty]
+    for name in [*kwargs, *required]:
+        if name not in params or name not in kwargs:
+            key = f"{where}.{(keys or {}).get(name, name)}"
+            verb = "is required by" if name in params else "is not read by"
+            raise ConfigError(f"{key} {verb} {fn.__qualname__}")
+    return fn(**kwargs)
+
+
+def _truncate(kernel: KernelSpec, section: dict, where: str, n_key: str,
+              mode_key: str) -> KernelSpec:
+    """``kernel.truncate`` with the section's level and mode, when it gives
+    either of them."""
+    keys = {"n": n_key, "mode": mode_key}
+    args = {name: section[key] for name, key in keys.items() if key in section}
+    return _call(kernel.truncate, args, where, keys) if args else kernel
+
+
 def build_kernel(section: dict) -> KernelSpec:
-    fam = section["family"]
-    params = section.get("params", {})
-    if fam == "constant":
-        kernel = KernelSpec.constant(params.get("c", 2.0))
-    elif fam == "additive":
-        kernel = KernelSpec.additive()
-    elif fam == "multiplicative":
-        kernel = KernelSpec.multiplicative()
-    elif fam == "power_sum":
-        if "alpha" not in params or "beta" not in params:
-            raise ConfigError("power_sum kernel needs alpha and beta")
-        kernel = KernelSpec.power_sum(params["alpha"], params["beta"])
-    elif fam == "product":
-        rspec = params.get("rate")
-        if rspec is None:
-            raise ConfigError("product kernel needs a rate specification")
-        form = rspec["form"]
-        if form == "identity":
-            rate = RadialRate.identity()
-        elif form == "power_law":
-            rate = RadialRate.power_law(rspec.get("exponent", 1.0),
-                                        rspec.get("scale", 1.0))
-        else:
-            rate = RadialRate.sqrt_log(rspec.get("offset", 2.0),
-                                       rspec.get("log_exponent", 0.5))
-        kernel = KernelSpec.product(rate)
-    elif fam == "tabulated":
-        if "x_nodes" not in params or "matrix" not in params:
-            raise ConfigError("tabulated kernel needs x_nodes and matrix")
-        kernel = KernelSpec.tabulated(params["x_nodes"], params["matrix"])
-    else:  # brownian
-        kernel = KernelSpec.brownian()
-    if "cap" in section:
-        kernel = kernel.truncate(section["cap"], section.get("cap_mode", "cap"))
-    return kernel
+    params = dict(section.get("params", {}))
+    if "rate" in params:
+        rate = dict(params["rate"])
+        params["rate"] = _call(getattr(RadialRate, rate.pop("form")), rate,
+                               "kernel.params.rate")
+    kernel = _call(getattr(KernelSpec, section["family"]), params, "kernel.params")
+    return _truncate(kernel, section, "kernel", "cap", "cap_mode")
 
 
 def build_grid(section: dict) -> SizeGrid:
-    kind = section["kind"]
-    if kind == "discrete":
-        if "n" not in section:
-            raise ConfigError("discrete grid needs n")
-        return SizeGrid.discrete(section["n"])
-    if kind == "geometric":
-        if "span" not in section:
-            raise ConfigError("geometric grid needs span")
-        lo, hi = section["span"]
-        return SizeGrid.geometric(lo, hi, ratio=section.get("ratio", 2 ** 0.25),
-                                  bins=section.get("bins"))
-    if "edges" not in section:
-        raise ConfigError("sectional grid needs edges")
-    return SizeGrid.sectional(section["edges"])
+    args = {k: v for k, v in section.items() if k not in ("kind", "span")}
+    if "span" in section:
+        args["x_min"], args["x_max"] = section["span"]
+    return _call(getattr(SizeGrid, section["kind"]), args, "grid",
+                 {"x_min": "span", "x_max": "span"})
 
 
 def _warn_sparse_snapshots(config: SolverConfig, grid: SizeGrid):
@@ -361,33 +350,28 @@ def _warn_sparse_snapshots(config: SolverConfig, grid: SizeGrid):
 
 def build_run(cfg: dict):
     """The initial distribution and the solver config of a run; the
-    config's kernel is the one integrated, ``solver.truncation_n`` applied."""
-    kernel = build_kernel(cfg["kernel"])
+    config's kernel is the one integrated, ``solver.truncation_n`` applied.
+    Any failure is a ConfigError."""
     s = cfg["solver"]
-    if "truncation_n" in s:
-        kernel = kernel.truncate(s["truncation_n"], s.get("truncation_mode", "cap"))
-    grid = build_grid(cfg["grid"])
-    init_sec = cfg["init"]
-    init = init_distribution(grid, init_sec["family"], **init_sec.get("params", {}))
-    config = SolverConfig(
-        kernel=kernel,
-        t_end=s["t_end"],
-        snapshot_times=tuple(s["snapshots"]) if "snapshots" in s else None,
-        scheme=s.get("scheme", "rk45"),
-        dt=s.get("dt"),
-        rel_tol=s.get("rel_tol", 1e-8),
-        abs_tol=s.get("abs_tol", 1e-12),
-        boundary=s.get("boundary", "absorbing"),
-    )
-    return init, config
-
-
-def _build(cfg: dict):
-    """``build_run``; any failure is a config error."""
+    args = {k: v for k, v in s.items()
+            if k not in ("truncation_n", "truncation_mode", "snapshots")}
+    if "snapshots" in s:
+        args["snapshot_times"] = s["snapshots"]
     try:
-        return build_run(cfg)
-    except (CoagKitError, KeyError) as exc:
+        kernel = _truncate(build_kernel(cfg["kernel"]), s, "solver",
+                           "truncation_n", "truncation_mode")
+        grid = build_grid(cfg["grid"])
+        init_sec = cfg["init"]
+        init = init_distribution(grid, init_sec["family"], **init_sec.get("params", {}))
+        config = _call(SolverConfig, {"kernel": kernel, **args}, "solver",
+                       {"snapshot_times": "snapshots"})
+    except ConfigError:
+        raise
+    except CoagKitError as exc:
         raise ConfigError(str(exc)) from exc
+    if config.scheme == "rk45" and config.dt is not None:
+        raise ConfigError("solver.dt is not read by the rk45 scheme, whose step is adaptive")
+    return init, config
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +487,7 @@ def cmd_gelation(config_path, out: str | None = None) -> int:
 def _simulate(cfg: dict, out: str | None, jobs: int = 1, label: str = "") -> int:
     if cfg.get("sweep"):
         return _run_sweep(cfg, out, jobs)
-    init, config = _build(cfg)
+    init, config = build_run(cfg)
     _warn_sparse_snapshots(config, init.grid)
     traj = integrate(init, config)
     out_dir = _out_dir(cfg, out)
@@ -560,7 +544,7 @@ def _run_sweep(cfg: dict, out: str | None, jobs: int) -> int:
 
 
 def _validate(cfg: dict, out: str | None) -> int:
-    init, config = _build(cfg)
+    init, config = build_run(cfg)
     kernel = config.kernel
     # the run ends at t_end at the latest, so this probes the oracle's
     # family and its window of validity before any work is done; the oracle
@@ -615,7 +599,7 @@ def _compactness(cfg: dict, out: str | None) -> int:
     sec = cfg.get("compactness", {})
     source = sec.get("source", "run")
     if source == "run":
-        init, config = _build(cfg)
+        init, config = build_run(cfg)
         family = FunctionFamily.from_snapshots(integrate(init, config).snapshots)
     else:
         family = synthetic_family(source)
@@ -690,28 +674,37 @@ def _compactness(cfg: dict, out: str | None) -> int:
 
 
 def _gelation(cfg: dict, out: str | None) -> int:
-    init, config = _build(cfg)
+    init, config = build_run(cfg)
     kernel = config.kernel
     sec = cfg.get("gelation", {})
+    policy = sec.get("policy", "m2_extrapolation")
+    for key in ("baseline", "threshold"):
+        if key in sec and policy != "mass_drop":
+            raise ConfigError(f"gelation.{key} is read only by the mass_drop policy")
+    xi_cfg = sec.get("xi")
+    if xi_cfg is not None:
+        # the bound 2 I_xi^2 M1(0) needs K >= r(x) r(y)
+        rate = kernel.radial_rate()
+        if _cap_binds(kernel, init.grid):
+            raise UnsupportedFamilyError(
+                "gelation.xi needs a product kernel whose pointwise cap does not bind on the grid")
     _warn_sparse_snapshots(config, init.grid)
     traj = integrate(init, config)
     baseline = None
     if sec.get("baseline"):
         baseline = integrate(init, dataclasses.replace(config, boundary="conservative"))
-    policy = sec.get("policy", "m2_extrapolation")
-    report = gelation_detect(traj, policy, threshold=sec.get("threshold", 0.01),
-                             baseline=baseline, kernel=kernel)
+    threshold = {"threshold": sec["threshold"]} if "threshold" in sec else {}
+    report = gelation_detect(traj, policy, baseline=baseline, kernel=kernel, **threshold)
     obj = {
         "policy": policy,
         "t_gel_detected": report.t_gel_detected,
         "t_gel_upper_bound": report.t_gel_upper_bound,
         "flags": report.flags,
     }
-    xi_cfg = sec.get("xi")
-    if xi_cfg is not None and kernel.family in ("product", "multiplicative"):
+    if xi_cfg is not None:
         xi = ("power_shifted", xi_cfg.get("lam", 1.5)) \
             if xi_cfg.get("kind", "power_shifted") == "power_shifted" else "ratio_shifted"
-        func = gelation_functional(traj, kernel.radial_rate(), xi)
+        func = gelation_functional(traj, rate, xi)
         obj["functional"] = {
             "i_xi": func.i_xi,
             "bound": func.bound,

@@ -152,21 +152,6 @@ class GelationReport:
             return math.inf
         return float(self.bound - np.max(self.functional_values))
 
-    def rows(self) -> list:
-        rows = []
-        if self.functional_values is not None:
-            rows.append({"check": "gelation_functional",
-                         "lhs": float(np.max(self.functional_values)),
-                         "rhs": float(self.bound), "margin": self.functional_margin,
-                         "verdict": "pass" if self.functional_margin >= 0 else "fail"})
-        if self.policy:
-            rows.append({"check": f"gelation_detect[{self.policy}]",
-                         "lhs": self.t_gel_detected if self.t_gel_detected is not None else float("nan"),
-                         "rhs": self.t_gel_upper_bound if self.t_gel_upper_bound is not None else float("nan"),
-                         "margin": float("nan"),
-                         "verdict": "detected" if self.t_gel_detected is not None else "absent"})
-        return rows
-
 
 @dataclass
 class UniquenessReport:
@@ -184,13 +169,6 @@ class UniquenessReport:
     @property
     def passed(self) -> bool:
         return _verdict(self.margins, float(np.max(self.envelope, initial=0.0)))
-
-    def rows(self) -> list:
-        return [{"check": f"uniqueness[{self.kind}]",
-                 "lhs": float(np.max(self.distance)),
-                 "rhs": float(np.max(self.envelope)),
-                 "margin": float(np.min(self.margins)),
-                 "verdict": "pass" if self.passed else "fail"}]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ number/mass apportionment used by the solver and ``regrid``.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,49 +204,65 @@ def _two_point_weights(v: float, lo: float, hi: float) -> tuple[float, float]:
     return 1.0 - t, t
 
 
+def _monodisperse(grid: SizeGrid, size: float = 1.0) -> np.ndarray:
+    """One particle per unit volume at one size."""
+    size = float(size)
+    if size <= 0:
+        raise DomainError("monodisperse size must be positive")
+    hit = np.nonzero(np.abs(grid.pivots - size) <= 1e-12 * size)[0]
+    if hit.size == 0:
+        raise GridError(f"monodisperse size {size} is not representable on the grid")
+    density = np.zeros(grid.size)
+    density[hit[0]] = 1.0 / grid.widths[hit[0]]
+    return density
+
+
+def _exponential(grid: SizeGrid, mean: float = 1.0) -> np.ndarray:
+    """Density exp(-x/mean)/mean with unit number."""
+    mean = float(mean)
+    if mean <= 0:
+        raise DomainError("exponential mean must be positive")
+    if grid.kind == "discrete":
+        return np.exp(-grid.pivots / mean) / mean
+    # exact per-cell number and mass, apportioned onto pivots so the
+    # grid-level M0 and M1 match the analytic values up to the mass lying
+    # outside the span
+    e = np.asarray(grid.edges)
+    a, b = e[:-1], e[1:]
+    num = np.exp(-a / mean) - np.exp(-b / mean)
+    mass = (a + mean) * np.exp(-a / mean) - (b + mean) * np.exp(-b / mean)
+    return _apportion_cells(grid, num, mass) / grid.widths
+
+
+def _tabulated(grid: SizeGrid, density) -> np.ndarray:
+    """Explicit per-cell density."""
+    density = np.asarray(density, dtype=float)
+    if density.shape != (grid.size,):
+        raise GridError("tabulated density length must match the grid")
+    if not np.all(np.isfinite(density)) or np.any(density < 0):
+        raise DomainError("density must be finite and non-negative")
+    return density
+
+
+_INIT_FAMILIES = {"monodisperse": _monodisperse, "exponential": _exponential,
+                  "tabulated": _tabulated}
+
+
 def init_distribution(grid: SizeGrid, family: str, **params) -> SizeDistribution:
     """Initial condition on a grid.
 
-    Families: ``monodisperse(size=..)`` one particle per unit volume at one
-    size; ``exponential(mean=..)`` density exp(-x/mean)/mean with unit number;
-    ``tabulated(density=..)`` explicit per-cell density.
+    Families: ``monodisperse(size=1.0)``, ``exponential(mean=1.0)`` and
+    ``tabulated(density)``; see their builders.  A parameter the family does
+    not read, or a required one left out, is a DomainError.
     """
-    m = grid.size
-    density = np.zeros(m)
-    if family == "monodisperse":
-        size = float(params.get("size", 1.0))
-        if size <= 0:
-            raise DomainError("monodisperse size must be positive")
-        p = grid.pivots
-        hit = np.nonzero(np.abs(p - size) <= 1e-12 * size)[0]
-        if hit.size == 0:
-            raise GridError(f"monodisperse size {size} is not representable on the grid")
-        density[hit[0]] = 1.0 / grid.widths[hit[0]]
-    elif family == "exponential":
-        mean = float(params.get("mean", 1.0))
-        if mean <= 0:
-            raise DomainError("exponential mean must be positive")
-        if grid.kind == "discrete":
-            x = grid.pivots
-            density = np.exp(-x / mean) / mean
-        else:
-            # exact per-cell number and mass, apportioned onto pivots so the
-            # grid-level M0 and M1 match the analytic values up to the mass
-            # lying outside the span
-            e = np.asarray(grid.edges)
-            a, b = e[:-1], e[1:]
-            num = np.exp(-a / mean) - np.exp(-b / mean)
-            mass = (a + mean) * np.exp(-a / mean) - (b + mean) * np.exp(-b / mean)
-            density = _apportion_cells(grid, num, mass) / grid.widths
-    elif family == "tabulated":
-        density = np.asarray(params["density"], dtype=float)
-        if density.shape != (m,):
-            raise GridError("tabulated density length must match the grid")
-        if not np.all(np.isfinite(density)) or np.any(density < 0):
-            raise DomainError("density must be finite and non-negative")
-    else:
+    build = _INIT_FAMILIES.get(family)
+    if build is None:
         raise DomainError(f"unknown initial-condition family {family!r}")
-    return SizeDistribution(grid, density, 0.0)
+    try:
+        inspect.signature(build).bind(grid, **params)
+    except TypeError as exc:
+        raise DomainError(f"{family} initial data: {exc}") from None
+    return SizeDistribution(grid, build(grid, **params), 0.0)
 
 
 def _apportion_cells(grid: SizeGrid, num: np.ndarray, mass: np.ndarray) -> np.ndarray:

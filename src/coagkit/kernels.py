@@ -42,7 +42,7 @@ class RadialRate:
     table: tuple | None = None  # (x_nodes, values) for form="tabulated"
 
     @staticmethod
-    def power_law(exponent: float, scale: float = 1.0) -> "RadialRate":
+    def power_law(exponent: float = 1.0, scale: float = 1.0) -> "RadialRate":
         return RadialRate("power_law", (float(exponent), float(scale)))
 
     @staticmethod
@@ -159,7 +159,10 @@ class KernelSpec:
     @staticmethod
     def tabulated(x_nodes, matrix) -> "KernelSpec":
         x_nodes = np.asarray(x_nodes, dtype=float)
-        matrix = np.asarray(matrix, dtype=float)
+        try:
+            matrix = np.asarray(matrix, dtype=float)
+        except ValueError:  # ragged rows
+            raise DomainError("tabulated kernel matrix must be square over the nodes") from None
         if x_nodes.ndim != 1 or np.any(np.diff(x_nodes) <= 0) or np.any(x_nodes <= 0):
             raise DomainError("tabulated kernel needs strictly increasing positive x nodes")
         if matrix.shape != (x_nodes.size, x_nodes.size):

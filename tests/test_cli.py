@@ -1,5 +1,6 @@
 import copy
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coagkit import KernelSpec, cli
+from coagkit import KernelSpec, RadialRate, SizeGrid, SolverConfig, cli, grids
 from coagkit.errors import ConfigError
 
 
@@ -657,6 +658,61 @@ BAD_CONFIGS = {
     # one size past the 16 cells: once a broadcast traceback, exit 1
     "validate-sizes-beyond-the-grid":
         ("validate", lambda cfg: cfg.update(validate={"sizes": 17}), 2),
+    # keys the run would not read: each once exited 0 with the key dropped
+    "simulate-additive-kernel-with-c":
+        ("simulate", lambda cfg: cfg.update(
+            kernel={"family": "additive", "params": {"c": 5.0}}), 2),
+    "simulate-sqrt-log-rate-with-exponent":
+        ("simulate", lambda cfg: cfg.update(kernel={"family": "product", "params": {
+            "rate": {"form": "sqrt_log", "exponent": 2.0}}}), 2),
+    "simulate-cap-mode-without-cap":
+        ("simulate", lambda cfg: cfg["kernel"].update(cap_mode="cap"), 2),
+    "simulate-truncation-mode-without-truncation-n":
+        ("simulate", lambda cfg: cfg["solver"].update(truncation_mode="cap"), 2),
+    "simulate-discrete-grid-with-edges":
+        ("simulate", lambda cfg: cfg["grid"].update(edges=[1.0, 2.0, 4.0]), 2),
+    "simulate-monodisperse-init-with-mean":
+        ("simulate", lambda cfg: cfg["init"]["params"].update(mean=2.0), 2),
+    "simulate-rk45-with-dt":
+        ("simulate", lambda cfg: cfg["solver"].update(dt=0.01), 2),
+    # m2_extrapolation is the default policy; it once ran the baseline too
+    "gelation-m2-extrapolation-with-baseline":
+        ("gelation", lambda cfg: cfg.update(
+            gelation={"policy": "m2_extrapolation", "baseline": True}), 2),
+    "gelation-default-policy-with-threshold":
+        ("gelation", lambda cfg: cfg.update(gelation={"threshold": 0.05}), 2),
+    # the functional's bound needs K >= r(x) r(y): once skipped silently on a
+    # kernel with no product form, and reported against it under min(xy, 4)
+    "gelation-xi-on-brownian":
+        ("gelation", lambda cfg: cfg.update(kernel={"family": "brownian"},
+                                            gelation={"xi": {"lam": 2.0}}), 4),
+    "gelation-xi-on-binding-pointwise-cap":
+        ("gelation", lambda cfg: cfg.update(kernel={"family": "multiplicative", "cap": 4.0},
+                                            gelation={"xi": {"lam": 2.0}}), 4),
+    # once a numpy ValueError traceback, exit 1
+    "simulate-ragged-tabulated-kernel-matrix":
+        ("simulate", lambda cfg: cfg.update(kernel={"family": "tabulated", "params": {
+            "x_nodes": [1.0, 10.0], "matrix": [[1.0, 1.0], [1.0]]}}), 2),
+}
+
+# what the stderr line of each refusal before the run names
+REFUSED_BEFORE_THE_RUN = {
+    "simulate-additive-kernel-with-c": "kernel.params.c is not read by KernelSpec.additive",
+    "simulate-sqrt-log-rate-with-exponent":
+        "kernel.params.rate.exponent is not read by RadialRate.sqrt_log",
+    "simulate-cap-mode-without-cap": "kernel.cap is required by KernelSpec.truncate",
+    "simulate-truncation-mode-without-truncation-n":
+        "solver.truncation_n is required by KernelSpec.truncate",
+    "simulate-discrete-grid-with-edges": "grid.edges is not read by SizeGrid.discrete",
+    "simulate-monodisperse-init-with-mean": "unexpected keyword argument 'mean'",
+    "simulate-rk45-with-dt": "solver.dt is not read by the rk45 scheme",
+    "gelation-m2-extrapolation-with-baseline":
+        "gelation.baseline is read only by the mass_drop policy",
+    "gelation-default-policy-with-threshold":
+        "gelation.threshold is read only by the mass_drop policy",
+    "gelation-xi-on-brownian": "kernel has no product form r(x) r(y)",
+    "gelation-xi-on-binding-pointwise-cap": "gelation.xi needs a product kernel",
+    "simulate-ragged-tabulated-kernel-matrix": "tabulated kernel matrix",
 }
 
 
@@ -727,3 +783,50 @@ def test_sweep_entries_run_in_process(tmp_path, monkeypatch):
         assert run["config_sha256"] == cli.config_hash(written)
         assert written["output"]["directory"] == str(entry)
     assert not (tmp_path / "o" / "sweep_001").exists()
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_BEFORE_THE_RUN))
+def test_refusal_names_the_key_before_the_run(tmp_path, monkeypatch, capsys, case):
+    # nothing is integrated and no artifact is written
+    monkeypatch.setattr(cli, "integrate", lambda *a, **k: pytest.fail("integrated"))
+    command, edit, code = BAD_CONFIGS[case]
+    cfg = base_config(tmp_path / "o")
+    cfg["grid"]["n"] = 16
+    edit(cfg)
+    assert getattr(cli, f"cmd_{command}")(write_config(tmp_path, "bad.json", cfg)) == code
+    [line] = capsys.readouterr().err.strip().splitlines()
+    assert REFUSED_BEFORE_THE_RUN[case] in line
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_sections_name_the_library_constructors():
+    # each kernel family, rate form and grid kind is a constructor, and each
+    # of its parameters is a key of its section (span gives x_min and x_max),
+    # as are SolverConfig's, KernelSpec.truncate's and each initial family's:
+    # so on a schema-valid config build_run fails only with ConfigError.
+    # The one exception: SizeGrid.sectional's pivots default to the geometric
+    # means of the edges, and no config key sets them.
+    props = cli.CONFIG_SCHEMA["properties"]
+    kernel = props["kernel"]["properties"]
+    params = kernel["params"]["properties"]
+    rate = params["rate"]["properties"]
+    grid = props["grid"]["properties"]
+    span = {"x_min": "span", "x_max": "span"}
+    for cls, names, keys, rename in ((KernelSpec, kernel["family"]["enum"], params, {}),
+                                     (RadialRate, rate["form"]["enum"], rate, {}),
+                                     (SizeGrid, grid["kind"]["enum"], grid, span)):
+        for name in names:
+            assert isinstance(vars(cls).get(name), staticmethod), (cls, name)
+            for p in inspect.signature(getattr(cls, name)).parameters:
+                assert rename.get(p, p) in keys or (name, p) == ("sectional", "pivots"), \
+                    (cls.__name__, name, p)
+    solver = props["solver"]["properties"]
+    for p in inspect.signature(SolverConfig).parameters:
+        assert p == "kernel" or {"snapshot_times": "snapshots"}.get(p, p) in solver, p
+    assert list(inspect.signature(KernelSpec.truncate).parameters) == ["self", "n", "mode"]
+    assert {"cap", "cap_mode"} <= kernel.keys()
+    assert {"truncation_n", "truncation_mode"} <= solver.keys()
+    init = props["init"]["properties"]
+    for family in init["family"]["enum"]:
+        grid_arg, *rest = inspect.signature(grids._INIT_FAMILIES[family]).parameters
+        assert grid_arg == "grid" and set(rest) <= init["params"]["properties"].keys(), family

@@ -471,3 +471,20 @@ def test_dlvp_float_and_mapping_variants():
     assert phi3.breakpoints == [1, 8, 32, 128, 512]
     with pytest.raises(DomainError):
         ck.dlvp_construct(lambda c: 0.0, lambda m: 1, lambda m: 1.0)
+
+
+def test_vp_check_float_function_on_float_samples():
+    # the float branch of vp_check, the only one for a float-built Phi
+    phi = ck.dlvp_construct(lambda c: 2.0 / c, [1.0, 1.5, 2.0, 1.0],
+                            [1.0, 0.25, 0.0625, 0.02, 0.005])
+    assert not phi.exact
+    rng = np.random.default_rng(20240211)
+    top = 2.0 * phi.breakpoints[-1]
+    samples = list(zip(rng.uniform(0, top, 2000), rng.uniform(0, top, 2000),
+                       rng.uniform(0, 4, 2000)))
+    rep = ck.vp_check(phi, samples)
+    assert [c.name for c in rep.checks] == [
+        "b122_ratio_concave", "b123_lower", "b123_upper", "b123b_cross",
+        "b124_scaling", "b125_product", "b127_deriv_subadd"]
+    assert [c.violations for c in rep.checks] == [0] * 7
+    assert all(c.samples == 2000 for c in rep.checks)
