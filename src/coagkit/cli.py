@@ -277,10 +277,27 @@ def _finite_number(text: str) -> float:
     return value
 
 
+def _finite(value) -> bool:
+    """Whether every float in a parsed config is finite.  A numeric list is
+    tested as one array, which may also turn strings such as "nan" into
+    non-finite values: a False is checked again, a True is final."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        try:
+            return bool(np.isfinite(np.asarray(value, dtype=float)).all())
+        except (TypeError, ValueError, OverflowError):
+            return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def load_config(path) -> dict:
     try:
-        cfg = json.loads(Path(path).read_text(encoding="utf-8"),
-                         parse_float=_finite_number, parse_constant=_finite_number)
+        text = Path(path).read_text(encoding="utf-8")
+        cfg = json.loads(text)
+        if not _finite(cfg):
+            # the float hooks refuse the first non-finite literal by its text
+            json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return check_config(cfg)
@@ -625,8 +642,10 @@ def _compactness(cfg: dict, out: str | None) -> int:
     if dcfg is not None:
         terms = dcfg.get("terms", 6)
         alphas = dcfg.get("alphas", [1] * terms)
-        alphas = [limit_denominator(a, 10**9) if not float(a).is_integer()
-                  else int(a) for a in alphas]
+        whole = [float(a).is_integer() for a in alphas]
+        nums, dens = limit_denominator(np.where(whole, 0.0, alphas), 10**9)
+        alphas = [int(a) if w else Fraction(int(n), int(d))
+                  for a, w, n, d in zip(alphas, whole, nums, dens)]
         ratio = dcfg.get("beta_ratio", 0.25)
         if float(ratio) == 0.25:
             betas = [Fraction(1, 4**m) for m in range(terms + 1)]
@@ -660,12 +679,10 @@ def _compactness(cfg: dict, out: str | None) -> int:
         rng = np.random.default_rng(20240211)
         nsamp = dcfg.get("samples", 1000)
         top = float(phi.breakpoints[min(3, len(phi.breakpoints) - 1)])
-        samples = [(limit_denominator(r, 10**6), limit_denominator(s, 10**6),
-                    limit_denominator(l, 10**6))
-                   for r, s, l in zip(rng.uniform(0, top, nsamp),
-                                      rng.uniform(0, top, nsamp),
-                                      rng.uniform(0, 4, nsamp))]
-        check = vp_check(phi, samples)
+        draws = [rng.uniform(0, top, nsamp), rng.uniform(0, top, nsamp),
+                 rng.uniform(0, 4, nsamp)]                  # r, s, lambda
+        nums, dens = limit_denominator(np.stack(draws, axis=1), 10**6)
+        check = vp_check(phi, np.stack([nums, dens], axis=-1))
         report["dlvp"] = {"function": phi.to_json_obj(),
                           "checks": check.to_json_obj()}
 

@@ -12,8 +12,14 @@ Breakpoints and slopes are kept as exact integers/rationals whenever the
 inputs permit, so the structural identities (derivative continuity, slope
 monotonicity) hold exactly rather than to round-off.  An exact function also
 keeps its tables scaled to integers over one common denominator; Phi and
-Phi' at p/q are then unreduced integer pairs, and ``vp_check`` decides every
-exact margin by integer cross-multiplication, without building rationals.
+Phi' at p/q are then unreduced integer pairs, and every exact margin of
+``vp_check`` is a difference X - Y of sums of products of non-negative
+integers.  ``vp_check`` evaluates those in float64 over all samples at once
+with an a-priori error bound (a static filter after Shewchuk); a margin whose
+sign, or whose place against the minimum, the bound leaves uncertain falls
+back to integer cross-multiplication, so the report is exact.  Samples come
+as rational triples or as int64 (num, den) arrays from the vectorised
+``limit_denominator``.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from numbers import Rational
 
 import numpy as np
@@ -73,9 +80,6 @@ class FunctionFamily:
             raise DomainError("snapshots live on different grids")
         widths = snapshots[0].grid.widths
         return FunctionFamily([s.density for s in snapshots], widths)
-
-    def sup_l1(self) -> float:
-        return max(float(np.dot(m, self.measures)) for m in self.members)
 
 
 def eta_modulus(family: FunctionFamily, eps: float) -> float:
@@ -180,30 +184,139 @@ def _frac(x):
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def limit_denominator(x: float, max_denominator: int) -> Fraction:
-    """``Fraction(x).limit_denominator(max_denominator)`` for a float ``x``.
+# Elements per block of the array passes below: each temporary is 16 KiB,
+# so the passes stay well under the memory of the Fraction samples they
+# replace (3.1 MB for 8000 triples).
+_BLOCK = 2048
 
-    The same continued-fraction search, run on ``x.as_integer_ratio()`` in
-    integers; only the result is built as a Fraction.
+
+def limit_denominator(x, max_denominator: int):
+    """``Fraction(v).limit_denominator(max_denominator)`` for every float v
+    of ``x``, as int64 arrays ``(p, q)`` of x's shape, ties included.
+
+    The continued-fraction search runs on blocks of elements at once in
+    int64.  A value whose ``as_integer_ratio`` does not fit int64 (below
+    about 2^-10 in magnitude) runs the same search on Python integers.
     """
-    n, d = float(x).as_integer_ratio()
-    if d <= max_denominator:
-        return Fraction(n, d)
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    num, den = n, d
-    while True:
+    x = np.asarray(x, dtype=float)
+    if not 1 <= max_denominator < 2**62:
+        raise ValueError("max_denominator must be in [1, 2**62)")
+    if not np.all(np.abs(x) < 2.0**63):
+        raise DomainError("limit_denominator needs finite values below 2**63 in magnitude")
+    flat = x.ravel()
+    p, q = np.empty(flat.size, dtype=np.int64), np.empty(flat.size, dtype=np.int64)
+    for lo in range(0, flat.size, _BLOCK):
+        p[lo:lo + _BLOCK], q[lo:lo + _BLOCK] = _limit_block(flat[lo:lo + _BLOCK],
+                                                            max_denominator)
+    return p.reshape(x.shape), q.reshape(x.shape)
+
+
+def _limit_block(v, max_denominator: int):
+    # as_integer_ratio from frexp: v = mant 2^shift with an integer mant
+    m, e = np.frexp(v)
+    mant = (m * 2.0**53).astype(np.int64)
+    shift = e.astype(np.int64) - 53
+    zeros = np.frexp((mant & -mant).astype(float))[1] - 1     # trailing zero bits
+    drop = np.clip(np.minimum(zeros, -shift), 0, None)
+    dexp = np.where(mant == 0, 0, np.maximum(-shift - drop, 0))
+    p = np.where(shift >= 0, mant << np.clip(shift, 0, 10), mant >> drop)
+    q = np.ones_like(p) << np.minimum(dexp, 62)
+    search = (q > max_denominator) & (dexp <= 62)
+    p[search], q[search] = _best_rationals(p[search], q[search], max_denominator)
+    wide = dexp > 62
+    if wide.any():
+        n, d = zip(*(w.as_integer_ratio() for w in v[wide].tolist()))
+        p[wide], q[wide] = _best_rationals(np.array(n, dtype=object),
+                                           np.array(d, dtype=object), max_denominator)
+    return p, q
+
+
+def _best_rationals(n, d, max_denominator: int):
+    """The closest p/q with q <= max_denominator to each n/d (d >
+    max_denominator), the convergent winning ties: the search of
+    ``Fraction.limit_denominator`` on arrays of int64 or Python integers.
+
+    ``q0 + a q1 > max_denominator`` is tested as ``a > (max_denominator -
+    q0) // q1``, so no product overflows.  At the break the remainder ``den``
+    gives the convergent's error den / (q1 d), and the semiconvergent
+    p2/q2 lies 1 / (q1 q2) from it on the other side of n/d, so the
+    convergent is at least as close when 2 den q2 <= d, that is when
+    q2 <= (d // 2) // den.
+    """
+    p, q = np.empty_like(n), np.empty_like(n)
+    at = np.arange(len(n))
+    p0, q0, p1, q1 = (np.full_like(n, v) for v in (0, 1, 1, 0))
+    num, den, full = n, d, d
+    while at.size:
         a = num // den
-        q2 = q0 + a * q1
-        if q2 > max_denominator:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        stop = (q1 > 0) & (a > (max_denominator - q0) // np.maximum(q1, 1))
+        if stop.any():
+            k = (max_denominator - q0[stop]) // q1[stop]
+            p2, q2 = p0[stop] + k * p1[stop], q0[stop] + k * q1[stop]
+            near = q2 <= (full[stop] // 2) // den[stop]
+            p[at[stop]] = np.where(near, p1[stop], p2)
+            q[at[stop]] = np.where(near, q1[stop], q2)
+            go = ~stop
+            at, a, p0, q0, p1, q1, num, den, full = (
+                v[go] for v in (at, a, p0, q0, p1, q1, num, den, full))
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
         num, den = den, num - a * den
-    k = (max_denominator - q0) // q1
-    p2, q2 = p0 + k * p1, q0 + k * q1
-    # the convergent p1/q1 wins ties against the semiconvergent p2/q2
-    if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
-        return Fraction(p1, q1)
-    return Fraction(p2, q2)
+    return p, q
+
+
+def _floats(values) -> np.ndarray:
+    """float64 of non-negative integers, inf for those of 2^1023 or more."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        values = np.asarray(values, dtype=object)
+        return np.array([float(v) if v < 2**1023 else math.inf
+                         for v in values.flat]).reshape(values.shape)
+
+
+class _Roundings(int):
+    """The number of roundings in a float64 expression of non-negative terms
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, Lemma 3.3): a
+    sum of terms with i and j carries max(i, j) + 1 and a product i + j + 1;
+    the one constant, 2, multiplies exactly.  The one difference in
+    ``_pairs``, p B_k - U_k q, is exact once p B_k is at most 2^52, which the
+    filter checks, and then so is p."""
+
+    def __add__(self, other):
+        return _Roundings(max(int(self), int(other)) + 1)
+
+    def __mul__(self, other):
+        if not isinstance(other, _Roundings):
+            return self
+        return _Roundings(int(self) + int(other) + 1)
+
+    def __sub__(self, other):
+        return _Roundings(0)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _segment(tables, p, q):
+    """k of the last breakpoint N_k = U_k / B_k <= p / q, or 0 below N_1."""
+    U, B = tables[1], tables[2]
+    return sum(p * b >= u * q for u, b in zip(U[1:], B[1:]))
+
+
+def _pairs(tables, p, q):
+    """Phi(p/q) and Phi'(p/q) for p >= 0, q > 0, as unreduced ``(num, den)``
+    pairs with den > 0, over ``VPFunction._tables``: exact on Python
+    integers, elementwise on float64 arrays.
+
+    With N_k the last breakpoint <= p/q and d = p/q - N_k: Phi = V_k + P_k d
+    + A_k d^2 / 2, Phi' = P_k + A_k d.
+    """
+    L, U, B, W, A, P, V = tables
+    k = _segment(tables, p, q)
+    Q = q * L
+    e = W[k] * (p * B[k] - U[k] * q)  # d = e / Q
+    pq = P[k] * Q
+    g = pq + A[k] * e                 # Phi' = g / (L Q)
+    return (2 * V[k] * Q * Q + e * (pq + g), 2 * L * Q * Q), (g, L * Q)
 
 
 @dataclass
@@ -266,40 +379,30 @@ class VPFunction:
             elif abs(lhs - rhs) > 1e-12 * max(1.0, abs(rhs)):
                 raise DomainError("derivative continuity (c2) violated")
         if self.exact:
-            # integer tables over one common denominator L
+            # integer tables over one common denominator L, with segment 0
+            # expanded about 0 (N = P = V = 0 there) and the last slope
+            # repeated past the end: Phi = V_k + P_k d + A_k d^2 / 2 with
+            # d = r - N_k >= 0 on every segment, a sum of non-negative terms.
+            # N_k = U_k / B_k in lowest terms, and W_k = L / B_k.
             L = math.lcm(*(_frac(v).denominator for v in (*A, *P, *V, *n)))
             self._L = L
-            self._A, self._P, self._V, self._N = (
-                [int(_frac(v) * L) for v in vals] for vals in (A, P, V, n))
+            N = [Fraction(0)] + [_frac(v) for v in n[1:]]
+            self._U, self._B = [b.numerator for b in N], [b.denominator for b in N]
+            self._W = [L // b for b in self._B]
+            self._A, self._P, self._V = ([int(_frac(v) * L) for v in vals]
+                                         for vals in (A + A[-1:], P, V))
+            self._P[0] = self._V[0] = 0
 
-    # -- scalar exact evaluation ---------------------------------------------
-
-    def _exact_pairs(self, p: int, q: int):
-        """Phi(p/q) and Phi'(p/q) for integers p >= 0, q > 0, as unreduced
-        ``(num, den)`` integer pairs with ``den > 0``.
-
-        With N_k the last breakpoint <= p/q (k = 0 below N_1, which on
-        [0, N_1) is the same quadratic A_0 r^2 / 2 because N_0 = 1) and
-        d = p/q - N_k: Phi = V_k + P_k d + A_k d^2 / 2, Phi' = P_k + A_k d,
-        where past the last breakpoint A_k is the last slope.
-        """
-        L, N = self._L, self._N
-        pl = p * L
-        k = self._segment(pl, q)
-        a = self._A[min(k, len(self._A) - 1)]
-        Q = q * L
-        e = pl - N[k] * q                 # d = e / Q
-        pq = self._P[k] * Q
-        g = pq + a * e                    # Phi' = g / (L Q)
-        return (2 * self._V[k] * Q * Q + e * (pq + g), 2 * L * Q * Q), (g, L * Q)
-
-    def _segment(self, pl: int, q: int) -> int:
-        """k of the last breakpoint N_k <= pl / (q L), or 0 below N_1."""
-        N = self._N
-        k = 0
-        while k + 1 < len(N) and pl >= N[k + 1] * q:
-            k += 1
-        return k
+    def _tables(self, kind=int):
+        """``(L, U, B, W, A, P, V)`` for ``_pairs``: the integer tables,
+        their float64 arrays (``kind=float``), or a ``_Roundings`` count
+        ``kind`` in place of every entry."""
+        tabs = (self._U, self._B, self._W, self._A, self._P, self._V)
+        if kind is float:
+            return (_floats([self._L])[0], *map(_floats, tabs))
+        if isinstance(kind, _Roundings):
+            return (kind, *([kind] * len(t) for t in tabs))
+        return (self._L, *tabs)
 
     def _exact_at(self, r, order: int):
         if not self.exact:  # float tables: there is nothing exact to return
@@ -308,10 +411,10 @@ class VPFunction:
         if r < 0:
             raise DomainError("argument must be non-negative")
         p, q = r.numerator, r.denominator
+        tables = self._tables()
         if order == 2:
-            k = self._segment(p * self._L, q)
-            return Fraction(self._A[min(k, len(self._A) - 1)], self._L)
-        return Fraction(*self._exact_pairs(p, q)[order])
+            return Fraction(self._A[_segment(tables, p, q)], self._L)
+        return Fraction(*_pairs(tables, p, q)[order])
 
     def deriv_exact(self, r: Fraction) -> Fraction:
         return self._exact_at(r, 1)
@@ -537,54 +640,131 @@ def _margin_accumulate(records, name, lhs, rhs, tol):
     _record(records, name, margin >= -tol * scale, float(margin))
 
 
-def _record_pair(records, name, num: int, den: int):
-    _record(records, name, num >= 0, num / den)
+_MARGINS = ("b122_ratio_concave", "b123_lower", "b123_upper", "b123b_cross",
+            "b124_scaling", "b125_product", "b127_deriv_subadd")
 
 
-def _exact_margins(phi: VPFunction, samples, records):
-    """The sample checks of ``vp_check`` on rational samples of an exact
-    function, in integers only.
+def _maximum(a, b):
+    return np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
 
-    Every margin rhs - lhs is an unreduced pair ``(num, den)`` with den > 0
-    built by cross-multiplication, so a violation is ``num < 0``, and
-    ``num / den`` (correctly rounded int division) is ``float`` of the exact
-    margin.
+
+def _margins(pairs, pr, qr, ps, qs, pl, ql):
+    """The sample margins rhs - lhs of ``vp_check`` at r = pr/qr, s = ps/qs
+    and lambda = pl/ql, in the order of ``_MARGINS``, each as ``(X, Y, D)``:
+    the margin is (X - Y) / D, X and Y are sums of products of non-negative
+    terms, and D > 0 (for b122 when r, s > 0).  ``pairs`` is ``_pairs`` over
+    one kind of tables, so these lines run on Python integers, on float64
+    arrays and on rounding counts."""
+    pt, qt = pr * qs + ps * qr, qr * qs                  # r + s
+    (fr, hr), (gr, kr) = pairs(pr, qr)                   # Phi = f/h, Phi' = g/k
+    (fs, hs), (gs, ks) = pairs(ps, qs)
+    (ft, ht), (gt, kt) = pairs(pt, qt)
+    fm, hm = pairs(pt, 2 * qt)[0]                        # Phi((r + s) / 2)
+    fl, hl = pairs(pl * pr, ql * qr)[0]                  # Phi(lambda r)
+    # Phi(mid)/mid = x/y against (Phi(r)/r + Phi(s)/s)/2 = u/w
+    x, y = 2 * fm * qt, hm * pt
+    u, w = fr * qr * hs * ps + fs * qs * hr * pr, 2 * hr * pr * hs * ps
+    rd, fq = pr * gr * hr, fr * qr * kr                  # r Phi'(r), Phi(r) over qr kr hr
+    hrs = hr * hs
+    sum_rs = fr * hs + fs * hr                           # Phi(r) + Phi(s) over hrs
+    c = _maximum(pl, ql)                                 # max(1, lambda^2) = c^2 / ql^2
+    # (r + s)(Phi(r + s) - Phi(r) - Phi(s)) <= 2 (r Phi(s) + s Phi(r)), over qt ht hrs
+    rhs = 2 * (pr * fs * qs * hr + ps * fr * qr * hs) * ht
+    return ((x * w, u * y, y * w),
+            (rd, fq, qr * kr * hr),
+            (2 * fq, rd, qr * kr * hr),
+            (sum_rs * qs * kr, ps * gr * hrs, hrs * qs * kr),
+            (c * c * fr * hl, fl * ql * ql * hr, ql * ql * hr * hl),
+            (rhs + pt * sum_rs * ht, pt * ft * hrs, qt * ht * hrs),
+            ((gr * ks + gs * kr) * kt, gt * kr * ks, kr * ks * kt))
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53."""
+    return k * 2.0**-53 / (1 - k * 2.0**-53)
+
+
+def _rational_array(samples) -> np.ndarray:
+    """The (n, 3, 2) array of the samples' (numerator, denominator): int64,
+    or Python integers when one does not fit."""
+    rows = [[(int(v.numerator), int(v.denominator)) for v in t] for t in samples]
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), 3, 2)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(len(rows), 3, 2)
+
+
+def _exact_margins(phi: VPFunction, samples: np.ndarray, records):
+    """The sample checks of ``vp_check`` on an exact function, decided
+    exactly, for an (n, 3, 2) integer array of (num, den) samples.
+
+    A float64 pre-pass, after Shewchuk (Discrete Comput. Geom. 18 (1997)
+    305-363), evaluates every margin (X - Y) / D over all samples with
+    a-priori bounds gamma_k (X + Y) on the error of its numerator and
+    gamma_k' (X + Y) / D on its own, k and k' counted by ``_Roundings``.  A
+    sample takes the integer path when the bound leaves its sign open, when
+    its interval reaches the smallest upper end (it may be the minimum), when
+    its segments are not certain in float (p B_k above 2^52 at one of its
+    points p/q), or when a value is not finite.  So the counts, the
+    violations and the minimum (``num / den``, correctly rounded) are those
+    of integer cross-multiplication, in the order the checks are first met.
     """
-    pairs = phi._exact_pairs
-    for (r, s, lam) in samples:
-        # int(): numpy integer samples would wrap around in the products
-        pr, qr = int(r.numerator), int(r.denominator)
-        ps, qs = int(s.numerator), int(s.denominator)
-        pl, ql = int(lam.numerator), int(lam.denominator)
-        if pr < 0 or ps < 0 or pl < 0:
-            raise DomainError("samples must be non-negative")
-        pt, qt = pr * qs + ps * qr, qr * qs                  # r + s
-        (fr, hr), (gr, kr) = pairs(pr, qr)                   # Phi = f/h, Phi' = g/k
-        (fs, hs), (gs, ks) = pairs(ps, qs)
-        (ft, ht), (gt, kt) = pairs(pt, qt)
-        if pr > 0 and ps > 0:
-            fm, hm = pairs(pt, 2 * qt)[0]                    # Phi((r + s) / 2)
-            # Phi(mid)/mid = x/y against (Phi(r)/r + Phi(s)/s)/2 = u/w
-            x, y = 2 * fm * qt, hm * pt
-            u, w = fr * qr * hs * ps + fs * qs * hr * pr, 2 * hr * pr * hs * ps
-            _record_pair(records, "b122_ratio_concave", x * w - u * y, y * w)
-        x, y = pr * gr * hr, fr * qr * kr                    # r Phi'(r), Phi(r)
-        den = qr * kr * hr
-        _record_pair(records, "b123_lower", x - y, den)
-        _record_pair(records, "b123_upper", 2 * y - x, den)
-        hrs = hr * hs
-        sum_rs = fr * hs + fs * hr                           # Phi(r) + Phi(s)
-        _record_pair(records, "b123b_cross",
-                     sum_rs * qs * kr - ps * gr * hrs, hrs * qs * kr)
-        fl, hl = pairs(pl * pr, ql * qr)[0]                  # Phi(lambda r)
-        cn, cd = (pl * pl, ql * ql) if pl > ql else (1, 1)   # max(1, lambda^2)
-        _record_pair(records, "b124_scaling", cn * fr * hl - fl * cd * hr, cd * hr * hl)
-        # (r + s)(Phi(r + s) - Phi(r) - Phi(s)) <= 2 (r Phi(s) + s Phi(r))
-        rhs = 2 * (pr * fs * qs * hr + ps * fr * qr * hs)    # over qt * hrs
-        lhs = pt * (ft * hrs - sum_rs * ht)                  # over qt * ht * hrs
-        _record_pair(records, "b125_product", rhs * ht - lhs, qt * ht * hrs)
-        _record_pair(records, "b127_deriv_subadd",
-                     (gr * ks + gs * kr) * kt - gt * kr * ks, kr * ks * kt)
+    nums, dens = samples[..., 0], samples[..., 1]
+    if (nums < 0).any() or (dens <= 0).any():
+        raise DomainError("samples must be non-negative")
+    n = len(samples)
+    if not n:
+        return
+    # every p of a sample the filter decides is exact; q and the table
+    # entries are when all are at most 2^53
+    ints = phi._tables()
+    leaf = _Roundings(int(max(ints[0], *map(max, ints[1:]), dens.max()) > 2**53))
+    counts = [map(int, c) for c in _margins(partial(_pairs, phi._tables(leaf)),
+                                            *[_Roundings(0), leaf] * 3)]
+    # gamma_(a+2) bounds the error of X - Y against X + Y (a roundings in
+    # X or Y, two more for the difference and the bound), and
+    # gamma_(a+b+6) that of m = (X - Y) / D (b roundings in D, six more for
+    # the division, the bound and the interval ends)
+    gammas = [(_gamma(max(cx, cy) + 2), _gamma(max(cx, cy) + cd + 6))
+              for cx, cy, cd in counts]
+    tables = phi._tables(float)
+    rows = np.ones((len(_MARGINS), n), dtype=bool)
+    rows[0] = (nums[:, 0] > 0) & (nums[:, 1] > 0)        # b122 needs r, s > 0
+    certain, negative = np.empty((2, len(_MARGINS), n), dtype=bool)
+    lo = np.empty((len(_MARGINS), n))
+    hi = np.full(len(_MARGINS), np.inf)     # the smallest upper end
+    for start in range(0, n, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        cols = [_floats(a[block, j]) for j in range(3) for a in (nums, dens)]
+        pr, qr, ps, qs, pl, _ = cols
+        with np.errstate(all="ignore"):
+            top = np.maximum(np.maximum(pr, ps), np.maximum(pr * qs + ps * qr, pl * pr))
+            sure = top * tables[2].max() <= 2.0**52
+            for j, (X, Y, D) in enumerate(_margins(partial(_pairs, tables), *cols)):
+                sign, width = gammas[j]
+                num, size = X - Y, X + Y
+                m = num / D
+                bound = width * size / D
+                c = certain[j, block] = (rows[j, block] & sure & np.isfinite(size)
+                                         & np.isfinite(D) & (np.abs(num) > sign * size))
+                negative[j, block] = num < 0
+                lo[j, block] = m - bound
+                hi[j] = np.min(m + bound, where=c, initial=hi[j])
+    check = rows & ~(certain & (lo > hi[:, None]))
+    violations = np.count_nonzero(~check & negative & rows, axis=1).tolist()
+    low = [math.inf] * len(_MARGINS)
+    exact_pairs = partial(_pairs, ints)
+    for i in np.flatnonzero(check.any(axis=0)).tolist():
+        exact = _margins(exact_pairs, *samples[i].ravel().tolist())
+        for j in np.flatnonzero(check[:, i]).tolist():
+            x, y, d = exact[j]
+            violations[j] += x < y
+            low[j] = min(low[j], (x - y) / d)
+    found = {name: [int(count), v, least] for name, count, v, least in
+             zip(_MARGINS, rows.sum(axis=1), violations, low) if count}
+    # a check is recorded when first met
+    order = _MARGINS if rows[0, :1].all() else _MARGINS[1:] + _MARGINS[:1]
+    records.update((name, found[name]) for name in order if name in found)
 
 
 def vp_check(phi: VPFunction, samples, member=None, tol: float = 1e-12
@@ -597,17 +777,28 @@ def vp_check(phi: VPFunction, samples, member=None, tol: float = 1e-12
     ``member`` (values, measures) is given, the layer-cake tail bound of the
     integral of Phi(|f|) below each breakpoint.
 
-    In exact mode with rational samples every margin is decided exactly, by
-    integer cross-multiplication, and ``tol`` is ignored.
+    ``samples`` is an iterable of triples, or an (n, 3, 2) integer array of
+    their (numerator, denominator) pairs.  In exact mode with rational
+    samples every margin is decided exactly (float-filtered, by integer
+    cross-multiplication where the filter is unsure), and ``tol`` is
+    ignored.
     """
     records: dict = {}
-    samples = list(samples)  # scanned twice: for rationality, then checked
-    exact = phi.exact and all(
-        _is_rational(v) for t in samples for v in t)
+    if not isinstance(samples, np.ndarray):
+        samples = list(samples)  # read once: it may be an iterator
+        if phi.exact and all(_is_rational(v) for t in samples for v in t):
+            samples = _rational_array(samples)
+    elif samples.ndim != 3 or samples.shape[1:] != (3, 2) \
+            or samples.dtype.kind not in "iuO":
+        raise DomainError("a sample array must be (n, 3, 2) integers")
+    exact = phi.exact and isinstance(samples, np.ndarray)
 
     if exact:
         _exact_margins(phi, samples, records)
     else:
+        if isinstance(samples, np.ndarray):
+            samples = (samples[..., 0] / samples[..., 1]).tolist()
+
         def Phi(r):
             return float(vp_eval(phi, float(r), 0))
 

@@ -689,6 +689,12 @@ BAD_CONFIGS = {
     "gelation-xi-on-binding-pointwise-cap":
         ("gelation", lambda cfg: cfg.update(kernel={"family": "multiplicative", "cap": 4.0},
                                             gelation={"xi": {"lam": 2.0}}), 4),
+    # oversized grids: once a numpy ArrayMemoryError traceback, exit 1
+    "simulate-discrete-grid-of-1e13-cells":
+        ("simulate", lambda cfg: cfg["grid"].update(n=10**13), 2),
+    "simulate-geometric-ratio-1-plus-1e-10":
+        ("simulate", lambda cfg: cfg.update(grid={"kind": "geometric", "span": [1.0, 1e4],
+                                                  "ratio": 1 + 1e-10}), 2),
     # once a numpy ValueError traceback, exit 1
     "simulate-ragged-tabulated-kernel-matrix":
         ("simulate", lambda cfg: cfg.update(kernel={"family": "tabulated", "params": {
@@ -753,6 +759,14 @@ def test_overflowing_number_literal_exits_2(tmp_path, section, key):
     assert proc.stderr.strip().splitlines() == [
         "config error: non-finite number 1e999 in the config"]
     assert not (tmp_path / "o").exists()
+
+
+def test_non_finite_looking_strings_load(tmp_path):
+    # the values of {"directory": "NaN"} read as one array give a NaN float;
+    # the literal check behind it finds no non-finite number, so it loads
+    cfg = base_config("o", output={"directory": "NaN"})
+    assert not cli._finite(cfg)
+    assert cli.load_config(write_config(tmp_path, "c.json", cfg)) == cfg
 
 
 def test_jobs_is_a_simulate_option_only(tmp_path):

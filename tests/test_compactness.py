@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coagkit as ck
-from coagkit import cli
+from coagkit import cli, compactness
 from coagkit.compactness import VPFunction, limit_denominator
 from coagkit.errors import ConstructionError, DomainError
 
@@ -122,9 +123,9 @@ def test_eta_modulus_monotone_and_bounded():
     eps = np.geomspace(1e-6, 1.0, 12)
     vals = [ck.eta_modulus(fam, e) for e in eps]
     assert np.all(np.diff(vals) >= 0)
-    assert vals[-1] <= fam.sup_l1() * (1 + 1e-12)
-    assert ck.eta_modulus(fam, float(np.sum(fam.measures))) \
-        == pytest.approx(fam.sup_l1())
+    sup_l1 = max(float(np.dot(m, fam.measures)) for m in fam.members)
+    assert vals[-1] <= sup_l1 * (1 + 1e-12)
+    assert ck.eta_modulus(fam, float(np.sum(fam.measures))) == pytest.approx(sup_l1)
 
 
 def test_eta_limit_examples():
@@ -392,22 +393,131 @@ def test_cli_compactness_checks_match_fraction_oracle(tmp_path):
     assert dlvp["checks"] == fraction_vp_check(phi, samples)
 
 
+def assert_limits_match(floats, max_den):
+    nums, dens = limit_denominator(np.array(floats, dtype=float), max_den)
+    assert nums.dtype == dens.dtype == np.int64
+    want = [Fraction(x).limit_denominator(max_den) for x in floats]
+    assert list(zip(nums.tolist(), dens.tolist())) \
+        == [(f.numerator, f.denominator) for f in want]
+
+
 def test_limit_denominator_matches_fraction():
     rng = np.random.default_rng(5)
     floats = list(rng.uniform(0, 3000, 5000))
     floats += list(rng.standard_normal(5000) * 10.0 ** rng.integers(-8, 9, 5000))
-    for x in floats:
-        assert limit_denominator(x, 10**6) == Fraction(x).limit_denominator(10**6)
+    assert_limits_match(floats, 10**6)
     # small denominators: p/q rounded to a float comes back as p/q
     for q in range(1, 60):
-        for p in range(-q, 5 * q):
-            got = limit_denominator(p / q, 10**6)
-            assert got == Fraction(p, q) == Fraction(p / q).limit_denominator(10**6)
+        ps = list(range(-q, 5 * q))
+        nums, dens = limit_denominator(np.array(ps) / q, 10**6)
+        for p, n, d in zip(ps, nums.tolist(), dens.tolist()):
+            assert Fraction(n, d) == Fraction(p, q) == Fraction(p / q).limit_denominator(10**6)
     # exact ties between the two bounds, and exact dyadics
     for m in range(1, 17):
-        for j in range(-80, 81):
-            x = j / 32
-            assert limit_denominator(x, m) == Fraction(x).limit_denominator(m)
+        assert_limits_match([j / 32 for j in range(-80, 81)], m)
+
+
+# as_integer_ratio fits int64 from about 2^-10 up; below it the Python-integer
+# search runs, subnormals included
+FALLBACK_BOUNDARY = st.floats(2.0**-14, 2.0**-8) | st.floats(-2.0**-8, -2.0**-14) \
+    | st.floats(-1e-300, 1e-300)
+
+
+@given(floats=st.lists(
+    st.floats(0, 128) | st.floats(0, 4) | st.floats(-1e6, 1e6)
+    | st.integers(-2**20, 2**20).map(lambda j: j / 64)          # dyadic ties
+    | st.tuples(st.integers(-10**6, 10**6), st.integers(1, 10**6)).map(
+        lambda t: t[0] / t[1])                                  # p/q round trips
+    | FALLBACK_BOUNDARY, min_size=1, max_size=40),
+    max_den=st.sampled_from([1, 2, 3, 64, 1000, 10**6, 10**9]) | st.integers(1, 2**40))
+@settings(max_examples=300, deadline=None)
+def test_limit_denominator_array_matches_fraction(floats, max_den):
+    assert_limits_match(floats, max_den)
+
+
+def test_limit_denominator_keeps_the_shape_and_refuses_what_int64_cannot_hold():
+    nums, dens = limit_denominator(np.full((2, 3), 0.75), 10)
+    assert nums.shape == dens.shape == (2, 3)
+    assert (nums == 3).all() and (dens == 4).all()
+    with pytest.raises(DomainError):
+        limit_denominator([2.0**63], 10)
+    with pytest.raises(DomainError):
+        limit_denominator([float("nan")], 10)
+    with pytest.raises(ValueError):
+        limit_denominator([0.5], 0)
+
+
+def random_exact_phi(rng):
+    """An exact Phi with rational breakpoints: increments and non-increasing
+    slopes drawn as small fractions."""
+    steps = [Fraction(int(a), int(b)) for a, b in
+             zip(rng.integers(1, 40, 4), rng.integers(1, 4, 4))]
+    slopes = sorted((Fraction(int(a), int(b)) for a, b in
+                     zip(rng.integers(1, 9, 4), rng.integers(1, 7, 4))), reverse=True)
+    breakpoints = [Fraction(1), 1 + max(steps[0], Fraction(1))]
+    for d in steps[1:]:
+        breakpoints.append(breakpoints[-1] + d)
+    alphas = [a * (hi - lo) for a, lo, hi in zip(slopes, breakpoints, breakpoints[1:])]
+    return VPFunction(breakpoints, alphas)
+
+
+def overflowing_samples(phi):
+    """Samples whose unreduced products overflow float64 (and whose terms do
+    not fit int64), near 1, near a breakpoint and at 0."""
+    big = 2**400 + 1
+    n2 = Fraction(phi.breakpoints[2])
+    return [(Fraction(big + 2, big), Fraction(3 * big - 1, big), Fraction(5, 3)),
+            (n2 + Fraction(1, big), n2 - Fraction(1, big), Fraction(big - 1, big)),
+            (Fraction(0), Fraction(7 * big, big + 1), Fraction(big + 1, big)),
+            (Fraction(1, big), Fraction(1, big), Fraction(3))]
+
+
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_filtered_vp_check_matches_fraction_oracle(seed):
+    rng = np.random.default_rng(seed)
+    phi = random_exact_phi(rng) if seed % 2 else ck.dlvp_construct(
+        lambda c: Fraction(2, int(c)), [1] * 4, [Fraction(1, 4**m) for m in range(5)])
+    top = 1.5 * float(phi.breakpoints[-1])
+    small = edge_samples(phi) + [
+        tuple(Fraction(v).limit_denominator(int(d)) for v in t)
+        for t, d in zip(zip(rng.uniform(0, top, 60), rng.uniform(0, top, 60),
+                            rng.uniform(0, 4, 60)), rng.integers(1, 10**6, 60))]
+    samples = small + overflowing_samples(phi)
+    rng.shuffle(samples)
+    want = fraction_vp_check(phi, samples)
+    assert ck.vp_check(phi, samples).to_json_obj() == want
+    # the same samples as one (n, 3, 2) integer array
+    pairs = [[(Fraction(v).numerator, Fraction(v).denominator) for v in t] for t in small]
+    assert ck.vp_check(phi, np.array(pairs, dtype=np.int64)).to_json_obj() \
+        == fraction_vp_check(phi, small)
+
+
+def test_filter_leaves_near_zero_margins_to_integers():
+    # Phi = A r^2 / 2 makes b127 (Phi' subadditive) an equality.  With A and
+    # L near 2^50 and r, s of 25-bit terms, most float products round, and
+    # the forty worst zero margins of the pool come out off zero by 0.19 to
+    # 0.25 of the filter's sign bound: a bound ten times too small certifies
+    # some of them as violations.  One real violation (Phi' lifted by 1 past
+    # N_1) holds the minimum at -1, so no zero margin is taken exactly for
+    # being near it.
+    phi = VPFunction([1, 2], [Fraction(2**50 + 2**29 + 1, 2**49 + 3)])
+    phi.deriv_at[1] += 1
+    phi._P[1] += phi._L
+    b127 = compactness._MARGINS.index("b127_deriv_subadd")
+    rng = np.random.default_rng(1616)
+    q = rng.integers(2**24, 2**25, (20000, 2))
+    p = rng.integers(1, q)                                   # r, s < 1
+    cols = [v.astype(float) for j in range(2) for v in (p[:, j], q[:, j])]
+    X, Y, _ = compactness._margins(partial(compactness._pairs, phi._tables(float)),
+                                   *cols, np.ones(len(q)), np.ones(len(q)))[b127]
+    samples = [(Fraction(int(p[i, 0]), int(q[i, 0])), Fraction(int(p[i, 1]), int(q[i, 1])),
+                Fraction(1)) for i in np.argsort(-np.abs(X - Y) / (X + Y))[:40]]
+    samples.append((Fraction(3, 2), Fraction(3, 2), Fraction(1)))
+    got = ck.vp_check(phi, samples).to_json_obj()
+    assert got == fraction_vp_check(phi, samples)
+    [check] = [c for c in got["checks"] if c["name"] == "b127_deriv_subadd"]
+    assert check["violations"] == 1 and check["min_margin"] == -1.0
 
 
 def test_b111_holds_for_any_member_and_breakpoints():

@@ -14,6 +14,17 @@ def test_moment_exponential_fine_grid():
     assert dist.moment(2.0) == pytest.approx(2.0, rel=1e-4)
 
 
+def test_grid_cell_budget_is_checked_before_allocating():
+    assert ck.SizeGrid.discrete(ck.grids.MAX_CELLS).size == ck.grids.MAX_CELLS
+    for build in (lambda: ck.SizeGrid.discrete(10**13),
+                  lambda: ck.SizeGrid.discrete(ck.grids.MAX_CELLS + 1),
+                  lambda: ck.SizeGrid.geometric(1.0, 1e4, bins=ck.grids.MAX_CELLS + 1),
+                  lambda: ck.SizeGrid.geometric(1.0, 1e4, ratio=1 + 1e-10),
+                  lambda: ck.SizeGrid.geometric(1e-300, 1e300, ratio=2.0)):
+        with pytest.raises(GridError, match="exceeds the budget"):
+            build()
+
+
 def test_moment_monodisperse():
     grid = ck.SizeGrid.discrete(100)
     dist = ck.init_distribution(grid, "monodisperse", size=1)
