@@ -6,7 +6,7 @@ from .errors import (CoagKitError, ConfigError, ConstructionError, DomainError,
                      GridError, UnsupportedFamilyError)
 from .kernels import GrowthClass, KernelSpec, RadialRate, classify, omega_r
 from .grids import (MomentSeries, SizeDistribution, SizeGrid, init_distribution,
-                    moment, regrid)
+                    moment)
 from .solver import (RateSplit, SolverConfig, Trajectory, fast_gain, integrate,
                      rates)
 from .compactness import (FunctionFamily, VPFunction, dlvp_construct,

@@ -26,21 +26,22 @@ import numbers
 import os
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .compactness import (FunctionFamily, dlvp_construct, eta_limit,
-                          eta_modulus, eta_zero_extrapolation, family_tail,
-                          limit_denominator, synthetic_family, vp_check)
-from .diagnostics import (bound_monitor, comparison_ode, gelation_detect,
-                          gelation_functional, weak_form_residual)
-from .errors import CoagKitError, ConfigError, ConstructionError, UnsupportedFamilyError
+from . import __version__, diagnostics
+from .compactness import (TAIL_DEFAULT, TAILS, CompactnessConfig, DlvpConfig,
+                          FunctionFamily, dlvp_construct, eta_limit, eta_modulus,
+                          eta_zero_extrapolation, family_tail, synthetic_family,
+                          vp_check)
+from .diagnostics import (CHECKS, XI, XI_DEFAULT, bound_monitor, comparison_ode,
+                          gelation_detect, gelation_functional, weak_form_residual)
+from .errors import (ArgumentError, CoagKitError, ConfigError, ConstructionError,
+                     UnsupportedFamilyError)
 from .grids import SizeGrid, init_distribution
 from .kernels import KernelSpec, RadialRate, classify
-from .reference import exact_solution
+from .reference import SIZES, exact_solution, validation_oracle, validation_report
 from .solver import SolverConfig, Trajectory, _cap_binds, integrate
 
 EXIT_OK = 0
@@ -298,7 +299,7 @@ def load_config(path) -> dict:
         if not _finite(cfg):
             # the float hooks refuse the first non-finite literal by its text
             json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # ValueError: also an integer of 4301+ digits
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return check_config(cfg)
 
@@ -308,20 +309,40 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _call(fn, kwargs: dict, where: str, keys: dict | None = None):
-    """``fn(**kwargs)``, with ``kwargs`` first checked against ``fn``'s
-    signature: a keyword ``fn`` does not take, or a required parameter left
-    out, is a ConfigError naming the config key ``where.name``; ``keys`` maps
-    a parameter to its key where the two names differ.  So each default
-    lives in a library signature and nowhere else."""
+def _checked(fn, kwargs: dict, where: str, keys: dict | None = None, given=(),
+             name: str = ""):
+    """``fn``'s parameters, once ``kwargs`` is checked against them: a
+    keyword ``fn`` does not take, or a required one not ``given`` by the
+    caller left out, is a ConfigError naming the key ``where.param`` and
+    ``fn`` (or ``name``); ``keys`` maps a parameter to its key."""
     params = inspect.signature(fn).parameters
-    required = [n for n, p in params.items() if p.default is p.empty]
-    for name in [*kwargs, *required]:
-        if name not in params or name not in kwargs:
-            key = f"{where}.{(keys or {}).get(name, name)}"
-            verb = "is required by" if name in params else "is not read by"
-            raise ConfigError(f"{key} {verb} {fn.__qualname__}")
-    return fn(**kwargs)
+    required = [p for p, v in params.items() if v.default is v.empty and p not in given]
+    for param in [*kwargs, *required]:
+        if param not in params or param not in kwargs:
+            verb = "is required by" if param in params else "is not read by"
+            raise ConfigError(f"{where}.{(keys or {}).get(param, param)} {verb} "
+                              f"{name or fn.__qualname__}")
+    return params
+
+
+def _call(fn, kwargs: dict, where: str, keys: dict | None = None, name: str = ""):
+    """``fn(**kwargs)``, with ``kwargs`` first ``_checked``; an argument that
+    ``fn`` refuses (ArgumentError) is a ConfigError naming its key too.  So
+    each default lives in a library signature and nowhere else."""
+    _checked(fn, kwargs, where, keys, name=name)
+    try:
+        return fn(**kwargs)
+    except ArgumentError as exc:
+        raise ConfigError(f"{where}.{(keys or {}).get(exc.name, exc.name)} "
+                          f"{exc.reason}") from exc
+
+
+def _kind(kinds: dict, section: dict, where: str, key: str, default=None):
+    """The function of ``kinds`` that ``section[key]`` (or ``default``)
+    names, through ``_call`` with the rest of ``section``."""
+    rest = dict(section)
+    kind = rest.pop(key, default)
+    return _call(kinds[kind], rest, where, name=kind)
 
 
 def _truncate(kernel: KernelSpec, section: dict, where: str, n_key: str,
@@ -423,26 +444,18 @@ def _run_json(cfg: dict, traj: Trajectory) -> dict:
     }
 
 
-def _run_diagnostics(cfg: dict, traj: Trajectory, kernel: KernelSpec) -> list:
+def _run_diagnostics(checks: list, traj: Trajectory, kernel: KernelSpec) -> list:
+    """The rows of each ``(name, monitor keywords)`` in ``checks``."""
     rows = []
-    for check in cfg.get("diagnostics", {}).get("checks", []):
-        name = check["name"]
+    for name, args in checks:
         try:
-            if name in ("phi_gronwall", "psi_moment", "product_l2", "equicontinuity"):
-                kwargs = {}
-                if name == "phi_gronwall":
-                    kwargs = {"phi": lambda r: r * r, "R": check.get("R", 10.0)}
-                if name == "product_l2":
-                    kwargs = {"A": check.get("A", 4.0)}
-                for rep in bound_monitor(traj, kernel, name, **kwargs):
-                    rows.extend(rep.rows())
+            if name == "weak_form_identity":
+                reports = [weak_form_residual(traj, kernel, **args)]
             elif name == "comparison_ode":
-                rows.extend(comparison_ode(traj, kernel.radial_rate()).rows())
-            elif name == "weak_form_identity":
-                res = weak_form_residual(traj, kernel, check.get("theta", "identity"))
-                rows.append({"check": "weak_form_identity",
-                             "lhs": res.max_abs(), "rhs": 0.0,
-                             "margin": -res.max_abs(), "verdict": "info"})
+                reports = [comparison_ode(traj, kernel.radial_rate(), **args)]
+            else:
+                reports = bound_monitor(traj, kernel, name, **args)
+            rows.extend(row for rep in reports for row in rep.rows())
         except CoagKitError as exc:
             rows.append({"check": name, "lhs": float("nan"), "rhs": float("nan"),
                          "margin": float("nan"), "verdict": f"refused: {exc}"})
@@ -505,6 +518,8 @@ def _simulate(cfg: dict, out: str | None, jobs: int = 1, label: str = "") -> int
     if cfg.get("sweep"):
         return _run_sweep(cfg, out, jobs)
     init, config = build_run(cfg)
+    checks = [(check["name"], _kind(CHECKS, check, f"diagnostics.checks[{i}]", "name"))
+              for i, check in enumerate(cfg.get("diagnostics", {}).get("checks", []))]
     _warn_sparse_snapshots(config, init.grid)
     traj = integrate(init, config)
     out_dir = _out_dir(cfg, out)
@@ -513,7 +528,7 @@ def _simulate(cfg: dict, out: str | None, jobs: int = 1, label: str = "") -> int
         _write(out_dir / "moments.csv", traj.moments_csv())
         _write(out_dir / "snapshots.csv", traj.snapshots_csv())
     _write(out_dir / "run.json", _json_text(_run_json(cfg, traj)))
-    rows = _run_diagnostics(cfg, traj, config.kernel)
+    rows = _run_diagnostics(checks, traj, config.kernel)
     if rows:
         _write(out_dir / "diagnostics.json", _json_text(rows))
         if "csv" in formats:
@@ -563,126 +578,58 @@ def _run_sweep(cfg: dict, out: str | None, jobs: int) -> int:
 def _validate(cfg: dict, out: str | None) -> int:
     init, config = build_run(cfg)
     kernel = config.kernel
-    # the run ends at t_end at the latest, so this probes the oracle's
-    # family and its window of validity before any work is done; the oracle
-    # is for the uncapped kernel, so a cap that binds on the grid is refused,
-    # and for one particle of size 1 on the discrete equation
-    exact_solution(kernel, config.t_end)
-    if _cap_binds(kernel, init.grid):
-        raise UnsupportedFamilyError(
-            f"the closed-form oracle is for the uncapped {kernel.family} kernel; "
-            f"the cap {kernel.cap:g} binds on the grid")
-    f = init.density
-    if init.grid.kind != "discrete" or f[0] != 1.0 or np.any(f[1:]):
-        raise UnsupportedFamilyError(
-            "the closed-form oracle is for initial density [1, 0, ...] on a discrete grid")
-    vcfg = cfg.get("validate", {})
-    cells = init.grid.size
-    sizes = vcfg.get("sizes", min(10, cells)) if kernel.family == "constant" else 0
-    if sizes > cells:
-        raise ConfigError(f"validate.sizes {sizes} exceeds the {cells} cells of the grid")
-
+    oracle = validation_oracle(init, kernel, config.t_end)
+    vcfg = dict(cfg.get("validate", {}))
+    tolerances = vcfg.pop("tolerances", {})
+    _checked(validation_report, tolerances, "validate.tolerances", given=("traj", "oracle"))
+    sizes = _call(SIZES[oracle.kind], {"cells": init.grid.size, **vcfg}, "validate",
+                  name=f"the {oracle.kind} oracle")
     traj = integrate(init, config)
     out_dir = _out_dir(cfg, out)
-    tols = vcfg.get("tolerances", {})
-    t = traj.times[-1]
-    oracle = exact_solution(kernel, float(t), n_sizes=sizes)
-
-    def check(quantity, rel, tol, **values):
-        return {"quantity": quantity, **values, "rel_error": rel, "tolerance": tol,
-                "verdict": "pass" if rel <= tol else "fail"}
-
-    m = traj.moments
-    checks = []
-    for name, got, mu, key, tol in (("M0", m[0.0][-1], 0.0, "m0_rel", 1e-6),
-                                    ("M1", m[1.0][-1] + m.gel_mass[-1], 1.0, "m1_rel", 1e-8),
-                                    ("M2", m[2.0][-1], 2.0, "m2_rel", 1e-3)):
-        if mu in oracle.moments:
-            got, want = float(got), oracle.moments[mu]
-            checks.append(check(name, abs(got - want) / max(abs(want), 1e-300),
-                                tols.get(key, tol), computed=got, reference=want))
-    if oracle.distribution is not None:
-        want = oracle.distribution
-        f = traj.snapshots[-1].density[:want.size]
-        rel = float(np.max(np.abs(f - want) / np.maximum(np.abs(want), 1e-300)))
-        checks.append(check(f"f_1..f_{want.size}", rel, tols.get("distribution_rel", 1e-6)))
-    ok = all(c["verdict"] == "pass" for c in checks)
-    report = {"t": float(t), "checks": checks, "verdict": "pass" if ok else "fail"}
+    oracle = exact_solution(kernel, float(traj.times[-1]), n_sizes=sizes)
+    report = validation_report(traj, oracle, **tolerances)
     _write(out_dir / "validate.json", _json_text(report))
-    return _verdict(traj, ok)
+    return _verdict(traj, report["verdict"] == "pass")
 
 
 def _compactness(cfg: dict, out: str | None) -> int:
-    sec = cfg.get("compactness", {})
-    source = sec.get("source", "run")
-    if source == "run":
+    sec = dict(cfg.get("compactness", {}))
+    dlvp = sec.pop("dlvp", None)
+    spec = _call(CompactnessConfig, sec, "compactness")
+    if dlvp is not None:
+        own = inspect.signature(DlvpConfig).parameters
+        tail = _kind(TAILS, {k: v for k, v in dlvp.items() if k not in own},
+                     "compactness.dlvp", "tail", TAIL_DEFAULT)
+        dlvp = _call(DlvpConfig, {k: v for k, v in dlvp.items() if k in own},
+                     "compactness.dlvp")
+    if spec.source == "run":
         init, config = build_run(cfg)
         family = FunctionFamily.from_snapshots(integrate(init, config).snapshots)
     else:
-        family = synthetic_family(source)
+        family = synthetic_family(spec.source)
 
-    thresholds = sec.get("thresholds", [2.0 ** k for k in range(0, 14)])
-    eps = sec.get("eps", [2.0 ** -k for k in range(4, 20)])
-    estimate, tails = eta_limit(family, thresholds)
-    eta_eps = [eta_modulus(family, e) for e in sorted(eps)]
-    extrap = eta_zero_extrapolation(family, eps)
-
+    estimate, tails = eta_limit(family, spec.thresholds)
+    eps = sorted(spec.eps)
     report = {
         "eta": {
-            "thresholds": list(thresholds),
+            "thresholds": list(spec.thresholds),
             "tails": tails.tolist(),
             "estimate": estimate,
-            "eps": sorted(eps),
-            "eta_of_eps": eta_eps,
-            "zero_extrapolation": extrap,
+            "eps": eps,
+            "eta_of_eps": [eta_modulus(family, e) for e in eps],
+            "zero_extrapolation": eta_zero_extrapolation(family, spec.eps),
         },
     }
-
-    dcfg = sec.get("dlvp")
-    if dcfg is not None:
-        terms = dcfg.get("terms", 6)
-        alphas = dcfg.get("alphas", [1] * terms)
-        whole = [float(a).is_integer() for a in alphas]
-        nums, dens = limit_denominator(np.where(whole, 0.0, alphas), 10**9)
-        alphas = [int(a) if w else Fraction(int(n), int(d))
-                  for a, w, n, d in zip(alphas, whole, nums, dens)]
-        ratio = dcfg.get("beta_ratio", 0.25)
-        if float(ratio) == 0.25:
-            betas = [Fraction(1, 4**m) for m in range(terms + 1)]
-        else:
-            betas = [float(ratio) ** m for m in range(terms + 1)]
-        tail_kind = dcfg.get("tail", "from_family")
-        if tail_kind == "inverse":
-            coeff = dcfg.get("inverse_coeff", 2.0)
-            if float(coeff).is_integer():
-                coeff = int(coeff)
-
-                def tail(c):
-                    return Fraction(coeff, c)
-            else:
-                def tail(c):
-                    return coeff / c
-        elif tail_kind == "table":
-            raw = dcfg.get("tail_table", {})
-            if not raw:
-                raise ConfigError("tail 'table' needs tail_table")
-            tail = {float(k): v for k, v in raw.items()}
-        else:
-            tail = family_tail(family)
+    if dlvp is not None:
         try:
-            phi = dlvp_construct(tail, alphas, betas, terms=terms)
+            phi = dlvp_construct(family_tail(family) if tail is None else tail,
+                                 dlvp.alphas, dlvp.betas, terms=dlvp.terms)
         except ConstructionError as exc:
             # the partial report names the first unmet breakpoint index
             report["dlvp"] = {"error": str(exc), "first_unmet_index": exc.index}
             _write(_out_dir(cfg, out) / "compactness.json", _json_text(report))
             raise
-        rng = np.random.default_rng(20240211)
-        nsamp = dcfg.get("samples", 1000)
-        top = float(phi.breakpoints[min(3, len(phi.breakpoints) - 1)])
-        draws = [rng.uniform(0, top, nsamp), rng.uniform(0, top, nsamp),
-                 rng.uniform(0, 4, nsamp)]                  # r, s, lambda
-        nums, dens = limit_denominator(np.stack(draws, axis=1), 10**6)
-        check = vp_check(phi, np.stack([nums, dens], axis=-1))
+        check = vp_check(phi, dlvp.draw(phi))
         report["dlvp"] = {"function": phi.to_json_obj(),
                           "checks": check.to_json_obj()}
 
@@ -693,13 +640,16 @@ def _compactness(cfg: dict, out: str | None) -> int:
 def _gelation(cfg: dict, out: str | None) -> int:
     init, config = build_run(cfg)
     kernel = config.kernel
-    sec = cfg.get("gelation", {})
-    policy = sec.get("policy", "m2_extrapolation")
+    sec = dict(cfg.get("gelation", {}))
+    xi = _kind(XI, sec.pop("xi"), "gelation.xi", "kind", XI_DEFAULT) if "xi" in sec else None
+    # the keys are checked against the library function: the name
+    # gelation_detect may be wrapped, as perfbench/op.py does to time it
+    params = _checked(diagnostics.gelation_detect, sec, "gelation", given=("traj",))
+    policy = sec.get("policy", params["policy"].default)
     for key in ("baseline", "threshold"):
         if key in sec and policy != "mass_drop":
             raise ConfigError(f"gelation.{key} is read only by the mass_drop policy")
-    xi_cfg = sec.get("xi")
-    if xi_cfg is not None:
+    if xi is not None:
         # the bound 2 I_xi^2 M1(0) needs K >= r(x) r(y)
         rate = kernel.radial_rate()
         if _cap_binds(kernel, init.grid):
@@ -707,20 +657,16 @@ def _gelation(cfg: dict, out: str | None) -> int:
                 "gelation.xi needs a product kernel whose pointwise cap does not bind on the grid")
     _warn_sparse_snapshots(config, init.grid)
     traj = integrate(init, config)
-    baseline = None
-    if sec.get("baseline"):
-        baseline = integrate(init, dataclasses.replace(config, boundary="conservative"))
-    threshold = {"threshold": sec["threshold"]} if "threshold" in sec else {}
-    report = gelation_detect(traj, policy, baseline=baseline, kernel=kernel, **threshold)
+    if sec.pop("baseline", False):
+        sec["baseline"] = integrate(init, dataclasses.replace(config, boundary="conservative"))
+    report = gelation_detect(traj, kernel=kernel, **sec)
     obj = {
         "policy": policy,
         "t_gel_detected": report.t_gel_detected,
         "t_gel_upper_bound": report.t_gel_upper_bound,
         "flags": report.flags,
     }
-    if xi_cfg is not None:
-        xi = ("power_shifted", xi_cfg.get("lam", 1.5)) \
-            if xi_cfg.get("kind", "power_shifted") == "power_shifted" else "ratio_shifted"
+    if xi is not None:
         func = gelation_functional(traj, rate, xi)
         obj["functional"] = {
             "i_xi": func.i_xi,

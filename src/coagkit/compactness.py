@@ -25,6 +25,7 @@ as rational triples or as int64 (num, den) arrays from the vectorised
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -32,10 +33,12 @@ from numbers import Rational
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError
+from .errors import ArgumentError, ConstructionError, DomainError
 from .grids import SizeDistribution
 
 __all__ = [
+    "CompactnessConfig",
+    "DlvpConfig",
     "FunctionFamily",
     "VPFunction",
     "eta_modulus",
@@ -172,9 +175,82 @@ def synthetic_family(kind: str, resolution: int = 512) -> FunctionFamily:
     raise DomainError(f"unknown synthetic family {kind!r}")
 
 
+@dataclass
+class CompactnessConfig:
+    """The family (``source`` "run": the run's snapshots; else a
+    ``synthetic_family`` kind), thresholds and eps of ``compactness``."""
+
+    source: str = "run"
+    thresholds: tuple = tuple(2.0 ** k for k in range(14))
+    eps: tuple = tuple(2.0 ** -k for k in range(4, 20))
+
+
 # ---------------------------------------------------------------------------
 # The convex-function builder
 # ---------------------------------------------------------------------------
+
+# The most samples ``DlvpConfig.draw`` returns, checked before anything is
+# drawn.  ``coagkit compactness`` on the benchmark's config with this many
+# samples peaks at about 195 MB RSS and takes about 6 s (2-core x86 VM).
+MAX_SAMPLES = 2 ** 20
+
+
+@dataclass
+class DlvpConfig:
+    """The arguments of ``dlvp_construct`` and ``vp_check`` besides the tail:
+    each alpha (all 1 when not given) the nearest p/q with q <= 10^9, and
+    betas ``beta_ratio``^m for m = 0..terms."""
+
+    alphas: list | None = None
+    beta_ratio: float = 0.25
+    terms: int = 6
+    samples: int = 1000
+
+    def __post_init__(self):
+        self.terms, self.samples = int(self.terms), int(self.samples)   # 6.0 is an integer
+        if self.samples > MAX_SAMPLES:
+            raise ArgumentError("samples", f"{self.samples} exceeds the budget of {MAX_SAMPLES}")
+        given = [1] * self.terms if self.alphas is None else self.alphas
+        if any(a > sys.float_info.max for a in given):
+            raise ArgumentError("alphas", "entry exceeds the largest float")
+        self.alphas = [Fraction(a).limit_denominator(10**9) for a in given]
+        if 0 in self.alphas:
+            tiny = given[self.alphas.index(0)]
+            raise ArgumentError("alphas", f"entry {tiny!r} rounds to 0 as p/q with q <= 10^9")
+        self.betas = [Fraction(self.beta_ratio) ** m for m in range(self.terms + 1)]
+
+    def draw(self, phi: VPFunction) -> np.ndarray:
+        """``samples`` triples (r, s, lambda) for ``vp_check``, as (num, den)
+        int64: r and s uniform below N_3 (or the last breakpoint), lambda
+        below 4, each the nearest p/q with q <= 10^6; the seed is fixed."""
+        rng = np.random.default_rng(20240211)
+        top = float(phi.breakpoints[min(3, len(phi.breakpoints) - 1)])
+        n = self.samples
+        draws = [rng.uniform(0, top, n), rng.uniform(0, top, n), rng.uniform(0, 4, n)]
+        nums, dens = limit_denominator(np.stack(draws, axis=1), 10**6)
+        return np.stack([nums, dens], axis=-1)
+
+
+def _inverse_tail(inverse_coeff: float = 2.0):
+    # c -> inverse_coeff / c at integers c: an int over a Fraction is exact,
+    # a float over one is the float division
+    if isinstance(inverse_coeff, float) and inverse_coeff.is_integer():
+        inverse_coeff = int(inverse_coeff)
+    return lambda c: inverse_coeff / Fraction(c)
+
+
+def _table_tail(tail_table: dict) -> dict:
+    if not tail_table:
+        raise ArgumentError("tail_table", "is empty")
+    return {float(k): v for k, v in tail_table.items()}
+
+
+# The tail of dlvp_construct by a config's compactness.dlvp.tail (TAIL_DEFAULT
+# when it names none), each taking exactly the keys of its kind; None stands
+# for the family's own tail integrals, family_tail.
+TAILS = {"from_family": lambda: None, "inverse": _inverse_tail, "table": _table_tail}
+TAIL_DEFAULT = "from_family"
+
 
 def _is_rational(x) -> bool:
     return isinstance(x, Rational)  # covers int and Fraction

@@ -107,6 +107,11 @@ class WeakFormResidual:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.residuals), initial=0.0))
 
+    def rows(self) -> list:
+        # the identity has no bound: the residual is reported, not judged
+        return [{"check": "weak_form_identity", "lhs": self.max_abs(), "rhs": 0.0,
+                 "margin": -self.max_abs(), "verdict": "info"}]
+
 
 @dataclass
 class ComparisonReport:
@@ -270,6 +275,20 @@ def flux_decomposition(dist: SizeDistribution, kernel: KernelSpec, A: float
 # ---------------------------------------------------------------------------
 # A-priori bound monitors
 # ---------------------------------------------------------------------------
+
+# The checks of a config's diagnostics.checks: each takes exactly the keys its
+# check reads, with their defaults, and returns the keywords of its monitor,
+# weak_form_residual, comparison_ode (on the kernel's radial rate) or else
+# bound_monitor.
+CHECKS = {
+    "phi_gronwall": lambda R=10.0: {"phi": lambda r: r * r, "R": R},
+    "psi_moment": lambda: {},
+    "product_l2": lambda A=4.0: {"A": A},
+    "equicontinuity": lambda: {},
+    "comparison_ode": lambda: {},
+    "weak_form_identity": lambda theta="identity": {"theta": theta},
+}
+
 
 def _weighted_sum(snap: SizeDistribution, values: np.ndarray) -> float:
     return float(np.dot(values, snap.number))
@@ -485,6 +504,13 @@ def ratio_shifted_ixi(rate: RadialRate) -> float:
     return ixi
 
 
+# The xi of gelation_functional by a config's gelation.xi.kind (XI_DEFAULT
+# when it names none): each takes exactly the keys of its kind.
+XI = {"power_shifted": lambda lam=1.5: ("power_shifted", lam),
+      "ratio_shifted": lambda: "ratio_shifted"}
+XI_DEFAULT = "power_shifted"
+
+
 def _xi_values(xi, rate: RadialRate, x: np.ndarray) -> tuple[str, np.ndarray, float, list]:
     flags = []
     if isinstance(xi, tuple) and xi[0] == "power_shifted":
@@ -523,7 +549,8 @@ def gelation_functional(traj: Trajectory, rate: RadialRate, xi) -> GelationRepor
                           detail={"xi": tag})
 
 
-def gelation_detect(traj: Trajectory, policy: str, threshold: float = 0.01,
+def gelation_detect(traj: Trajectory, policy: str = "m2_extrapolation",
+                    threshold: float = 0.01,
                     baseline: Trajectory | None = None,
                     kernel: KernelSpec | None = None) -> GelationReport:
     """Locate the gelation time along a trajectory.

@@ -9,6 +9,15 @@ class DomainError(CoagKitError):
     """Input outside the mathematical domain of an operation."""
 
 
+class ArgumentError(DomainError):
+    """An argument its function refuses: the message is the parameter's
+    ``name`` followed by the ``reason``."""
+
+    def __init__(self, name: str, reason: str):
+        super().__init__(f"{name} {reason}")
+        self.name, self.reason = name, reason
+
+
 class UnsupportedFamilyError(CoagKitError):
     """Operation requested for a kernel family it does not support."""
 

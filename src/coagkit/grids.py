@@ -8,7 +8,7 @@ Two discretizations of the size axis are supported:
   pivot per bin; ``density`` is number per unit size.
 
 Moments use pivot (midpoint) quadrature throughout, matching the two-point
-number/mass apportionment used by the solver and ``regrid``.
+number/mass apportionment used by the solver.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, GridError
+from .errors import ArgumentError, DomainError, GridError
 
 __all__ = [
     "SizeGrid",
@@ -26,7 +26,6 @@ __all__ = [
     "MomentSeries",
     "moment",
     "init_distribution",
-    "regrid",
 ]
 
 DEFAULT_GEOMETRIC_RATIO = 2.0 ** 0.25
@@ -58,30 +57,28 @@ class SizeGrid:
         return SizeGrid("discrete", n=int(n))
 
     @staticmethod
-    def sectional(edges, pivots=None) -> "SizeGrid":
+    def sectional(edges) -> "SizeGrid":
         edges = np.asarray(edges, dtype=float)
         if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
             raise GridError("edges must be strictly increasing, length >= 2")
         if edges[0] <= 0:
             raise GridError("edges must be positive")
-        if pivots is None:
-            pivots = np.sqrt(edges[:-1] * edges[1:])  # geometric-mean pivots
-        else:
-            pivots = np.asarray(pivots, dtype=float)
-            if pivots.shape != (edges.size - 1,):
-                raise GridError("need one pivot per bin")
-            if np.any(pivots <= edges[:-1]) or np.any(pivots >= edges[1:]):
-                raise GridError("each pivot must lie inside its bin")
+        pivots = np.sqrt(edges[:-1] * edges[1:])  # geometric-mean pivots
         return SizeGrid("sectional", edges=tuple(edges), pivots_=tuple(pivots))
 
     @staticmethod
-    def geometric(x_min: float, x_max: float, ratio: float = DEFAULT_GEOMETRIC_RATIO,
+    def geometric(x_min: float, x_max: float, ratio: float | None = None,
                   bins: int | None = None) -> "SizeGrid":
-        """Geometric sectional grid spanning [x_min, x_max]."""
+        """Geometric sectional grid spanning [x_min, x_max]: ``bins`` bins of
+        equal log-width, or bins of ``ratio`` (DEFAULT_GEOMETRIC_RATIO when
+        neither is given), the last one ending at or past x_max."""
         if bins is not None:
+            if ratio is not None:
+                raise ArgumentError("ratio", "is not read beside bins")
             _check_cells(bins)
-            edges = np.geomspace(x_min, x_max, bins + 1)
+            edges = np.geomspace(x_min, x_max, int(bins) + 1)
         else:
+            ratio = DEFAULT_GEOMETRIC_RATIO if ratio is None else ratio
             if ratio <= 1:
                 raise GridError("ratio must exceed 1")
             m = np.ceil(np.log(x_max / x_min) / np.log(ratio))
@@ -149,9 +146,6 @@ class SizeDistribution:
         """Per-cell particle number (density times width)."""
         return self.density * self.grid.widths
 
-    def with_time(self, t: float) -> "SizeDistribution":
-        return SizeDistribution(self.grid, self.density.copy(), float(t))
-
     def csv_rows(self, lead: str = "") -> list[str]:
         """``pivot,width,density`` rows, each after ``lead``; the one row
         format of this module's and the trajectory's CSV output."""
@@ -161,25 +155,6 @@ class SizeDistribution:
     def to_csv(self) -> str:
         """CSV columns pivot,width,density with LF line endings."""
         return "\n".join(["pivot,width,density", *self.csv_rows()]) + "\n"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "time": self.time,
-            "grid": {"kind": self.grid.kind,
-                     "n": self.grid.n,
-                     "edges": list(self.grid.edges),
-                     "pivots": list(self.grid.pivots_)},
-            "density": [float(v) for v in self.density],
-        }
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "SizeDistribution":
-        g = obj["grid"]
-        if g["kind"] == "discrete":
-            grid = SizeGrid.discrete(g["n"])
-        else:
-            grid = SizeGrid.sectional(g["edges"], g["pivots"])
-        return SizeDistribution(grid, np.asarray(obj["density"], float), obj["time"])
 
 
 def moment(dist: SizeDistribution, mu: float) -> float:
@@ -301,42 +276,6 @@ def _apportion_cells(grid: SizeGrid, num: np.ndarray, mass: np.ndarray) -> np.nd
             out[j] += n_i * w_lo
             out[j + 1] += n_i * w_hi
     return out
-
-
-def regrid(dist: SizeDistribution, target: SizeGrid) -> tuple[SizeDistribution, dict]:
-    """Re-express ``dist`` on ``target`` conserving number and mass.
-
-    Each source cell is treated as a point mass at its pivot and apportioned
-    onto the two bracketing target pivots, which conserves number and mass
-    cell by cell.  Mass below the first or above the last target pivot has
-    no bracket; it is removed from the distribution and reported in the info
-    dict as ``underflow_mass`` / ``overflow_mass``, so that the new first
-    moment plus the reported masses reproduces the old first moment exactly.
-    """
-    if target.size < 1:
-        raise GridError("degenerate target grid")
-    if target == dist.grid:
-        return SizeDistribution(dist.grid, dist.density.copy(), dist.time), {
-            "underflow_mass": 0.0, "overflow_mass": 0.0}
-    p_t = target.pivots
-    out_number = np.zeros(target.size)
-    underflow = overflow = 0.0
-    for p, n in zip(dist.grid.pivots, dist.number):
-        if n == 0.0:
-            continue
-        if p < p_t[0]:
-            underflow += p * n
-        elif p > p_t[-1]:
-            overflow += p * n
-        elif p == p_t[-1]:
-            out_number[-1] += n
-        else:
-            j = int(np.searchsorted(p_t, p, side="right")) - 1
-            w_lo, w_hi = _two_point_weights(p, p_t[j], p_t[j + 1])
-            out_number[j] += n * w_lo
-            out_number[j + 1] += n * w_hi
-    new = SizeDistribution(target, out_number / target.widths, dist.time)
-    return new, {"underflow_mass": underflow, "overflow_mass": overflow}
 
 
 def clamp_negatives(density: np.ndarray, fraction: float = NEGATIVE_CLAMP_FRACTION

@@ -16,10 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedFamilyError
+from .errors import ArgumentError, DomainError, UnsupportedFamilyError
+from .grids import SizeDistribution
 from .kernels import KernelSpec
+from .solver import Trajectory, _cap_binds
 
-__all__ = ["OracleResult", "exact_solution", "moment_oracle", "GEL_TIME_MULTIPLICATIVE"]
+__all__ = ["OracleResult", "exact_solution", "moment_oracle", "validation_oracle",
+           "validation_report", "GEL_TIME_MULTIPLICATIVE"]
 
 GEL_TIME_MULTIPLICATIVE = 1.0
 
@@ -69,6 +72,61 @@ def exact_solution(kernel: KernelSpec, t: float, n_sizes: int = 0) -> OracleResu
     return OracleResult("moments_only", t, moments,
                         validity=(0.0, GEL_TIME_MULTIPLICATIVE),
                         gel_time=GEL_TIME_MULTIPLICATIVE)
+
+
+def validation_oracle(init: SizeDistribution, kernel: KernelSpec,
+                      t_end: float) -> OracleResult:
+    """The closed form of ``kernel`` at ``t_end``, probed before a run from
+    ``init``: it is for the uncapped kernel, so a cap that binds on the grid
+    is refused, and for one particle of size 1 on the discrete equation."""
+    oracle = exact_solution(kernel, t_end)
+    if _cap_binds(kernel, init.grid):
+        raise UnsupportedFamilyError(
+            f"the closed-form oracle is for the uncapped {kernel.family} kernel; "
+            f"the cap {kernel.cap:g} binds on the grid")
+    f = init.density
+    if init.grid.kind != "discrete" or f[0] != 1.0 or np.any(f[1:]):
+        raise UnsupportedFamilyError(
+            "the closed-form oracle is for initial density [1, 0, ...] on a discrete grid")
+    return oracle
+
+
+def _distribution_sizes(cells: int, sizes: int | None = None) -> int:
+    if sizes is not None and sizes > cells:
+        raise ArgumentError("sizes", f"{sizes} exceeds the {cells} cells of the grid")
+    return min(10, cells) if sizes is None else sizes
+
+
+# How many sizes f_1..f_k validate compares, by the kind of closed form: each
+# takes the grid's cell count and exactly the keys its kind reads.
+SIZES = {"full_distribution": _distribution_sizes, "moments_only": lambda cells: 0}
+
+
+def validation_report(traj: Trajectory, oracle: OracleResult,
+                      distribution_rel: float = 1e-6, m0_rel: float = 1e-6,
+                      m1_rel: float = 1e-8, m2_rel: float = 1e-3) -> dict:
+    """The last snapshot of ``traj`` against ``oracle``: M0, grid+gel M1, M2
+    and f_1..f_k where the oracle gives them, each against its relative
+    tolerance."""
+    m, checks = traj.moments, []
+    for name, got, mu, tol in (("M0", m[0.0][-1], 0.0, m0_rel),
+                               ("M1", m[1.0][-1] + m.gel_mass[-1], 1.0, m1_rel),
+                               ("M2", m[2.0][-1], 2.0, m2_rel)):
+        if mu in oracle.moments:
+            got, want = float(got), oracle.moments[mu]
+            checks.append({"quantity": name, "computed": got, "reference": want,
+                           "rel_error": abs(got - want) / max(abs(want), 1e-300),
+                           "tolerance": tol})
+    if oracle.distribution is not None:
+        want = oracle.distribution
+        f = traj.snapshots[-1].density[:want.size]
+        rel = float(np.max(np.abs(f - want) / np.maximum(np.abs(want), 1e-300)))
+        checks.append({"quantity": f"f_1..f_{want.size}", "rel_error": rel,
+                       "tolerance": distribution_rel})
+    for c in checks:
+        c["verdict"] = "pass" if c["rel_error"] <= c["tolerance"] else "fail"
+    ok = all(c["verdict"] == "pass" for c in checks)
+    return {"t": oracle.t, "checks": checks, "verdict": "pass" if ok else "fail"}
 
 
 def moment_oracle(kernel: KernelSpec, init_moments: dict, t: float) -> dict:

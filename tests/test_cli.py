@@ -13,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coagkit import KernelSpec, RadialRate, SizeGrid, SolverConfig, cli, grids
+from coagkit import (KernelSpec, RadialRate, SizeGrid, SolverConfig, cli, compactness,
+                     diagnostics, grids, reference)
 from coagkit.errors import ConfigError
 
 
@@ -194,6 +195,40 @@ def test_compactness_synthetic_and_dlvp(tmp_path):
     assert rep["dlvp"]["function"]["breakpoints"] == [1, 8, 32, 128, 512, 2048, 8192]
     assert rep["dlvp"]["checks"]["passed"]
     assert rep["eta"]["tails"] == sorted(rep["eta"]["tails"], reverse=True)
+
+
+def test_inverse_tail_is_exact_for_a_whole_coefficient(tmp_path):
+    # 2, 2.0 and the default build one exact function, with rational tail
+    # values; 2.5 builds against float tail values
+    functions = {}
+    for coeff in (2, 2.0, None, 2.5):
+        dlvp = {"terms": 3, "tail": "inverse", "samples": 10}
+        if coeff is not None:
+            dlvp["inverse_coeff"] = coeff
+        out = tmp_path / str(coeff)
+        cfg = base_config(out, compactness={"source": "bounded", "dlvp": dlvp})
+        assert cli.cmd_compactness(write_config(tmp_path, "c.json", cfg)) == 0
+        functions[coeff] = json.loads((out / "compactness.json").read_text())["dlvp"]["function"]
+    assert functions[2] == functions[2.0] == functions[None]
+    assert functions[2]["tail_table"] == {"8": "1/4", "32": "1/16", "128": "1/64"}
+    assert functions[2.5]["tail_table"] == {"10": "0.25", "40": "0.0625", "160": "0.015625"}
+
+
+def test_whole_floats_run_as_the_integers_the_schema_takes_them_for(tmp_path):
+    # JSON Schema counts 3.0 as an integer; each of these once raised a
+    # TypeError traceback (exit 1)
+    runs = {}
+    for kind, number in (("int", 3), ("float", 3.0)):
+        out = tmp_path / kind
+        cfg = base_config(out / "c", compactness={"source": "bounded", "dlvp": {
+            "terms": number, "tail": "inverse", "samples": 10 * number}})
+        assert cli.cmd_compactness(write_config(tmp_path, "c.json", cfg)) == 0
+        cfg = base_config(out / "s", grid={"kind": "geometric", "span": [1.0, 16.0],
+                                           "bins": 4 * number},
+                          init={"family": "exponential", "params": {"mean": 2.0}})
+        assert cli.cmd_simulate(write_config(tmp_path, "s.json", cfg)) == 0
+        runs[kind] = [(out / p).read_text() for p in ("c/compactness.json", "s/moments.csv")]
+    assert runs["int"] == runs["float"]
 
 
 def test_compactness_concentrating_eta_one(tmp_path):
@@ -597,6 +632,12 @@ def _tabulated_kernel_on(grid):
     return edit
 
 
+def _checks(*checks):
+    def edit(cfg):
+        cfg["diagnostics"] = {"checks": list(checks)}
+    return edit
+
+
 def _compactness(**sec):
     def edit(cfg):
         cfg["compactness"] = {"source": "bounded", **sec}
@@ -699,6 +740,37 @@ BAD_CONFIGS = {
     "simulate-ragged-tabulated-kernel-matrix":
         ("simulate", lambda cfg: cfg.update(kernel={"family": "tabulated", "params": {
             "x_nodes": [1.0, 10.0], "matrix": [[1.0, 1.0], [1.0]]}}), 2),
+    # keys a check, a kind or a closed form does not read: each once exited 0
+    "simulate-psi-moment-with-R":
+        ("simulate", _checks({"name": "psi_moment", "R": 3}), 2),
+    "simulate-phi-gronwall-with-A":
+        ("simulate", _checks({"name": "phi_gronwall"}, {"name": "phi_gronwall", "A": 4.0}), 2),
+    "simulate-comparison-ode-with-theta":
+        ("simulate", _checks({"name": "comparison_ode", "theta": "one"}), 2),
+    "gelation-ratio-shifted-xi-with-lam":
+        ("gelation", lambda cfg: cfg.update(gelation={"xi": {"kind": "ratio_shifted",
+                                                             "lam": 2.0}}), 2),
+    "compactness-inverse-coeff-under-table-tail":
+        ("compactness", _compactness(dlvp={"tail": "table", "tail_table": {"1": 1.0},
+                                           "inverse_coeff": 2}), 2),
+    "compactness-tail-table-under-default-tail":
+        ("compactness", _compactness(dlvp={"tail_table": {"1": 1.0}}), 2),
+    "validate-sizes-on-additive":
+        ("validate", lambda cfg: cfg.update(kernel={"family": "additive"},
+                                            validate={"sizes": 5}), 2),
+    "simulate-geometric-ratio-beside-bins":
+        ("simulate", lambda cfg: cfg.update(
+            grid={"kind": "geometric", "span": [1.0, 16.0], "bins": 8, "ratio": 2.0},
+            init={"family": "exponential", "params": {"mean": 2.0}}), 2),
+    # 10^9 samples once drew 7.7 GB into the OOM killer; refused before any draw
+    "compactness-samples-over-the-budget":
+        ("compactness", _compactness(dlvp={"samples": compactness.MAX_SAMPLES + 1}), 2),
+    # json.dumps writes the 401-digit literal: once an OverflowError traceback
+    "compactness-alpha-beyond-every-float":
+        ("compactness", _compactness(dlvp={"terms": 2, "alphas": [10**400, 1]}), 2),
+    # once rounded to 0 and refused as "alphas and betas must be positive"
+    "compactness-alpha-below-the-rational-resolution":
+        ("compactness", _compactness(dlvp={"terms": 2, "alphas": [1e-300, 1]}), 2),
 }
 
 # what the stderr line of each refusal before the run names
@@ -719,6 +791,23 @@ REFUSED_BEFORE_THE_RUN = {
     "gelation-xi-on-brownian": "kernel has no product form r(x) r(y)",
     "gelation-xi-on-binding-pointwise-cap": "gelation.xi needs a product kernel",
     "simulate-ragged-tabulated-kernel-matrix": "tabulated kernel matrix",
+    "simulate-psi-moment-with-R": "diagnostics.checks[0].R is not read by psi_moment",
+    "simulate-phi-gronwall-with-A": "diagnostics.checks[1].A is not read by phi_gronwall",
+    "simulate-comparison-ode-with-theta":
+        "diagnostics.checks[0].theta is not read by comparison_ode",
+    "gelation-ratio-shifted-xi-with-lam": "gelation.xi.lam is not read by ratio_shifted",
+    "compactness-inverse-coeff-under-table-tail":
+        "compactness.dlvp.inverse_coeff is not read by table",
+    "compactness-tail-table-under-default-tail":
+        "compactness.dlvp.tail_table is not read by from_family",
+    "validate-sizes-on-additive": "validate.sizes is not read by the moments_only oracle",
+    "simulate-geometric-ratio-beside-bins": "grid.ratio is not read beside bins",
+    "compactness-samples-over-the-budget":
+        f"compactness.dlvp.samples {compactness.MAX_SAMPLES + 1} exceeds the budget",
+    "compactness-alpha-beyond-every-float":
+        "compactness.dlvp.alphas entry exceeds the largest float",
+    "compactness-alpha-below-the-rational-resolution":
+        "compactness.dlvp.alphas entry 1e-300 rounds to 0",
 }
 
 
@@ -758,6 +847,20 @@ def test_overflowing_number_literal_exits_2(tmp_path, section, key):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.strip().splitlines() == [
         "config error: non-finite number 1e999 in the config"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_integer_literal_past_the_digit_limit_exits_2(tmp_path):
+    # json refuses to read an integer of more than 4300 digits with a
+    # ValueError that is not a JSONDecodeError: once a traceback, exit 1
+    cfg = base_config(tmp_path / "o", compactness={"source": "bounded",
+                                                   "dlvp": {"alphas": [7, 1]}})
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg).replace("[7,", "[1" + "0" * 5000 + ","), encoding="utf-8")
+    proc = _run_cli("compactness", path)
+    assert proc.returncode == 2, proc.stderr
+    [line] = proc.stderr.strip().splitlines()
+    assert line.startswith("config error: cannot read config") and "4300 digits" in line
     assert not (tmp_path / "o").exists()
 
 
@@ -818,8 +921,6 @@ def test_config_sections_name_the_library_constructors():
     # of its parameters is a key of its section (span gives x_min and x_max),
     # as are SolverConfig's, KernelSpec.truncate's and each initial family's:
     # so on a schema-valid config build_run fails only with ConfigError.
-    # The one exception: SizeGrid.sectional's pivots default to the geometric
-    # means of the edges, and no config key sets them.
     props = cli.CONFIG_SCHEMA["properties"]
     kernel = props["kernel"]["properties"]
     params = kernel["params"]["properties"]
@@ -832,8 +933,7 @@ def test_config_sections_name_the_library_constructors():
         for name in names:
             assert isinstance(vars(cls).get(name), staticmethod), (cls, name)
             for p in inspect.signature(getattr(cls, name)).parameters:
-                assert rename.get(p, p) in keys or (name, p) == ("sectional", "pivots"), \
-                    (cls.__name__, name, p)
+                assert rename.get(p, p) in keys, (cls.__name__, name, p)
     solver = props["solver"]["properties"]
     for p in inspect.signature(SolverConfig).parameters:
         assert p == "kernel" or {"snapshot_times": "snapshots"}.get(p, p) in solver, p
@@ -844,3 +944,48 @@ def test_config_sections_name_the_library_constructors():
     for family in init["family"]["enum"]:
         grid_arg, *rest = inspect.signature(grids._INIT_FAMILIES[family]).parameters
         assert grid_arg == "grid" and set(rest) <= init["params"]["properties"].keys(), family
+
+
+def test_section_keys_are_the_parameters_of_the_library_functions():
+    # diagnostics, validate, gelation and compactness: each key is a
+    # parameter of the function the CLI passes it to, and each parameter is
+    # a key, besides those the CLI passes itself (the trajectory, the cells
+    # of the grid) and the keys that name a kind or hold a section
+    props = cli.CONFIG_SCHEMA["properties"]
+
+    def keys(section, *skip):
+        return set(section["properties"]) - set(skip)
+
+    def params(fn, *given):
+        return set(inspect.signature(fn).parameters) - set(given)
+
+    def kinds(table, *given):
+        assert all(params(f, *given) <= params(f) for f in table.values())
+        return set().union(*(params(f, *given) for f in table.values()))
+
+    checks = props["diagnostics"]["properties"]["checks"]["items"]
+    assert set(checks["properties"]["name"]["enum"]) == diagnostics.CHECKS.keys()
+    for name, check in diagnostics.CHECKS.items():
+        assert params(check) <= keys(checks, "name"), name
+    assert kinds(diagnostics.CHECKS) == keys(checks, "name")
+
+    validate = props["validate"]
+    assert params(reference.validation_report, "traj", "oracle") \
+        == keys(validate["properties"]["tolerances"])
+    assert reference.SIZES.keys() == {"full_distribution", "moments_only"}
+    assert kinds(reference.SIZES, "cells") == keys(validate, "tolerances")
+
+    gelation = props["gelation"]
+    assert params(diagnostics.gelation_detect, "traj", "kernel") == keys(gelation, "xi")
+    xi = gelation["properties"]["xi"]
+    assert set(xi["properties"]["kind"]["enum"]) == diagnostics.XI.keys()
+    assert diagnostics.XI_DEFAULT in diagnostics.XI
+    assert kinds(diagnostics.XI) == keys(xi, "kind")
+
+    section = props["compactness"]
+    assert params(compactness.CompactnessConfig) == keys(section, "dlvp")
+    dlvp = section["properties"]["dlvp"]
+    assert set(dlvp["properties"]["tail"]["enum"]) == compactness.TAILS.keys()
+    assert compactness.TAIL_DEFAULT in compactness.TAILS
+    own, tails = params(compactness.DlvpConfig), kinds(compactness.TAILS)
+    assert not own & tails and own | tails == keys(dlvp, "tail")

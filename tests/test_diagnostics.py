@@ -127,7 +127,8 @@ def test_weak_form_min_with_and_flux_consistency(multiplicative_run):
     kernel = ck.KernelSpec.multiplicative()
     snap = multiplicative_run.snapshots[5]
     i1, i2, i3 = ck.flux_decomposition(snap, kernel, A)
-    single = ck.Trajectory(snapshots=[snap, snap.with_time(snap.time + 1.0)],
+    single = ck.Trajectory(snapshots=[snap, ck.SizeDistribution(snap.grid, snap.density,
+                                                                  snap.time + 1.0)],
                            moments=ck.MomentSeries(
                                np.array([snap.time, snap.time + 1.0]),
                                {0.0: np.zeros(2)}),
