@@ -386,6 +386,10 @@ def _warn_sparse_snapshots(config: SolverConfig, grid: SizeGrid):
               file=sys.stderr)
 
 
+# the solver keys each scheme does not read, and what its step is instead
+_UNREAD = {"rk45": (("dt",), "adaptive"), "rk4": (("rel_tol", "abs_tol"), "the fixed dt")}
+
+
 def build_run(cfg: dict):
     """The initial distribution and the solver config of a run; the
     config's kernel is the one integrated, ``solver.truncation_n`` applied.
@@ -407,8 +411,11 @@ def build_run(cfg: dict):
         raise
     except CoagKitError as exc:
         raise ConfigError(str(exc)) from exc
-    if config.scheme == "rk45" and config.dt is not None:
-        raise ConfigError("solver.dt is not read by the rk45 scheme, whose step is adaptive")
+    keys, step = _UNREAD[config.scheme]
+    for key in keys:
+        if key in s:
+            raise ConfigError(f"solver.{key} is not read by the {config.scheme} scheme, "
+                              f"whose step is {step}")
     return init, config
 
 
@@ -602,8 +609,8 @@ def _compactness(cfg: dict, out: str | None) -> int:
                      "compactness.dlvp", "tail", TAIL_DEFAULT)
         dlvp = _call(DlvpConfig, {k: v for k, v in dlvp.items() if k in own},
                      "compactness.dlvp")
+    init, config = build_run(cfg)      # every section is checked, whatever the source
     if spec.source == "run":
-        init, config = build_run(cfg)
         family = FunctionFamily.from_snapshots(integrate(init, config).snapshots)
     else:
         family = synthetic_family(spec.source)

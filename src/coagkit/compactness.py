@@ -8,18 +8,19 @@
   breakpoints chosen against a prescribed tail table, and the full suite of
   inequalities such functions satisfy.
 
-Breakpoints and slopes are kept as exact integers/rationals whenever the
-inputs permit, so the structural identities (derivative continuity, slope
-monotonicity) hold exactly rather than to round-off.  An exact function also
-keeps its tables scaled to integers over one common denominator; Phi and
-Phi' at p/q are then unreduced integer pairs, and every exact margin of
+Every function is always exact: each breakpoint and alpha is taken as the
+rational it is, a float as its exact binary value (a caller who means 1/10
+passes ``Fraction(1, 10)``), so the structural identities (derivative
+continuity, slope monotonicity) hold exactly rather than to round-off.  The
+tables are also scaled to integers over one common denominator; Phi and
+Phi' at p/q are then unreduced integer pairs, and every margin of
 ``vp_check`` is a difference X - Y of sums of products of non-negative
 integers.  ``vp_check`` evaluates those in float64 over all samples at once
 with an a-priori error bound (a static filter after Shewchuk); a margin whose
 sign, or whose place against the minimum, the bound leaves uncertain falls
 back to integer cross-multiplication, so the report is exact.  Samples come
-as rational triples or as int64 (num, den) arrays from the vectorised
-``limit_denominator``.
+as triples of numbers, each read as its exact ratio, or as int64 (num, den)
+arrays from the vectorised ``limit_denominator``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from numbers import Rational
 
 import numpy as np
@@ -193,6 +195,14 @@ class CompactnessConfig:
 # drawn.  ``coagkit compactness`` on the benchmark's config with this many
 # samples peaks at about 195 MB RSS and takes about 6 s (2-core x86 VM).
 MAX_SAMPLES = 2 ** 20
+# The most segments ``DlvpConfig`` takes, checked before any alpha or beta
+# is built.  ``coagkit compactness`` on demos/configs/compactness_singular.json
+# with this many terms and 1000 samples takes about 1.0 s and 39 MB peak RSS
+# under the ``from_family`` tail and under the ``table`` tail {"1": 0.0}
+# (every breakpoint placed, N_m doubling), and 0.4 s under ``inverse``, which
+# stops at index 31 (2-core x86 VM).  Cost grows faster than linearly: 2048
+# terms under that table took 3.7 s.
+MAX_TERMS = 2 ** 9
 
 
 @dataclass
@@ -208,8 +218,9 @@ class DlvpConfig:
 
     def __post_init__(self):
         self.terms, self.samples = int(self.terms), int(self.samples)   # 6.0 is an integer
-        if self.samples > MAX_SAMPLES:
-            raise ArgumentError("samples", f"{self.samples} exceeds the budget of {MAX_SAMPLES}")
+        for key, budget in (("terms", MAX_TERMS), ("samples", MAX_SAMPLES)):
+            if getattr(self, key) > budget:
+                raise ArgumentError(key, f"{getattr(self, key)} exceeds the budget of {budget}")
         given = [1] * self.terms if self.alphas is None else self.alphas
         if any(a > sys.float_info.max for a in given):
             raise ArgumentError("alphas", "entry exceeds the largest float")
@@ -252,12 +263,12 @@ TAILS = {"from_family": lambda: None, "inverse": _inverse_tail, "table": _table_
 TAIL_DEFAULT = "from_family"
 
 
-def _is_rational(x) -> bool:
-    return isinstance(x, Rational)  # covers int and Fraction
-
-
-def _frac(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _rational(x) -> Fraction:
+    """x as the exact rational it is: a float is its binary value."""
+    try:
+        return Fraction(x)
+    except (ValueError, OverflowError):
+        raise DomainError(f"{x!r} is not a finite number") from None
 
 
 # Elements per block of the array passes below: each temporary is 16 KiB,
@@ -399,25 +410,28 @@ def _pairs(tables, p, q):
 class VPFunction:
     """Piecewise-quadratic convex function with concave derivative.
 
-    Phi'(r) = A_m r + B_m on [N_m, N_{m+1}], Phi(0) = Phi'(0) = 0, slopes A_m
-    positive and non-increasing, Phi' continuous.  Beyond the last breakpoint
-    Phi' continues affinely with the last slope.
+    Phi'(r) = P_m + A_m (r - N_m) on [N_m, N_{m+1}], Phi(0) = Phi'(0) = 0,
+    slopes A_m positive and non-increasing.  Beyond the last breakpoint Phi'
+    continues affinely with the last slope.  Each breakpoint and alpha is
+    taken as the exact rational it is (a whole one as an int), so the
+    function is always exact.
     """
 
-    breakpoints: list          # integers N_0 = 1 < N_1 <= ...
+    breakpoints: list          # N_0 = 1 < N_1 < ..., integers from dlvp_construct
     alphas: list               # alpha_m, one per segment
     tail_table: dict = field(default_factory=dict)   # N_m -> tail bound used
-    exact: bool = False
 
     # derived, filled in __post_init__
     slopes: list = field(default_factory=list)       # A_m
-    intercepts: list = field(default_factory=list)   # B_m
     deriv_at: list = field(default_factory=list)     # Phi'(N_m)
     value_at: list = field(default_factory=list)     # Phi(N_m)
 
+    # every function is exact; compactness.json reports it
+    exact = True
+
     def __post_init__(self):
-        n = self.breakpoints
-        a = self.alphas
+        n = [_rational(v) for v in self.breakpoints]
+        a = [_rational(v) for v in self.alphas]
         if len(n) < 2 or len(a) != len(n) - 1:
             raise DomainError("need breakpoints N_0..N_M and one alpha per segment")
         if n[0] != 1 or n[1] < 2:
@@ -426,48 +440,33 @@ class VPFunction:
             raise DomainError("breakpoints must be strictly increasing")
         if any(x <= 0 for x in a):
             raise DomainError("alphas must be positive")
-        self.exact = all(_is_rational(v) for v in list(n) + list(a))
-        conv = _frac if self.exact else float
-        A = [conv(a[m]) / (conv(n[m + 1]) - conv(n[m])) for m in range(len(a))]
+        self.breakpoints = [int(v) if v.denominator == 1 else v for v in n]
+        self.alphas = a
+        A = [a[m] / (n[m + 1] - n[m]) for m in range(len(a))]
         for prev, cur in zip(A, A[1:]):
             if cur > prev:
                 raise DomainError("slope sequence must be non-increasing (c1)")
-        # Phi'(N_m) = sum_{i<m} alpha_i + alpha_0/(N_1 - N_0)
-        P = [A[0] * conv(n[0])]
-        for m in range(1, len(n)):
-            P.append(sum((conv(x) for x in a[:m]), conv(0)) + A[0])
-        B = [conv(0)] + [P[m] - A[min(m, len(A) - 1)] * conv(n[m])
-                         for m in range(1, len(n))]
+        # Phi'(N_m) = sum_{i<m} alpha_i + alpha_0/(N_1 - N_0): continuous
+        # (c2) by construction, as A_m (N_{m+1} - N_m) = alpha_m
+        P = [A[0] + s for s in accumulate(a, initial=0)]
         # Phi at breakpoints by exact quadratic integration
-        V = [A[0] * conv(n[0]) ** 2 / 2]
+        V = [A[0] / 2]
         for m in range(1, len(n)):
-            lo, hi = conv(n[m - 1]), conv(n[m])
-            Am = A[m - 1]
-            V.append(V[-1] + P[m - 1] * (hi - lo) + Am * (hi - lo) ** 2 / 2)
-        self.slopes, self.intercepts, self.deriv_at, self.value_at = A, B, P, V
-        # derivative continuity (c2) as an identity
-        for m in range(len(A) - 1):
-            lhs = A[m + 1] * conv(n[m + 1]) + B[m + 1]
-            rhs = A[m] * conv(n[m + 1]) + B[m]
-            if self.exact:
-                if lhs != rhs:
-                    raise DomainError("derivative continuity (c2) violated")
-            elif abs(lhs - rhs) > 1e-12 * max(1.0, abs(rhs)):
-                raise DomainError("derivative continuity (c2) violated")
-        if self.exact:
-            # integer tables over one common denominator L, with segment 0
-            # expanded about 0 (N = P = V = 0 there) and the last slope
-            # repeated past the end: Phi = V_k + P_k d + A_k d^2 / 2 with
-            # d = r - N_k >= 0 on every segment, a sum of non-negative terms.
-            # N_k = U_k / B_k in lowest terms, and W_k = L / B_k.
-            L = math.lcm(*(_frac(v).denominator for v in (*A, *P, *V, *n)))
-            self._L = L
-            N = [Fraction(0)] + [_frac(v) for v in n[1:]]
-            self._U, self._B = [b.numerator for b in N], [b.denominator for b in N]
-            self._W = [L // b for b in self._B]
-            self._A, self._P, self._V = ([int(_frac(v) * L) for v in vals]
-                                         for vals in (A + A[-1:], P, V))
-            self._P[0] = self._V[0] = 0
+            d = n[m] - n[m - 1]
+            V.append(V[-1] + P[m - 1] * d + A[m - 1] * d * d / 2)
+        self.slopes, self.deriv_at, self.value_at = A, P, V
+        # integer tables over one common denominator L, with segment 0
+        # expanded about 0 (N = P = V = 0 there) and the last slope repeated
+        # past the end: Phi = V_k + P_k d + A_k d^2 / 2 with d = r - N_k >= 0
+        # on every segment, a sum of non-negative terms.  N_k = U_k / B_k in
+        # lowest terms, and W_k = L / B_k.
+        L = self._L = math.lcm(*(v.denominator for v in (*A, *P, *V, *n)))
+        N = [Fraction(0)] + n[1:]
+        self._U, self._B = [b.numerator for b in N], [b.denominator for b in N]
+        self._W = [L // b for b in self._B]
+        self._A, self._P, self._V = ([int(v * L) for v in vals]
+                                     for vals in (A + A[-1:], P, V))
+        self._P[0] = self._V[0] = 0
 
     def _tables(self, kind=int):
         """``(L, U, B, W, A, P, V)`` for ``_pairs``: the integer tables,
@@ -481,9 +480,7 @@ class VPFunction:
         return (self._L, *tabs)
 
     def _exact_at(self, r, order: int):
-        if not self.exact:  # float tables: there is nothing exact to return
-            return float(vp_eval(self, float(r), order))
-        r = _frac(r)
+        r = _rational(r)
         if r < 0:
             raise DomainError("argument must be non-negative")
         p, q = r.numerator, r.denominator
@@ -516,10 +513,9 @@ class VPFunction:
     def to_json_obj(self) -> dict:
         return {
             "breakpoints": [int(b) for b in self.breakpoints],
-            "alphas": [str(a) if self.exact else float(a) for a in self.alphas],
+            "alphas": [str(a) for a in self.alphas],
             "exact": self.exact,
-            "tail_table": {str(k): (str(v) if self.exact else float(v))
-                           for k, v in self.tail_table.items()},
+            "tail_table": {str(k): str(v) for k, v in self.tail_table.items()},
             "deriv_at_breakpoints": [float(p) for p in self.deriv_at],
         }
 
@@ -527,12 +523,12 @@ class VPFunction:
 def vp_eval(phi: VPFunction, r, order: int = 0):
     """Phi (order 0), Phi' (order 1), or the piecewise-constant Phi'' (order 2).
 
-    Accepts scalars or arrays; exact rationals in, exact rationals out when
-    the function was built in exact mode.
+    Accepts scalars or arrays; an int or Fraction scalar gives an exact
+    Fraction, anything else float64.
     """
     if order not in (0, 1, 2):
         raise DomainError("order must be 0, 1, or 2")
-    if np.isscalar(r) and _is_rational(r) and phi.exact:
+    if np.isscalar(r) and isinstance(r, Rational):
         return (phi.value_exact, phi.deriv_exact, phi.second_exact)[order](r)
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0):
@@ -583,10 +579,6 @@ def _as_sequence(spec, count):
     return seq[:count]
 
 
-def _ceil_div(num, den):
-    return -((-num) // den)
-
-
 def dlvp_construct(tail, alphas, betas, terms: int | None = None,
                    search_limit: int = 2 ** 62) -> VPFunction:
     """Build a superlinear convex function against a tail table.
@@ -609,14 +601,12 @@ def dlvp_construct(tail, alphas, betas, terms: int | None = None,
         terms = min(len(alphas), len(betas) - 1)
     if terms < 1:
         raise DomainError("need at least one segment")
-    a = _as_sequence(alphas, terms)
+    a = [_rational(x) for x in _as_sequence(alphas, terms)]
     b = _as_sequence(betas, terms + 1)
     if any((x <= 0) for x in a) or any((x <= 0) for x in b):
         raise DomainError("alphas and betas must be positive")
     tail_fn, ceiling = _tail_callable(tail)
     limit = min(search_limit, ceiling) if ceiling is not None else search_limit
-
-    exact = all(_is_rational(v) for v in a)
 
     breakpoints = [1]
     tail_table = {}
@@ -624,15 +614,8 @@ def dlvp_construct(tail, alphas, betas, terms: int | None = None,
         if m == 1:
             lower = 2
         else:
-            ratio_num, ratio_den = (a[m - 1], a[m - 2])
-            if exact and all(_is_rational(v) for v in (ratio_num, ratio_den)):
-                ratio = _frac(ratio_num) / _frac(ratio_den)
-                lower = int(_ceil_div((1 + ratio).numerator * breakpoints[m - 1],
-                                      (1 + ratio).denominator))
-            else:
-                lower = int(np.ceil((1.0 + float(ratio_num) / float(ratio_den))
-                                    * breakpoints[m - 1]))
-            lower = max(lower, breakpoints[m - 1] + 1)
+            lower = max(math.ceil((1 + a[m - 1] / a[m - 2]) * breakpoints[m - 1]),
+                        breakpoints[m - 1] + 1)
         beta_m = b[m]
         if tail_fn(lower) <= beta_m:
             chosen = lower
@@ -657,7 +640,7 @@ def dlvp_construct(tail, alphas, betas, terms: int | None = None,
         breakpoints.append(chosen)
         tail_table[chosen] = tail_fn(chosen)
 
-    return VPFunction(breakpoints, list(a), tail_table)
+    return VPFunction(breakpoints, a, tail_table)
 
 
 # ---------------------------------------------------------------------------
@@ -699,21 +682,6 @@ class VPCheckReport:
                 for c in self.checks
             ],
         }
-
-
-def _record(records, name, ok, margin: float):
-    rec = records.setdefault(name, [0, 0, None])
-    rec[0] += 1
-    rec[1] += 0 if ok else 1
-    rec[2] = margin if rec[2] is None else min(rec[2], margin)
-
-
-def _margin_accumulate(records, name, lhs, rhs, tol):
-    """Record margin rhs - lhs >= -tol * scale for one sample."""
-    margin = rhs - lhs
-    scale = max(1, abs(lhs), abs(rhs)) if isinstance(margin, Fraction) \
-        else max(1.0, abs(float(lhs)), abs(float(rhs)))
-    _record(records, name, margin >= -tol * scale, float(margin))
 
 
 _MARGINS = ("b122_ratio_concave", "b123_lower", "b123_upper", "b123b_cross",
@@ -761,9 +729,9 @@ def _gamma(k: int) -> float:
 
 
 def _rational_array(samples) -> np.ndarray:
-    """The (n, 3, 2) array of the samples' (numerator, denominator): int64,
-    or Python integers when one does not fit."""
-    rows = [[(int(v.numerator), int(v.denominator)) for v in t] for t in samples]
+    """The (n, 3, 2) array of the samples' exact (numerator, denominator):
+    int64, or Python integers when one does not fit."""
+    rows = [[_rational(v).as_integer_ratio() for v in t] for t in samples]
     try:
         return np.array(rows, dtype=np.int64).reshape(len(rows), 3, 2)
     except OverflowError:
@@ -771,8 +739,8 @@ def _rational_array(samples) -> np.ndarray:
 
 
 def _exact_margins(phi: VPFunction, samples: np.ndarray, records):
-    """The sample checks of ``vp_check`` on an exact function, decided
-    exactly, for an (n, 3, 2) integer array of (num, den) samples.
+    """The sample checks of ``vp_check``, decided exactly, for an (n, 3, 2)
+    integer array of (num, den) samples.
 
     A float64 pre-pass, after Shewchuk (Discrete Comput. Geom. 18 (1997)
     305-363), evaluates every margin (X - Y) / D over all samples with
@@ -843,8 +811,7 @@ def _exact_margins(phi: VPFunction, samples: np.ndarray, records):
     records.update((name, found[name]) for name in order if name in found)
 
 
-def vp_check(phi: VPFunction, samples, member=None, tol: float = 1e-12
-             ) -> VPCheckReport:
+def vp_check(phi: VPFunction, samples, member=None) -> VPCheckReport:
     """Evaluate the inequality suite on (r, s, lambda) triples.
 
     Checks: concavity of Phi(r)/r; Phi <= r Phi' <= 2 Phi; s Phi'(r) <=
@@ -854,87 +821,31 @@ def vp_check(phi: VPFunction, samples, member=None, tol: float = 1e-12
     integral of Phi(|f|) below each breakpoint.
 
     ``samples`` is an iterable of triples, or an (n, 3, 2) integer array of
-    their (numerator, denominator) pairs.  In exact mode with rational
-    samples every margin is decided exactly (float-filtered, by integer
-    cross-multiplication where the filter is unsure), and ``tol`` is
-    ignored.
+    their (numerator, denominator) pairs.  The check is always exact: each
+    number of a triple and of ``member`` is read as its exact ratio (a float
+    as its binary value), and every margin is decided exactly, float-filtered
+    and by integer cross-multiplication where the filter is unsure.
     """
     records: dict = {}
     if not isinstance(samples, np.ndarray):
-        samples = list(samples)  # read once: it may be an iterator
-        if phi.exact and all(_is_rational(v) for t in samples for v in t):
-            samples = _rational_array(samples)
+        samples = _rational_array(list(samples))   # read once: it may be an iterator
     elif samples.ndim != 3 or samples.shape[1:] != (3, 2) \
             or samples.dtype.kind not in "iuO":
         raise DomainError("a sample array must be (n, 3, 2) integers")
-    exact = phi.exact and isinstance(samples, np.ndarray)
-
-    if exact:
-        _exact_margins(phi, samples, records)
-    else:
-        if isinstance(samples, np.ndarray):
-            samples = (samples[..., 0] / samples[..., 1]).tolist()
-
-        def Phi(r):
-            return float(vp_eval(phi, float(r), 0))
-
-        def dPhi(r):
-            return float(vp_eval(phi, float(r), 1))
-
-        for (r, s, lam) in samples:
-            if r < 0 or s < 0 or lam < 0:
-                raise DomainError("samples must be non-negative")
-            fr, fs = Phi(r), Phi(s)
-            dfr = dPhi(r)
-            if r > 0 and s > 0:
-                mid = (float(r) + float(s)) / 2.0
-                _margin_accumulate(records, "b122_ratio_concave",
-                                   (fr / r + fs / s) / 2, Phi(mid) / mid, tol)
-            _margin_accumulate(records, "b123_lower", fr, r * dfr, tol)
-            _margin_accumulate(records, "b123_upper", r * dfr, 2 * fr, tol)
-            _margin_accumulate(records, "b123b_cross", s * dfr, fr + fs, tol)
-            _margin_accumulate(records, "b124_scaling", Phi(lam * r),
-                               max(1, lam * lam) * fr, tol)
-            frs = Phi(r + s)
-            _margin_accumulate(records, "b125_product",
-                               (r + s) * (frs - fr - fs),
-                               2 * (r * fs + s * fr), tol)
-            _margin_accumulate(records, "b127_deriv_subadd",
-                               dPhi(r + s), dfr + dPhi(s), tol)
+    _exact_margins(phi, samples, records)
 
     if member is not None:
-        pairs = list(zip(*member))   # read once: either may be an iterator
-        exact_m = exact and all(
-            _is_rational(v) and _is_rational(w) for v, w in pairs)
-        if exact_m:
-            norm1 = sum((abs(v) * w for v, w in pairs), Fraction(0))
-        else:
-            va = np.abs(np.asarray([v for v, _ in pairs], float))
-            wa = np.asarray([w for _, w in pairs], float)
-            norm1 = float(np.dot(va, wa))
-        dphi1 = phi.deriv_exact(Fraction(1)) if exact_m else float(vp_eval(phi, 1.0, 1))
-
-        def tail_at(nm):
-            if exact_m:
-                return sum((abs(v) * w for v, w in pairs if abs(v) >= nm), Fraction(0))
-            return float(np.sum(np.where(va >= nm, va * wa, 0.0)))
-
-        nbp = phi.breakpoints
+        # read once: either may be an iterator
+        pairs = [(abs(_rational(v)), _rational(w)) for v, w in zip(*member)]
+        rhs = phi.deriv_exact(1) * sum(v * w for v, w in pairs)
+        nbp, margins = phi.breakpoints, []
         for k in range(1, len(nbp)):
-            nk = nbp[k]
-            if exact_m:
-                lhs = sum((phi.value_exact(abs(v)) * w
-                           for v, w in pairs if abs(v) < nk), Fraction(0))
-            else:
-                below = va < nk
-                lhs = float(np.sum(np.asarray(vp_eval(phi, va[below], 0)) * wa[below]))
-            rhs = dphi1 * norm1
-            for j in range(k):
-                dstep = (phi.deriv_at[j + 1] - phi.deriv_at[j]) if exact_m else \
-                    float(phi.deriv_at[j + 1]) - float(phi.deriv_at[j])
-                rhs = rhs + dstep * tail_at(nbp[j])
-            _margin_accumulate(records, "b111_tail_bound", lhs, rhs,
-                               0 if exact_m else tol)
+            lhs = sum(phi.value_exact(v) * w for v, w in pairs if v < nbp[k])
+            rhs += (phi.deriv_at[k] - phi.deriv_at[k - 1]) * sum(
+                v * w for v, w in pairs if v >= nbp[k - 1])
+            margins.append(rhs - lhs)
+        records["b111_tail_bound"] = [len(margins), sum(m < 0 for m in margins),
+                                      float(min(margins))]
 
     checks = [InequalityCheck(name, *records[name]) for name in records]
     return VPCheckReport(checks)

@@ -147,14 +147,10 @@ class SizeDistribution:
         return self.density * self.grid.widths
 
     def csv_rows(self, lead: str = "") -> list[str]:
-        """``pivot,width,density`` rows, each after ``lead``; the one row
-        format of this module's and the trajectory's CSV output."""
+        """``pivot,width,density`` rows, each after ``lead``: the rows of
+        ``Trajectory.snapshots_csv``."""
         return [f"{lead}{float(p)!r},{float(w)!r},{float(d)!r}"
                 for p, w, d in zip(self.grid.pivots, self.grid.widths, self.density)]
-
-    def to_csv(self) -> str:
-        """CSV columns pivot,width,density with LF line endings."""
-        return "\n".join(["pivot,width,density", *self.csv_rows()]) + "\n"
 
 
 def moment(dist: SizeDistribution, mu: float) -> float:

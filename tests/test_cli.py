@@ -644,6 +644,13 @@ def _compactness(**sec):
     return edit
 
 
+def _rk4_below_the_step_floor(cfg):
+    # rk4 reads neither tolerance of the base config
+    for key in ("rel_tol", "abs_tol"):
+        del cfg["solver"][key]
+    cfg["solver"].update({"scheme": "rk4", "dt": 1e-13})
+
+
 # (command, config edit, documented exit code): each of these once escaped
 # the CLI as a traceback, or wrote a NaN and exited 0
 BAD_CONFIGS = {
@@ -689,7 +696,7 @@ BAD_CONFIGS = {
         ("simulate", lambda cfg: cfg["solver"].update(rel_tol=float("nan")), 2),
     # 1e13 fixed steps: the step-size floor ends the run
     "simulate-rk4-dt-below-the-step-floor":
-        ("simulate", lambda cfg: cfg["solver"].update({"scheme": "rk4", "dt": 1e-13}), 3),
+        ("simulate", _rk4_below_the_step_floor, 3),
     # the oracle is for one particle of size 1
     "validate-exponential-init":
         ("validate", lambda cfg: cfg.update(
@@ -771,6 +778,16 @@ BAD_CONFIGS = {
     # once rounded to 0 and refused as "alphas and betas must be positive"
     "compactness-alpha-below-the-rational-resolution":
         ("compactness", _compactness(dlvp={"terms": 2, "alphas": [1e-300, 1]}), 2),
+    # 10^7 terms once built their betas for 78 s into a MemoryError
+    "compactness-terms-over-the-budget":
+        ("compactness", _compactness(dlvp={"terms": compactness.MAX_TERMS + 1}), 2),
+    # the run's sections were once checked only for source "run"
+    "compactness-synthetic-source-additive-kernel-with-c":
+        ("compactness", lambda cfg: cfg.update(
+            kernel={"family": "additive", "params": {"c": 5.0}},
+            compactness={"source": "bounded"}), 2),
+    "simulate-rk4-with-tolerances":
+        ("simulate", lambda cfg: cfg["solver"].update({"scheme": "rk4", "dt": 0.01}), 2),
 }
 
 # what the stderr line of each refusal before the run names
@@ -808,6 +825,11 @@ REFUSED_BEFORE_THE_RUN = {
         "compactness.dlvp.alphas entry exceeds the largest float",
     "compactness-alpha-below-the-rational-resolution":
         "compactness.dlvp.alphas entry 1e-300 rounds to 0",
+    "compactness-terms-over-the-budget":
+        f"compactness.dlvp.terms {compactness.MAX_TERMS + 1} exceeds the budget",
+    "compactness-synthetic-source-additive-kernel-with-c":
+        "kernel.params.c is not read by KernelSpec.additive",
+    "simulate-rk4-with-tolerances": "solver.rel_tol is not read by the rk4 scheme",
 }
 
 

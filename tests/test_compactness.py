@@ -564,10 +564,13 @@ def test_dlvp_rejects_bad_sequences():
 
 
 def test_dlvp_float_and_mapping_variants():
-    # float sequences: selection follows both constraints, float slopes
+    # float sequences: selection follows both constraints, and each float
+    # alpha is the exact rational it is
     phi = ck.dlvp_construct(lambda c: 2.0 / c, [1.0, 1.5, 2.0, 1.0],
                             [1.0, 0.25, 0.0625, 0.02, 0.005])
-    assert not phi.exact
+    assert phi.exact
+    assert phi.alphas == [1, Fraction(3, 2), 2, 1]
+    assert all(type(a) is Fraction for a in phi.alphas + phi.slopes)
     assert phi.breakpoints == [1, 8, 32, 100, 400]
     assert all(b <= a for a, b in zip(phi.slopes, phi.slopes[1:]))
     # a mapping used as a right-continuous step function, exact values
@@ -584,10 +587,12 @@ def test_dlvp_float_and_mapping_variants():
 
 
 def test_vp_check_float_function_on_float_samples():
-    # the float branch of vp_check, the only one for a float-built Phi
+    # a float-built Phi on float samples is checked exactly, each float read
+    # as its binary value; float arithmetic puts the b124_scaling minimum,
+    # an exact 0, at -8.3e-17
     phi = ck.dlvp_construct(lambda c: 2.0 / c, [1.0, 1.5, 2.0, 1.0],
                             [1.0, 0.25, 0.0625, 0.02, 0.005])
-    assert not phi.exact
+    assert phi.exact
     rng = np.random.default_rng(20240211)
     top = 2.0 * phi.breakpoints[-1]
     samples = list(zip(rng.uniform(0, top, 2000), rng.uniform(0, top, 2000),
@@ -598,3 +603,22 @@ def test_vp_check_float_function_on_float_samples():
         "b124_scaling", "b125_product", "b127_deriv_subadd"]
     assert [c.violations for c in rep.checks] == [0] * 7
     assert all(c.samples == 2000 for c in rep.checks)
+    assert rep.to_json_obj() == fraction_vp_check(phi, samples)
+    assert rep["b124_scaling"].min_margin == 0.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_numbers_are_refused(bad):
+    with pytest.raises(DomainError):
+        VPFunction([1, 2, 5], [1, bad])
+    with pytest.raises(DomainError):
+        VPFunction([1, 2, bad], [1, 1])
+    with pytest.raises(DomainError):
+        ck.dlvp_construct(lambda c: Fraction(2, c), [1, bad], [1, 1, 1])
+    phi = VPFunction([1, 2], [2])
+    with pytest.raises(DomainError):
+        ck.vp_check(phi, [(1.0, 2.0, 0.5), (0.5, bad, 1.0)])
+    with pytest.raises(DomainError):
+        ck.vp_check(phi, [], member=([0.5, bad], [1.0, 1.0]))
+    with pytest.raises(DomainError):
+        ck.vp_check(phi, [], member=([0.5, 1.5], [1.0, bad]))

@@ -98,11 +98,3 @@ def test_moment_series_validation():
     with pytest.raises(DomainError):
         ck.MomentSeries(np.array([0.0, 1.0]), {0.0: np.zeros(2)},
                         np.array([1.0, 0.0]))
-
-
-def test_snapshot_serialization_round_trip():
-    grid = ck.SizeGrid.geometric(0.5, 8.0, bins=6)
-    d = ck.SizeDistribution(grid, np.linspace(0.1, 0.6, 6), 1.5)
-    csv = d.to_csv()
-    assert csv.splitlines()[0] == "pivot,width,density"
-    assert len(csv.splitlines()) == 7
