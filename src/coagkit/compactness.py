@@ -19,8 +19,9 @@ integers.  ``vp_check`` evaluates those in float64 over all samples at once
 with an a-priori error bound (a static filter after Shewchuk); a margin whose
 sign, or whose place against the minimum, the bound leaves uncertain falls
 back to integer cross-multiplication, so the report is exact.  Samples come
-as triples of numbers, each read as its exact ratio, or as int64 (num, den)
-arrays from the vectorised ``limit_denominator``.
+as triples of numbers, each read as its exact ratio, or as an int64 array of
+(num, den) pairs, such as ``DlvpConfig.draw`` returns: integer numerators
+drawn over one denominator.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "family_tail",
     "synthetic_family",
     "dlvp_construct",
-    "limit_denominator",
     "vp_eval",
     "vp_check",
     "phi_integral",
@@ -140,6 +140,8 @@ def family_tail(family: FunctionFamily):
     """Tail-integral callable c -> sup_f int_{|f| >= c} |f|."""
 
     def tail(c):
+        if c > sys.float_info.max:
+            return 0.0      # no finite member value reaches c
         return max(float(np.sum(np.where(f >= c, f * family.measures, 0.0)))
                    for f in family.members)
 
@@ -193,7 +195,7 @@ class CompactnessConfig:
 
 # The most samples ``DlvpConfig.draw`` returns, checked before anything is
 # drawn.  ``coagkit compactness`` on the benchmark's config with this many
-# samples peaks at about 195 MB RSS and takes about 6 s (2-core x86 VM).
+# samples peaks at about 180 MB RSS and takes about 2.5 s (2-core x86 VM).
 MAX_SAMPLES = 2 ** 20
 # The most segments ``DlvpConfig`` takes, checked before any alpha or beta
 # is built.  ``coagkit compactness`` on demos/configs/compactness_singular.json
@@ -231,15 +233,21 @@ class DlvpConfig:
         self.betas = [Fraction(self.beta_ratio) ** m for m in range(self.terms + 1)]
 
     def draw(self, phi: VPFunction) -> np.ndarray:
-        """``samples`` triples (r, s, lambda) for ``vp_check``, as (num, den)
-        int64: r and s uniform below N_3 (or the last breakpoint), lambda
-        below 4, each the nearest p/q with q <= 10^6; the seed is fixed."""
+        """``samples`` triples (r, s, lambda) for ``vp_check``, as an (n, 3, 2)
+        int64 array of (num, den): every denominator is q = 10^6, or the
+        largest q that keeps N_3 q (N_3, or the last breakpoint) within int64;
+        the numerators of r and s are uniform below N_3 q, that of lambda
+        below 4 q, and the seed is fixed."""
+        k = min(3, len(phi.breakpoints) - 1)
+        top = phi.breakpoints[k]
+        q = min(10**6, (2**63 - 1) // math.ceil(top))
+        if not q:
+            raise DomainError(f"breakpoint N_{k} exceeds 2^63 - 1, the int64 bound of "
+                              "the samples drawn below it")
         rng = np.random.default_rng(20240211)
-        top = float(phi.breakpoints[min(3, len(phi.breakpoints) - 1)])
-        n = self.samples
-        draws = [rng.uniform(0, top, n), rng.uniform(0, top, n), rng.uniform(0, 4, n)]
-        nums, dens = limit_denominator(np.stack(draws, axis=1), 10**6)
-        return np.stack([nums, dens], axis=-1)
+        n, hi = self.samples, math.floor(top * q)
+        nums = [rng.integers(0, hi, n), rng.integers(0, hi, n), rng.integers(0, 4 * q, n)]
+        return np.stack([np.stack(nums, axis=1), np.full((n, 3), q)], axis=-1)
 
 
 def _inverse_tail(inverse_coeff: float = 2.0):
@@ -271,84 +279,9 @@ def _rational(x) -> Fraction:
         raise DomainError(f"{x!r} is not a finite number") from None
 
 
-# Elements per block of the array passes below: each temporary is 16 KiB,
-# so the passes stay well under the memory of the Fraction samples they
-# replace (3.1 MB for 8000 triples).
+# Samples per block of the float pass of ``_exact_margins``: each
+# temporary is 16 KiB, so the pass stays small at any sample count.
 _BLOCK = 2048
-
-
-def limit_denominator(x, max_denominator: int):
-    """``Fraction(v).limit_denominator(max_denominator)`` for every float v
-    of ``x``, as int64 arrays ``(p, q)`` of x's shape, ties included.
-
-    The continued-fraction search runs on blocks of elements at once in
-    int64.  A value whose ``as_integer_ratio`` does not fit int64 (below
-    about 2^-10 in magnitude) runs the same search on Python integers.
-    """
-    x = np.asarray(x, dtype=float)
-    if not 1 <= max_denominator < 2**62:
-        raise ValueError("max_denominator must be in [1, 2**62)")
-    if not np.all(np.abs(x) < 2.0**63):
-        raise DomainError("limit_denominator needs finite values below 2**63 in magnitude")
-    flat = x.ravel()
-    p, q = np.empty(flat.size, dtype=np.int64), np.empty(flat.size, dtype=np.int64)
-    for lo in range(0, flat.size, _BLOCK):
-        p[lo:lo + _BLOCK], q[lo:lo + _BLOCK] = _limit_block(flat[lo:lo + _BLOCK],
-                                                            max_denominator)
-    return p.reshape(x.shape), q.reshape(x.shape)
-
-
-def _limit_block(v, max_denominator: int):
-    # as_integer_ratio from frexp: v = mant 2^shift with an integer mant
-    m, e = np.frexp(v)
-    mant = (m * 2.0**53).astype(np.int64)
-    shift = e.astype(np.int64) - 53
-    zeros = np.frexp((mant & -mant).astype(float))[1] - 1     # trailing zero bits
-    drop = np.clip(np.minimum(zeros, -shift), 0, None)
-    dexp = np.where(mant == 0, 0, np.maximum(-shift - drop, 0))
-    p = np.where(shift >= 0, mant << np.clip(shift, 0, 10), mant >> drop)
-    q = np.ones_like(p) << np.minimum(dexp, 62)
-    search = (q > max_denominator) & (dexp <= 62)
-    p[search], q[search] = _best_rationals(p[search], q[search], max_denominator)
-    wide = dexp > 62
-    if wide.any():
-        n, d = zip(*(w.as_integer_ratio() for w in v[wide].tolist()))
-        p[wide], q[wide] = _best_rationals(np.array(n, dtype=object),
-                                           np.array(d, dtype=object), max_denominator)
-    return p, q
-
-
-def _best_rationals(n, d, max_denominator: int):
-    """The closest p/q with q <= max_denominator to each n/d (d >
-    max_denominator), the convergent winning ties: the search of
-    ``Fraction.limit_denominator`` on arrays of int64 or Python integers.
-
-    ``q0 + a q1 > max_denominator`` is tested as ``a > (max_denominator -
-    q0) // q1``, so no product overflows.  At the break the remainder ``den``
-    gives the convergent's error den / (q1 d), and the semiconvergent
-    p2/q2 lies 1 / (q1 q2) from it on the other side of n/d, so the
-    convergent is at least as close when 2 den q2 <= d, that is when
-    q2 <= (d // 2) // den.
-    """
-    p, q = np.empty_like(n), np.empty_like(n)
-    at = np.arange(len(n))
-    p0, q0, p1, q1 = (np.full_like(n, v) for v in (0, 1, 1, 0))
-    num, den, full = n, d, d
-    while at.size:
-        a = num // den
-        stop = (q1 > 0) & (a > (max_denominator - q0) // np.maximum(q1, 1))
-        if stop.any():
-            k = (max_denominator - q0[stop]) // q1[stop]
-            p2, q2 = p0[stop] + k * p1[stop], q0[stop] + k * q1[stop]
-            near = q2 <= (full[stop] // 2) // den[stop]
-            p[at[stop]] = np.where(near, p1[stop], p2)
-            q[at[stop]] = np.where(near, q1[stop], q2)
-            go = ~stop
-            at, a, p0, q0, p1, q1, num, den, full = (
-                v[go] for v in (at, a, p0, q0, p1, q1, num, den, full))
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
-        num, den = den, num - a * den
-    return p, q
 
 
 def _floats(values) -> np.ndarray:
@@ -421,10 +354,10 @@ class VPFunction:
     alphas: list               # alpha_m, one per segment
     tail_table: dict = field(default_factory=dict)   # N_m -> tail bound used
 
-    # derived, filled in __post_init__
-    slopes: list = field(default_factory=list)       # A_m
-    deriv_at: list = field(default_factory=list)     # Phi'(N_m)
-    value_at: list = field(default_factory=list)     # Phi(N_m)
+    # derived in __post_init__
+    slopes: list = field(init=False)       # A_m
+    deriv_at: list = field(init=False)     # Phi'(N_m)
+    value_at: list = field(init=False)     # Phi(N_m)
 
     # every function is exact; compactness.json reports it
     exact = True

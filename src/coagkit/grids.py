@@ -109,12 +109,6 @@ class SizeGrid:
             return (1.0, float(self.n))
         return (self.edges[0], self.edges[-1])
 
-    def __eq__(self, other):
-        if not isinstance(other, SizeGrid):
-            return NotImplemented
-        return (self.kind, self.n, self.edges, self.pivots_) == (
-            other.kind, other.n, other.edges, other.pivots_)
-
 
 def _check_cells(count):
     if not count <= MAX_CELLS:

@@ -306,7 +306,6 @@ class GrowthClass:
 
     label: str
     constants: dict = field(default_factory=dict)
-    evidence: dict = field(default_factory=dict)
 
 
 def omega_r(kernel: KernelSpec, R: float, y, x_min: float | None = None):
@@ -352,14 +351,12 @@ def omega_r(kernel: KernelSpec, R: float, y, x_min: float | None = None):
     return out if out.ndim else float(out)
 
 
-def _omega_sweep(kernel: KernelSpec, R: float, x_min: float | None) -> dict:
-    ys = (1e2, 1e4, 1e6)
-    vals = [float(omega_r(kernel, R, yv, x_min=x_min)) for yv in ys]
-    return {"y": ys, "omega": tuple(vals)}
+def _omega_sweep(kernel: KernelSpec, R: float, x_min: float | None) -> list:
+    """omega_R at y = 1e2, 1e4 and 1e6."""
+    return [float(omega_r(kernel, R, y, x_min=x_min)) for y in (1e2, 1e4, 1e6)]
 
 
-def _omega_decays(sweep: dict) -> bool:
-    v = sweep["omega"]
+def _omega_decays(v: list) -> bool:
     return v[-1] <= 0.01 * max(v[0], 1e-300) or v[-1] < 1e-12
 
 
@@ -384,10 +381,7 @@ def classify(kernel: KernelSpec, domain: tuple[float, float],
         c = kernel.params[0]
         labels.append(GrowthClass("bounded", {"kappa0": c}))
         labels.append(GrowthClass("linear", {"kappa1": c / 2.0}))
-        labels.append(GrowthClass(
-            "sublinear_factored", {"kappa": c},
-            {"omega_sweep": _omega_sweep(kernel, 1.0, x_min)},
-        ))
+        labels.append(GrowthClass("sublinear_factored", {"kappa": c}))
     elif fam == "additive":
         labels.append(GrowthClass("linear", {"kappa1": 1.0}))
     elif fam == "multiplicative":
@@ -399,10 +393,7 @@ def classify(kernel: KernelSpec, domain: tuple[float, float],
         if 0 <= min(a, b) and lam <= 1:
             labels.append(GrowthClass("linear", {"kappa1": 2.0}))
         if 0 <= min(a, b) and max(a, b) < 1:
-            labels.append(GrowthClass(
-                "sublinear_factored", {"kappa": 2.0},
-                {"omega_sweep": _omega_sweep(kernel, 1.0, x_min)},
-            ))
+            labels.append(GrowthClass("sublinear_factored", {"kappa": 2.0}))
         if 1 < lam <= 2:
             # x^a y^b + x^b y^a >= 2 (xy)^(lam/2) by AM-GM
             labels.append(GrowthClass("gelling", {"lam": lam, "kappa_m": 2.0}))
@@ -416,10 +407,7 @@ def classify(kernel: KernelSpec, domain: tuple[float, float],
             if 0.5 < p <= 1:
                 labels.append(GrowthClass("gelling", {"lam": 2 * p, "kappa_m": s * s}))
             if 0 <= p < 1:
-                labels.append(GrowthClass(
-                    "sublinear_factored", {"kappa": max(s * s, 1.0)},
-                    {"omega_sweep": _omega_sweep(kernel, 1.0, x_min)},
-                ))
+                labels.append(GrowthClass("sublinear_factored", {"kappa": max(s * s, 1.0)}))
     else:
         labels.extend(_classify_sampled(kernel, x_min, x_max, samples))
 
@@ -440,16 +428,11 @@ def _classify_sampled(kernel: KernelSpec, x_min: float, x_max: float,
     asym = np.max(np.abs(kk - kk.T))
     if asym > 1e-9 * (np.max(kk) + 1e-300):
         raise DomainError("tabulated kernel is not symmetric; cannot classify")
-    labels = [GrowthClass("bounded", {"kappa0": float(np.max(kk))},
-                          {"domain": (x_min, x_max)})]
-    kappa1 = float(np.max(kk / (2.0 + xx + yy)))
-    labels.append(GrowthClass("linear", {"kappa1": kappa1},
-                              {"domain": (x_min, x_max)}))
-    kappa = float(np.max(kk / ((1.0 + xx) * (1.0 + yy))))
-    sweep = _omega_sweep(kernel, 1.0, x_min)
-    if _omega_decays(sweep):
-        labels.append(GrowthClass("sublinear_factored", {"kappa": kappa},
-                                  {"omega_sweep": sweep, "domain": (x_min, x_max)}))
+    labels = [GrowthClass("bounded", {"kappa0": float(np.max(kk))}),
+              GrowthClass("linear", {"kappa1": float(np.max(kk / (2.0 + xx + yy)))})]
+    if _omega_decays(_omega_sweep(kernel, 1.0, x_min)):
+        kappa = float(np.max(kk / ((1.0 + xx) * (1.0 + yy))))
+        labels.append(GrowthClass("sublinear_factored", {"kappa": kappa}))
     return labels
 
 

@@ -644,6 +644,14 @@ def _compactness(**sec):
     return edit
 
 
+def _demo_compactness(**dlvp):
+    # the compactness section of the demo config with its dlvp section replaced
+    def edit(cfg):
+        demo = json.loads((DEMO_CONFIGS / "compactness_singular.json").read_text())
+        cfg["compactness"] = {**demo["compactness"], "dlvp": dlvp}
+    return edit
+
+
 def _rk4_below_the_step_floor(cfg):
     # rk4 reads neither tolerance of the base config
     for key in ("rel_tol", "abs_tol"):
@@ -788,6 +796,12 @@ BAD_CONFIGS = {
             compactness={"source": "bounded"}), 2),
     "simulate-rk4-with-tolerances":
         ("simulate", lambda cfg: cfg["solver"].update({"scheme": "rk4", "dt": 0.01}), 2),
+    # N_2 of about 1e309 once overflowed family_tail's float comparison, and
+    # under the inverse tail draw's float(N_2): both an OverflowError traceback
+    "compactness-breakpoint-beyond-every-float":
+        ("compactness", _demo_compactness(terms=2, alphas=[1e-9, 1e300]), 4),
+    "compactness-breakpoint-beyond-every-float-inverse-tail":
+        ("compactness", _demo_compactness(terms=2, alphas=[1e-9, 1e300], tail="inverse"), 4),
 }
 
 # what the stderr line of each refusal before the run names

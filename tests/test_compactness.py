@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import coagkit as ck
 from coagkit import cli, compactness
-from coagkit.compactness import VPFunction, limit_denominator
+from coagkit.compactness import DlvpConfig, VPFunction
 from coagkit.errors import ConstructionError, DomainError
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -176,6 +176,12 @@ def test_dlvp_derived_example_exact():
     assert phi.deriv_exact(Fraction(32)) == Fraction(15, 7)
     assert phi.deriv_exact(Fraction(4)) == Fraction(4, 7)
     assert phi.value_exact(0) == 0 and phi.deriv_exact(0) == 0
+
+
+def test_derived_tables_are_not_constructor_parameters():
+    for key in ("slopes", "deriv_at", "value_at"):
+        with pytest.raises(TypeError):
+            VPFunction([1, 2], [1], **{key: [5]})
 
 
 def test_dlvp_growth_constraint_only():
@@ -382,69 +388,46 @@ def test_cli_compactness_checks_match_fraction_oracle(tmp_path):
     phi = ck.dlvp_construct(lambda c: Fraction(2, c), [1] * 6,
                             [Fraction(1, 4**m) for m in range(7)])
     assert dlvp["function"]["breakpoints"] == phi.breakpoints
+    # r, s and lambda are p / 10^6 with p uniform below N_3 10^6 and 4 10^6
     rng = np.random.default_rng(20240211)
-    top = float(phi.breakpoints[3])
-    samples = [(Fraction(r).limit_denominator(10**6),
-                Fraction(s).limit_denominator(10**6),
-                Fraction(l).limit_denominator(10**6))
-               for r, s, l in zip(rng.uniform(0, top, 1000),
-                                  rng.uniform(0, top, 1000),
-                                  rng.uniform(0, 4, 1000))]
+    q, top = 10**6, phi.breakpoints[3]
+    nums = [rng.integers(0, top * q, 1000), rng.integers(0, top * q, 1000),
+            rng.integers(0, 4 * q, 1000)]
+    samples = [tuple(Fraction(int(p), q) for p in t) for t in zip(*nums)]
     assert dlvp["checks"] == fraction_vp_check(phi, samples)
 
 
-def assert_limits_match(floats, max_den):
-    nums, dens = limit_denominator(np.array(floats, dtype=float), max_den)
-    assert nums.dtype == dens.dtype == np.int64
-    want = [Fraction(x).limit_denominator(max_den) for x in floats]
-    assert list(zip(nums.tolist(), dens.tolist())) \
-        == [(f.numerator, f.denominator) for f in want]
+def test_draw_is_int64_over_one_denominator_below_n3_and_4():
+    phi = ck.dlvp_construct(lambda c: Fraction(2, c), [1] * 6,
+                            [Fraction(1, 4**m) for m in range(7)])
+    samples = DlvpConfig(samples=500).draw(phi)
+    assert samples.dtype == np.int64 and samples.shape == (500, 3, 2)
+    nums, dens = samples[..., 0], samples[..., 1]
+    assert (dens == 10**6).all() and (nums >= 0).all()
+    assert (nums[:, :2] < phi.breakpoints[3] * 10**6).all()
+    assert (nums[:, 2] < 4 * 10**6).all()
+    assert np.array_equal(samples, DlvpConfig(samples=500).draw(phi))
 
 
-def test_limit_denominator_matches_fraction():
-    rng = np.random.default_rng(5)
-    floats = list(rng.uniform(0, 3000, 5000))
-    floats += list(rng.standard_normal(5000) * 10.0 ** rng.integers(-8, 9, 5000))
-    assert_limits_match(floats, 10**6)
-    # small denominators: p/q rounded to a float comes back as p/q
-    for q in range(1, 60):
-        ps = list(range(-q, 5 * q))
-        nums, dens = limit_denominator(np.array(ps) / q, 10**6)
-        for p, n, d in zip(ps, nums.tolist(), dens.tolist()):
-            assert Fraction(n, d) == Fraction(p, q) == Fraction(p / q).limit_denominator(10**6)
-    # exact ties between the two bounds, and exact dyadics
-    for m in range(1, 17):
-        assert_limits_match([j / 32 for j in range(-80, 81)], m)
+def test_draw_shrinks_the_denominator_to_fit_int64():
+    # N_3 = 2^62 + 1/3: q 10^6 would overflow, q = (2^63 - 1) // (2^62 + 1) = 1
+    top = 2**62 + Fraction(1, 3)
+    phi = VPFunction([1, 2, 3, top], [Fraction(1, 10**9)] * 3)
+    samples = DlvpConfig(samples=200).draw(phi)
+    assert samples.dtype == np.int64
+    assert (samples[..., 1] == 1).all()
+    assert (samples[:, :2, 0] < top).all() and (samples[:, 2, 0] < 4).all()
+    assert samples[:, :2, 0].max() > 2**60          # drawn over the whole range
+    phi = VPFunction([1, 2, 3, 2**45], [Fraction(1, 10**9)] * 3)
+    assert (DlvpConfig(samples=10).draw(phi)[..., 1] == 2**18 - 1).all()
 
 
-# as_integer_ratio fits int64 from about 2^-10 up; below it the Python-integer
-# search runs, subnormals included
-FALLBACK_BOUNDARY = st.floats(2.0**-14, 2.0**-8) | st.floats(-2.0**-8, -2.0**-14) \
-    | st.floats(-1e-300, 1e-300)
-
-
-@given(floats=st.lists(
-    st.floats(0, 128) | st.floats(0, 4) | st.floats(-1e6, 1e6)
-    | st.integers(-2**20, 2**20).map(lambda j: j / 64)          # dyadic ties
-    | st.tuples(st.integers(-10**6, 10**6), st.integers(1, 10**6)).map(
-        lambda t: t[0] / t[1])                                  # p/q round trips
-    | FALLBACK_BOUNDARY, min_size=1, max_size=40),
-    max_den=st.sampled_from([1, 2, 3, 64, 1000, 10**6, 10**9]) | st.integers(1, 2**40))
-@settings(max_examples=300, deadline=None)
-def test_limit_denominator_array_matches_fraction(floats, max_den):
-    assert_limits_match(floats, max_den)
-
-
-def test_limit_denominator_keeps_the_shape_and_refuses_what_int64_cannot_hold():
-    nums, dens = limit_denominator(np.full((2, 3), 0.75), 10)
-    assert nums.shape == dens.shape == (2, 3)
-    assert (nums == 3).all() and (dens == 4).all()
-    with pytest.raises(DomainError):
-        limit_denominator([2.0**63], 10)
-    with pytest.raises(DomainError):
-        limit_denominator([float("nan")], 10)
-    with pytest.raises(ValueError):
-        limit_denominator([0.5], 0)
+@pytest.mark.parametrize("top", [2**63, 10**400, Fraction(2**64 - 1, 2), Fraction(2**64 + 1, 2)])
+def test_draw_refuses_a_breakpoint_of_2_63_or_more(top):
+    phi = VPFunction([1, 2, top], [Fraction(1, 10**9)] * 2)
+    with pytest.raises(DomainError) as err:
+        DlvpConfig(samples=10).draw(phi)
+    assert "N_2" in str(err.value) and len(str(err.value)) < 100
 
 
 def random_exact_phi(rng):
@@ -552,6 +535,14 @@ def test_family_tail_feeds_builder():
     # the certified tail bounds hold by construction
     for nm, bound in phi.tail_table.items():
         assert tail(nm) <= bound + 1e-15
+
+
+def test_family_tail_beyond_every_float_is_zero():
+    # numpy cannot compare a float array with an int of 2^1024 or more
+    tail = ck.family_tail(ck.synthetic_family("singular"))
+    assert tail(10**400) == 0.0
+    assert tail(Fraction(10**400, 3)) == 0.0
+    assert tail(2**1023) == 0.0 and tail(1) > 0
 
 
 def test_dlvp_rejects_bad_sequences():
