@@ -61,7 +61,7 @@ Every split also reports the density's support, and from it
 ``max_loss_factor``, the largest loss rate ``lambda_max`` over the support:
 the stiff direction of the equations.
 
-The integrator is one explicit Runge-Kutta loop over a Butcher tableau:
+The integrator is one explicit Runge-Kutta loop over Butcher tableaux:
 Dormand-Prince 5(4) with step-size control (``rk45``) or classical RK4 with a
 fixed step (``rk4``).  Its stages, the stage state and one scratch row are
 allocated once per run, each derivative is written into its stage row, and
@@ -69,13 +69,19 @@ the state and the stage state swap on acceptance, so a step allocates no
 array of the state's length either.  The last row of each tableau gives
 the new state, so the last stage is the derivative there and is reused as
 the next step's first (first same as last) unless the negativity clamp
-removed more than round-off.  Before each step the ``rk45`` step size
-that the error control proposed is capped at ``_STABILITY / lambda_max`` at
-the state the step starts from, inside Dormand-Prince's real stability
-interval, so the cap only shortens a step; ``rk4`` keeps its ``dt``.  Both
-record the largest ``h lambda_max`` over the accepted steps as
-``step_log["max_h_lambda"]``.  The loop steps exactly onto each snapshot
-time and carries its stages and step size on, so only the start pays a
+removed more than round-off.  Dormand-Prince is stable on the real axis to
+about ``-3.3``, so where the step that the ``rk45`` error control proposed
+exceeds ``_STABILITY / lambda_max`` at the state the step starts from, the
+loop caps it there, or takes a step of Ketcheson's SSPRK(10,4) instead,
+whichever covers more time per evaluation: ten stages stable to about
+``-13.9`` cover ``min(h_ssp, _SSP_STABILITY / lambda_max)``, where
+``h_ssp`` is that tableau's own proposed step, controlled from its embedded
+third-order estimate.  Every other ``rk45`` step is Dormand-Prince's, and
+``rk4`` keeps its ``dt``.  Both schemes record the
+largest ``h lambda_max`` over the accepted steps as
+``step_log["max_h_lambda"]``, and ``step_log["stiff_steps"]`` counts the
+accepted SSPRK(10,4) steps.  The loop steps exactly onto each snapshot
+time and carries its stages and step sizes on, so only the start pays a
 derivative and a step-size probe.  A fixed step counts its steps from the
 start of each interval, so rounding adds no residual step.  A step size
 below 1e-12 of t_end flags the run for either scheme.
@@ -131,10 +137,12 @@ _FFT_ERR_FACTOR = 32.0
 # transforms of length 2 * _BLOCK keep pocketfft's per-call scratch small
 _BLOCK = 4096
 
-# Dormand-Prince's stability region reaches about -3.3 on the real axis
-# (Hairer & Wanner, Solving ODEs II, IV.2); an rk45 step is capped at
-# _STABILITY / lambda_max, lambda_max the largest loss rate on the support
+# the real stability intervals of Dormand-Prince (to about -3.3066, Hairer &
+# Wanner, Solving ODEs II, IV.2) and of SSPRK(10,4) (to about -13.917): an
+# rk45 step of either is capped at its bound over lambda_max, the largest
+# loss rate on the support
 _STABILITY = 3.3
+_SSP_STABILITY = 13.9
 
 MOMENT_ORDERS = (0.0, 0.5, 1.0, 2.0)
 
@@ -753,6 +761,15 @@ _TABLEAUX = {
     # classical RK4, whose next first stage f(t + h, y_new) is a fifth row
     "rk4": _tableau([0.0, 1 / 2, 1 / 2, 1.0, 1.0],
                     [[], [1 / 2], [0.0, 1 / 2], [0.0, 0.0, 1.0], [1 / 6, 1 / 3, 1 / 3, 1 / 6]]),
+    # Ketcheson's SSPRK(10,4), SIAM J. Sci. Comput. 30 (2008) 2113-2136, which
+    # rk45 takes where the stability cap binds; its weights b = 1/10 are an
+    # eleventh row, and e is b minus the third-order weights
+    # (61, 87, 108, 124, 0, 54, 70, 81, 87, 88) / 760
+    "ssprk104": _tableau(
+        [0.0, 1 / 6, 1 / 3, 1 / 2, 2 / 3, 1 / 3, 1 / 2, 2 / 3, 5 / 6, 1.0, 1.0],
+        [[1 / 6] * i for i in range(5)]
+        + [[1 / 15] * 5 + [1 / 6] * i for i in range(5)] + [[1 / 10] * 10],
+        np.array([15, -11, -32, -48, 76, 22, 6, -5, -11, -12, 0]) / 760),
 }
 
 
@@ -765,6 +782,7 @@ class _StepLog:
         self.flag = None
         self.min_dt = math.inf
         self.max_h_lambda = 0.0
+        self.stiff_steps = 0
 
     def as_dict(self, evals: int, runtime: float, rate_path: str) -> dict:
         return {
@@ -775,6 +793,7 @@ class _StepLog:
             "flag": self.flag,
             "min_dt": None if math.isinf(self.min_dt) else self.min_dt,
             "max_h_lambda": self.max_h_lambda,
+            "stiff_steps": self.stiff_steps,
             "rhs_evals": evals,
             "runtime_s": runtime,
             "rate_path": rate_path,
@@ -814,13 +833,18 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
     zeroes negatives in place and says whether it removed more than
     round-off, which alone re-evaluates the first stage.  After the first
     stage of a step, ``rhs.max_loss_factor`` is lambda_max at the state the
-    step starts from, and the adaptive h is capped at
-    ``_STABILITY / lambda_max`` before each step; ``log.max_h_lambda`` keeps
-    the largest accepted ``h lambda_max``.  A step size below
+    step starts from.  Where the adaptive h exceeds ``_STABILITY /
+    lambda_max``, the step is either Dormand-Prince's at that bound or
+    SSPRK(10,4)'s at ``min(h_ssp, _SSP_STABILITY / lambda_max)``, whichever
+    covers more time per evaluation; ``h_ssp``, that tableau's own proposal,
+    starts from h.  ``log.max_h_lambda`` keeps the largest accepted
+    ``h lambda_max`` and ``log.stiff_steps`` counts the accepted SSPRK(10,4)
+    steps.  A step size below
     ``1e-12 t_end`` or a non-finite error or state sets ``log.flag`` and
     ends the generator."""
-    c, a, e = _TABLEAUX[config.scheme]
-    k = np.empty((c.size, y.size))
+    dp = c, a, e = _TABLEAUX[config.scheme]
+    ssp = _TABLEAUX["ssprk104"]
+    k = np.empty((c.size if e is None else ssp[0].size, y.size))
     stage = np.empty_like(y)
     scratch = np.empty_like(y)
 
@@ -834,15 +858,25 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
     rhs(t, y, out=k[0])
     lam = rhs.max_loss_factor
     h = config.dt if e is None else _initial_step(rhs, y, k[0], norm, tol_of, stage, k[1])
+    h_ssp = None
     for t1 in config.snapshot_times:
         t_start, n = t, 0
         while t < t1 - 1e-14 * max(1.0, t1):
+            c, a, e = dp
+            h_now, stiff = h, False
             if e is not None and h * lam > _STABILITY:
-                h = _STABILITY / lam   # the loss rate's stability bound
-            if h < 1e-12 * config.t_end:
+                # the loss rate's stability bound, unless SSPRK(10,4) covers
+                # more time per evaluation
+                h_now = min(h if h_ssp is None else h_ssp, _SSP_STABILITY / lam)
+                stiff = h_now / 10 > _STABILITY / lam / 6
+                if stiff:
+                    c, a, e = ssp
+                else:
+                    h = h_now = _STABILITY / lam
+            if h_now < 1e-12 * config.t_end:
                 log.flag = "dt_underflow"
                 return
-            step = min(h, t1 - t)
+            step = min(h_now, t1 - t)
             for i in range(1, c.size):
                 np.matmul(a[i, :i], k[:i], out=stage)
                 stage *= step
@@ -851,7 +885,7 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
             if e is None:   # a fixed step passes once its new state is finite
                 en, tol = (0.0 if np.isfinite(stage).all() else math.nan), 0.0
             else:
-                np.matmul(e, k, out=scratch)
+                np.matmul(e, k[:c.size], out=scratch)
                 scratch *= step
                 en, tol = norm(scratch), tol_of(y)
             if not math.isfinite(en):
@@ -861,19 +895,22 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
                 n += 1
                 t = t + step if e is not None else min(t_start + n * h, t1)
                 log.accepted += 1
+                log.stiff_steps += stiff
                 log.min_dt = min(log.min_dt, float(step))
                 log.max_h_lambda = max(log.max_h_lambda, step * lam)
                 y, stage = stage, y
                 if clamp(y):
                     rhs(t, y, out=k[0])
                 else:
-                    k[0] = k[-1]
+                    k[0] = k[c.size - 1]
                 lam = rhs.max_loss_factor
-                if step < h:
+                if step < h_now:
                     break   # cut to land on t1: h stays as proposed before the cut
             else:
                 log.rejected += 1
-            if e is not None:
+            if stiff:   # the embedded estimate is third order
+                h_ssp = step * min(5.0, max(0.2, 0.9 * (tol / en) ** 0.25 if en > 0 else 5.0))
+            elif e is not None:
                 h = step * min(5.0, max(0.2, 0.9 * (tol / en) ** 0.2 if en > 0 else 5.0))
         t = t1
         yield y
@@ -892,7 +929,8 @@ def integrate(init: SizeDistribution, config: SolverConfig) -> Trajectory:
     """Run the coagulation dynamics from ``init`` and record snapshots.
 
     One loop (``_steps``) runs the scheme's Butcher tableau, Dormand-Prince
-    5(4) with step-size control (``rk45``) or classical RK4 with the fixed
+    5(4) with step-size control (``rk45``, with SSPRK(10,4) steps where the
+    loss rate's stability bound binds) or classical RK4 with the fixed
     ``dt`` (``rk4``), and lands on each snapshot time.  When the step size
     falls below ``1e-12 t_end`` (gelation stiffness, or a tiny ``dt``) or a
     stage is non-finite, the trajectory so far is returned with
@@ -922,9 +960,12 @@ def integrate(init: SizeDistribution, config: SolverConfig) -> Trajectory:
     gel_series = [0.0]
     steps = _steps(rhs, np.concatenate([init.density, [0.0]]), config, weights, clamp, log)
     started = time.perf_counter()
-    for t, y in zip(config.snapshot_times, steps):
-        snapshots.append(SizeDistribution(grid, y[:m].copy(), t))
-        gel_series.append(max(float(y[m]), 0.0))
+    # a diverging run overflows on its way to the non-finite error norm,
+    # which ends it with step_log["flag"]; numpy need not warn on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, y in zip(config.snapshot_times, steps):
+            snapshots.append(SizeDistribution(grid, y[:m].copy(), t))
+            gel_series.append(max(float(y[m]), 0.0))
 
     times = np.array([s.time for s in snapshots])
     values = {mu: np.array([s.moment(mu) for s in snapshots]) for mu in MOMENT_ORDERS}

@@ -346,7 +346,7 @@ def test_demo_runs_keep_their_steps_under_the_stability_cap(tmp_path, name, coun
     logs = [json.loads(p.read_text())["step_log"]
             for p in sorted((tmp_path / "o").rglob("run.json"))]
     assert [(g["accepted"], g["rejected"], g["rhs_evals"]) for g in logs] == counts
-    assert all(0.0 < g["max_h_lambda"] < 3.3 for g in logs)
+    assert all(0.0 < g["max_h_lambda"] < 3.3 and g["stiff_steps"] == 0 for g in logs)
 
 
 def test_sweep_isolated_outputs(tmp_path):
@@ -367,6 +367,16 @@ def test_failing_sweep_entry_names_itself(tmp_path, capsys):
     assert cli.cmd_simulate(path) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("sweep_001: config error:")
+
+
+def test_diverging_run_prints_only_its_flag(tmp_path, capsys):
+    # K = xy under rk4 at dt 0.5 is unstable and overflows; the flag reports
+    # it, and numpy's overflow warnings stay off stderr
+    cfg = base_config(tmp_path / "o", kernel={"family": "multiplicative", "params": {}},
+                      grid={"kind": "discrete", "n": 64})
+    cfg["solver"] = {"scheme": "rk4", "dt": 0.5, "boundary": "conservative", "t_end": 5.0}
+    assert cli.main(["simulate", str(write_config(tmp_path, "d.json", cfg))]) == 3
+    assert capsys.readouterr().err == "trajectory flagged: non_finite\n"
 
 
 def test_main_entry_point(tmp_path, capsys):

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,9 @@ import pytest
 import coagkit as ck
 from coagkit import solver
 from coagkit.errors import DomainError, GridError
-from coagkit.solver import (_STABILITY, _next_fast_len, _PairRows, _rate_operator, _Rhs,
-                           _SeparableOperator, _StepLog, _steps, resolve_kernel)
+from coagkit.solver import (_SSP_STABILITY, _STABILITY, _TABLEAUX, _next_fast_len, _PairRows,
+                           _rate_operator, _Rhs, _SeparableOperator, _StepLog, _steps,
+                           resolve_kernel)
 
 
 def brute_force_rates(dist, kernel, boundary):
@@ -606,9 +608,9 @@ def _seeded(seed, stream, n):
 
 
 def test_gelation_steps_within_the_stability_bound():
-    # K = xy on N = 2^14 to 0.93 t_gel: past t ~ 0.3 t_gel the error control
-    # alone proposed steps with h lambda_max up to 4.4, outside the
-    # stability interval, and took 20 rejected steps and 7861 clamp events
+    # K = xy on N = 2^14 to 0.93 t_gel: from t ~ 0.15 t_gel on, Dormand-
+    # Prince's bound h lambda_max <= 3.3 alone sets every step (158/0/964);
+    # SSPRK(10,4) steps, stable to 13.9, cover more time per evaluation there
     init = _seeded(11, 0, 2 ** 14)
     m2_0 = init.moment(2.0)
     fractions = np.concatenate([np.linspace(0.1, 0.5, 5), np.linspace(0.55, 0.93, 20)])
@@ -617,10 +619,128 @@ def test_gelation_steps_within_the_stability_bound():
                           snapshot_times=snaps, rel_tol=1e-8, boundary="absorbing")
     traj = ck.integrate(init, cfg)
     log = traj.step_log
-    assert log["flag"] is None and log["rejected"] == 0
-    assert log["max_h_lambda"] == pytest.approx(_STABILITY, rel=1e-12)
+    assert log["flag"] is None and log["stiff_steps"] > 0
+    # (13.9 / lambda_max) lambda_max rounds to within an ulp of 13.9
+    assert log["max_h_lambda"] <= _SSP_STABILITY * (1 + 1e-15)
+    assert log["rhs_evals"] <= 723   # 75% of Dormand-Prince's alone
+    m = traj.moments
+    assert np.max(np.abs(m[1.0] + m.gel_mass - m[1.0][0])) <= 1e-8
     t = traj.times[-1]
-    assert traj.moments[2.0][-1] == pytest.approx(m2_0 / (1.0 - m2_0 * t), rel=3e-6)
+    assert m[2.0][-1] == pytest.approx(m2_0 / (1.0 - m2_0 * t), rel=3e-6)
+
+
+def test_wide_sectional_span_takes_ssp_steps():
+    # additive kernel on [1e-3, 1e5] at ratio 2^(1/4): lambda_max is the
+    # largest bin's loss rate x_max M0 + M1 ~ 1e5, although that bin holds
+    # almost nothing, so Dormand-Prince's bound alone set every step
+    # (1138/0/6830 to t = 0.05)
+    grid = ck.SizeGrid.geometric(1e-3, 1e5, ratio=2 ** 0.25)
+    assert grid.size == 107
+    init = ck.init_distribution(grid, "exponential")
+    kernel = ck.KernelSpec.additive()
+    traj = ck.integrate(init, ck.SolverConfig(kernel=kernel, t_end=0.05, rel_tol=1e-9,
+                                              boundary="conservative"))
+    log = traj.step_log
+    assert log["flag"] is None and log["stiff_steps"] > 0
+    assert log["rhs_evals"] <= 6830 // 2
+    m_init = {mu: init.moment(mu) for mu in (0.0, 1.0, 2.0)}
+    for i, t in enumerate(traj.times):
+        want = ck.moment_oracle(kernel, m_init, t)
+        for mu in (0.0, 1.0):
+            assert traj.moments[mu][i] == pytest.approx(want[mu], rel=1e-9)
+
+
+def _ssp_rationals():
+    """SSPRK(10,4) from its definition, in exact rationals: stages 2-5 add
+    1/6 of each earlier stage, stages 6-10 1/15 of the first five and 1/6
+    of the later ones, b = 1/10 throughout, and the embedded weights b_hat
+    (61, 87, 108, 124, 0, 54, 70, 81, 87, 88) / 760."""
+    A = [[Fraction(1, 6)] * i + [Fraction(0)] * (10 - i) for i in range(5)]
+    A += [[Fraction(1, 15)] * 5 + [Fraction(1, 6)] * i + [Fraction(0)] * (5 - i)
+          for i in range(5)]
+    b_hat = [Fraction(v, 760) for v in (61, 87, 108, 124, 0, 54, 70, 81, 87, 88)]
+    return A, [Fraction(1, 10)] * 10, b_hat
+
+
+def _order_residuals(A, b):
+    """The eight order conditions of order <= 4 on the weights ``b``, as
+    residuals: (1), (1/2), (1/3, 1/6) and (1/4, 1/8, 1/12, 1/24)."""
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def times_a(v):
+        return [dot(row, v) for row in A]
+
+    c = [sum(row) for row in A]
+    ac = times_a(c)
+    c2 = [x * x for x in c]
+    return [dot(b, [1] * len(b)) - 1, dot(b, c) - Fraction(1, 2),
+            dot(b, c2) - Fraction(1, 3), dot(b, ac) - Fraction(1, 6),
+            dot(b, [x ** 3 for x in c]) - Fraction(1, 4),
+            dot(b, [x * y for x, y in zip(c, ac)]) - Fraction(1, 8),
+            dot(b, times_a(c2)) - Fraction(1, 12), dot(b, times_a(ac)) - Fraction(1, 24)]
+
+
+def test_ssp_tableau_meets_its_order_conditions():
+    A, b, b_hat = _ssp_rationals()
+    assert _order_residuals(A, b) == [0] * 8
+    hat = _order_residuals(A, b_hat)
+    assert hat[:4] == [0] * 4 and any(hat[4:])
+    # b_hat is the least-norm solution of the four conditions with b_hat_5 = 0
+    c = np.array([float(sum(row)) for row in A])
+    rows = np.array([np.ones(10), c, c * c, np.array(A, dtype=float) @ c])
+    keep = np.arange(10) != 4
+    least, *_ = np.linalg.lstsq(rows[:, keep], [1, 1 / 2, 1 / 3, 1 / 6], rcond=None)
+    np.testing.assert_allclose(least, np.array(b_hat, dtype=float)[keep], rtol=1e-12)
+    # the solver's floats are these rationals, correctly rounded
+    nodes, a, e = _TABLEAUX["ssprk104"]
+    assert nodes.tolist() == [float(sum(row)) for row in A] + [1.0]
+    assert a[:10, :10].tolist() == [[float(v) for v in row] for row in A]
+    assert a[10].tolist() == [float(v) for v in b] + [0.0]
+    assert not a[:, 10].any()
+    assert e.tolist() == [float(x - y) for x, y in zip(b, b_hat)] + [0.0]
+
+
+def _real_stability_bound(tableau):
+    """The largest x with |R(-y)| <= 1 on [0, x], to 1e-4, where
+    R(z) = 1 + z b^T (I - z A)^-1 1 = 1 + sum_k b^T A^(k-1) 1 z^k is the
+    stability polynomial of the explicit tableau whose last row is b."""
+    nodes, a, _ = tableau
+    s = nodes.size - 1
+    coef, v = [1.0], np.ones(s)
+    for _ in range(s):
+        coef.append(a[s, :s] @ v)
+        v = a[:s, :s] @ v
+    x = np.arange(0.0, 20.0, 1e-4)
+    outside = np.abs(np.polynomial.polynomial.polyval(-x, coef)) > 1.0 + 1e-12
+    return x[np.argmax(outside) - 1]
+
+
+def test_real_stability_bounds_of_the_tableaux():
+    assert 3.3 <= _STABILITY <= _real_stability_bound(_TABLEAUX["rk45"]) < 3.31
+    assert 13.9 <= _SSP_STABILITY <= _real_stability_bound(_TABLEAUX["ssprk104"]) < 13.92
+    assert round(_real_stability_bound(_TABLEAUX["rk4"]), 2) == 2.79
+
+
+def test_ssp_tableau_is_fourth_order():
+    # y' = -2 t y^2, y(0) = 1, y = 1 / (1 + t^2), in fixed steps of the
+    # tableau alone: halving h divides the global error by about 2^4
+    nodes, a, _ = _TABLEAUX["ssprk104"]
+    s = nodes.size - 1
+
+    def solve(n):
+        h, y = 2.0 / n, 1.0
+        for j in range(n):
+            k = []
+            for i in range(s):
+                yi = y + h * sum(a[i, q] * k[q] for q in range(i))
+                k.append(-2.0 * (j + nodes[i]) * h * yi * yi)
+            y += h * sum(a[s, q] * k[q] for q in range(s))
+        return abs(y - 0.2)
+
+    errors = [solve(n) for n in (8, 16, 32, 64)]
+    ratios = [p / q for p, q in zip(errors, errors[1:])]
+    assert all(13.0 < r < 19.0 for r in ratios), ratios
 
 
 @pytest.mark.parametrize("stream, kernel, solver_args, counts, max_drift", [
@@ -638,7 +758,7 @@ def test_stability_cap_leaves_non_stiff_runs_alone(stream, kernel, solver_args, 
     traj = ck.integrate(_seeded(11, stream, 512), ck.SolverConfig(kernel=kernel, **solver_args))
     log = traj.step_log
     assert (log["accepted"], log["rejected"], log["rhs_evals"]) == counts
-    assert 0.0 < log["max_h_lambda"] < _STABILITY
+    assert 0.0 < log["max_h_lambda"] < _STABILITY and log["stiff_steps"] == 0
     op = traj.operator
     assert getattr(op, "large", op)._block_outputs is None
     if max_drift is not None:
