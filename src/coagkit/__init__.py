@@ -15,10 +15,10 @@ from .compactness import (FunctionFamily, VPFunction, dlvp_construct,
                           vp_eval)
 from .diagnostics import (ComparisonReport, GelationReport, MarginReport,
                           UniquenessReport, WeakFormResidual, bound_monitor,
-                          c5_constant, comparison_ode, flux_decomposition,
-                          gelation_detect, gelation_functional,
-                          power_shifted_ixi, ratio_shifted_ixi,
-                          uniqueness_distance, weak_form_residual)
+                          c5_constant, comparison_ode, gelation_detect,
+                          gelation_functional, power_shifted_ixi,
+                          ratio_shifted_ixi, uniqueness_distance,
+                          weak_form_residual)
 from .reference import OracleResult, exact_solution, moment_oracle
 
 __all__ = [name for name in dir() if not name.startswith("_")]

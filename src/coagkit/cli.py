@@ -36,13 +36,13 @@ from .compactness import (TAIL_DEFAULT, TAILS, CompactnessConfig, DlvpConfig,
                           eta_zero_extrapolation, family_tail, synthetic_family,
                           vp_check)
 from .diagnostics import (CHECKS, XI, XI_DEFAULT, bound_monitor, comparison_ode,
-                          gelation_detect, gelation_functional, weak_form_residual)
-from .errors import (ArgumentError, CoagKitError, ConfigError, ConstructionError,
-                     UnsupportedFamilyError)
+                          gelation_detect, gelation_functional, product_rate,
+                          weak_form_residual)
+from .errors import ArgumentError, CoagKitError, ConfigError, ConstructionError
 from .grids import SizeGrid, init_distribution
 from .kernels import KernelSpec, RadialRate, classify
 from .reference import SIZES, exact_solution, validation_oracle, validation_report
-from .solver import SolverConfig, Trajectory, _cap_binds, integrate
+from .solver import SolverConfig, Trajectory, integrate
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -158,10 +158,7 @@ CONFIG_SCHEMA = {
             }),
             "baseline": {"type": "boolean"},
         }),
-        "output": _strict({
-            "directory": {"type": "string"},
-            "formats": {"type": "array", "items": {"enum": ["csv", "json"]}},
-        }),
+        "output": _strict({"directory": {"type": "string"}}),
         "sweep": {"type": "array", "items": {"type": "object"}},
     }, "kernel", "grid", "init", "solver"),
 }
@@ -530,16 +527,13 @@ def _simulate(cfg: dict, out: str | None, jobs: int = 1, label: str = "") -> int
     _warn_sparse_snapshots(config, init.grid)
     traj = integrate(init, config)
     out_dir = _out_dir(cfg, out)
-    formats = cfg.get("output", {}).get("formats", ["csv", "json"])
-    if "csv" in formats:
-        _write(out_dir / "moments.csv", traj.moments_csv())
-        _write(out_dir / "snapshots.csv", traj.snapshots_csv())
+    _write(out_dir / "moments.csv", traj.moments_csv())
+    _write(out_dir / "snapshots.csv", traj.snapshots_csv())
     _write(out_dir / "run.json", _json_text(_run_json(cfg, traj)))
     rows = _run_diagnostics(checks, traj, config.kernel)
     if rows:
         _write(out_dir / "diagnostics.json", _json_text(rows))
-        if "csv" in formats:
-            _write(out_dir / "diagnostics.csv", _rows_csv(rows))
+        _write(out_dir / "diagnostics.csv", _rows_csv(rows))
     return _verdict(traj, label=label)
 
 
@@ -658,10 +652,7 @@ def _gelation(cfg: dict, out: str | None) -> int:
             raise ConfigError(f"gelation.{key} is read only by the mass_drop policy")
     if xi is not None:
         # the bound 2 I_xi^2 M1(0) needs K >= r(x) r(y)
-        rate = kernel.radial_rate()
-        if _cap_binds(kernel, init.grid):
-            raise UnsupportedFamilyError(
-                "gelation.xi needs a product kernel whose pointwise cap does not bind on the grid")
+        rate = product_rate(kernel, init.grid, "gelation.xi")
     _warn_sparse_snapshots(config, init.grid)
     traj = integrate(init, config)
     if sec.pop("baseline", False):

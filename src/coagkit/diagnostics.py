@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, UnsupportedFamilyError
-from .grids import SizeDistribution, moment
+from .grids import SizeDistribution, SizeGrid, moment
 from .kernels import KernelSpec, RadialRate, classify, growth_constant
 from .solver import Trajectory, _cap_binds, _rate_operator
 from .compactness import phi_integral
@@ -28,7 +28,6 @@ __all__ = [
     "GelationReport",
     "UniquenessReport",
     "weak_form_residual",
-    "flux_decomposition",
     "bound_monitor",
     "comparison_ode",
     "gelation_functional",
@@ -231,47 +230,6 @@ def weak_form_residual(traj: Trajectory, kernel: KernelSpec, theta,
     return WeakFormResidual(tag, times, changes - integrals, changes, integrals)
 
 
-# rows of the kernel table flux_decomposition holds at once for I1
-_FLUX_ROWS = 128
-
-
-def flux_decomposition(dist: SizeDistribution, kernel: KernelSpec, A: float
-                       ) -> tuple[float, float, float]:
-    """The three non-negative mass-flux integrals across size A.
-
-    I1: pairs with both sizes <= A creating mass above A, weighted by the
-    excess; I2: small-large pairs weighted by the small size; I3: pairs with
-    both sizes above A, weighted by A/2.  I2 and I3 come from the solver's
-    absorbing rate operator: its loss factor on the density with the small
-    cells zeroed is each cell's reach ``sum_k K(x, p_k) n_k`` over the large
-    cells.  I1 tabulates the kernel on the small cells only, a block of
-    rows at a time, so its memory does not grow with their number.
-    """
-    lo, hi = dist.grid.span
-    if not (lo < A < hi):
-        raise DomainError("A must lie within the grid span")
-    p = dist.grid.pivots
-    n = dist.number
-    s = int(np.searchsorted(p, A, side="right"))   # the small cells p <= A
-    large = dist.density.copy()
-    large[:s] = 0.0
-    reach = _rate_operator(dist.grid, kernel, "absorbing").split(large).loss_factor
-    ps, ns = p[:s], n[:s]
-    i2 = float(np.dot(ps * ns, reach[:s]))
-    i3 = 0.5 * A * float(np.dot(n[s:], reach[s:]))
-    # I1 in blocks of _FLUX_ROWS rows; a row j meets A only with partners
-    # p_k > A - p_j, the first of which the block's last row bounds
-    i1 = 0.0
-    for start in range(0, s, _FLUX_ROWS):
-        rows = slice(start, min(start + _FLUX_ROWS, s))
-        first = int(np.searchsorted(ps, A - ps[rows.stop - 1], side="right"))
-        pj, pk = ps[rows, None], ps[None, first:]
-        excess = np.maximum(pj + pk - A, 0.0)
-        excess *= np.asarray(kernel.eval(pj, pk))
-        i1 += float(ns[rows] @ excess @ ns[first:])
-    return 0.5 * i1, i2, i3
-
-
 # ---------------------------------------------------------------------------
 # A-priori bound monitors
 # ---------------------------------------------------------------------------
@@ -292,6 +250,16 @@ CHECKS = {
 
 def _weighted_sum(snap: SizeDistribution, values: np.ndarray) -> float:
     return float(np.dot(values, snap.number))
+
+
+def product_rate(kernel: KernelSpec, grid: SizeGrid, user: str) -> RadialRate:
+    """The factor r of ``kernel`` = r(x) r(y) on ``grid``, for ``user``: a
+    pointwise cap that binds there is refused, as min(K, n) has no product form."""
+    rate = kernel.radial_rate()
+    if _cap_binds(kernel, grid):
+        raise UnsupportedFamilyError(
+            f"{user} needs a product kernel whose pointwise cap does not bind on the grid")
+    return rate
 
 
 def bound_monitor(traj: Trajectory, kernel: KernelSpec, which: str,
@@ -339,10 +307,7 @@ def bound_monitor(traj: Trajectory, kernel: KernelSpec, which: str,
     if which == "product_l2":
         if A is None:
             raise DomainError("product_l2 needs the tail threshold A")
-        rate = kernel.radial_rate()
-        if _cap_binds(kernel, grid):
-            raise UnsupportedFamilyError(
-                "product_l2 needs a product kernel whose pointwise cap does not bind on the grid")
+        rate = product_rate(kernel, grid, "product_l2")
         rvals = np.asarray(rate(grid.pivots))
         full = np.array([_weighted_sum(s, rvals) for s in snaps])
         tail_vals = np.where(grid.pivots >= A, rvals, 0.0)

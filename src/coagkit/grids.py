@@ -63,6 +63,7 @@ class SizeGrid:
             raise GridError("edges must be strictly increasing, length >= 2")
         if edges[0] <= 0:
             raise GridError("edges must be positive")
+        _check_top(np.log(edges[-1]))
         pivots = np.sqrt(edges[:-1] * edges[1:])  # geometric-mean pivots
         return SizeGrid("sectional", edges=tuple(edges), pivots_=tuple(pivots))
 
@@ -72,10 +73,13 @@ class SizeGrid:
         """Geometric sectional grid spanning [x_min, x_max]: ``bins`` bins of
         equal log-width, or bins of ``ratio`` (DEFAULT_GEOMETRIC_RATIO when
         neither is given), the last one ending at or past x_max."""
+        if not 0 < x_min < x_max:
+            raise GridError("span must satisfy 0 < x_min < x_max")
         if bins is not None:
             if ratio is not None:
                 raise ArgumentError("ratio", "is not read beside bins")
             _check_cells(bins)
+            _check_top(np.log(x_max))
             edges = np.geomspace(x_min, x_max, int(bins) + 1)
         else:
             ratio = DEFAULT_GEOMETRIC_RATIO if ratio is None else ratio
@@ -83,6 +87,7 @@ class SizeGrid:
                 raise GridError("ratio must exceed 1")
             m = np.ceil(np.log(x_max / x_min) / np.log(ratio))
             _check_cells(m)
+            _check_top(np.log(x_min) + m * np.log(ratio))
             edges = x_min * ratio ** np.arange(int(m) + 1)
         return SizeGrid.sectional(edges)
 
@@ -113,6 +118,14 @@ class SizeGrid:
 def _check_cells(count):
     if not count <= MAX_CELLS:
         raise GridError(f"a grid of {count:g} cells exceeds the budget of {MAX_CELLS}")
+
+
+def _check_top(log_edge):
+    """Refuse a grid whose last edge, of log ``log_edge``, overflows float64
+    when squared, as it bounds every pivot squared and pivot times width."""
+    if not 2.0 * log_edge < np.log(np.finfo(float).max):
+        raise GridError(f"the largest edge squared, about 1e{2.0 * log_edge / np.log(10):.0f}, "
+                        "overflows float64")
 
 
 @dataclass
@@ -232,7 +245,8 @@ def init_distribution(grid: SizeGrid, family: str, **params) -> SizeDistribution
 
     Families: ``monodisperse(size=1.0)``, ``exponential(mean=1.0)`` and
     ``tabulated(density)``; see their builders.  A parameter the family does
-    not read, or a required one left out, is a DomainError.
+    not read, or a required one left out, is a DomainError, as is data whose
+    M0, M1 or M2 overflows.
     """
     build = _INIT_FAMILIES.get(family)
     if build is None:
@@ -241,7 +255,12 @@ def init_distribution(grid: SizeGrid, family: str, **params) -> SizeDistribution
         inspect.signature(build).bind(grid, **params)
     except TypeError as exc:
         raise DomainError(f"{family} initial data: {exc}") from None
-    return SizeDistribution(grid, build(grid, **params), 0.0)
+    dist = SizeDistribution(grid, build(grid, **params), 0.0)
+    with np.errstate(over="ignore"):
+        bad = [f"M{mu}" for mu in (0, 1, 2) if not np.isfinite(moment(dist, mu))]
+    if bad:
+        raise DomainError(f"{family} initial data has non-finite {', '.join(bad)}")
+    return dist
 
 
 def _apportion_cells(grid: SizeGrid, num: np.ndarray, mass: np.ndarray) -> np.ndarray:

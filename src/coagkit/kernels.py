@@ -25,8 +25,6 @@ __all__ = [
     "omega_r",
 ]
 
-_DENSE_SAMPLE = 256  # log-spaced x-samples when no closed-form supremum exists
-
 
 # ---------------------------------------------------------------------------
 # Radial rate r(x) for product kernels K(x, y) = r(x) r(y)
@@ -174,13 +172,6 @@ class KernelSpec:
             table=(tuple(x_nodes), tuple(map(tuple, matrix))),
         )
 
-    @staticmethod
-    def from_function(x_nodes, func) -> "KernelSpec":
-        """Tabulate ``func(x, y)`` on a node grid."""
-        x_nodes = np.asarray(x_nodes, dtype=float)
-        xx, yy = np.meshgrid(x_nodes, x_nodes, indexing="ij")
-        return KernelSpec.tabulated(x_nodes, func(xx, yy))
-
     # -- evaluation ----------------------------------------------------------
 
     def _raw(self, x, y):
@@ -311,38 +302,19 @@ class GrowthClass:
 def omega_r(kernel: KernelSpec, R: float, y, x_min: float | None = None):
     """sup over x in (0, R) of K(x, y) / y.
 
-    Closed forms are used for families monotone in x; otherwise the supremum
-    is taken over a deterministic log-spaced sample of ``[x_min, R]``.  The
-    Brownian kernel diverges as x -> 0, so it requires an explicit ``x_min``.
+    The supremum is taken over 256 log-spaced samples of ``[x_min, R]``,
+    which hold x = R, where a kernel nondecreasing in x takes it.  The Brownian kernel diverges as x -> 0, so it requires an
+    explicit ``x_min``.
     """
     if R <= 0:
         raise DomainError("R must be positive")
     y_arr = np.asarray(y, dtype=float)
     if np.any(y_arr <= 0):
         raise DomainError("y must be positive")
-    fam = kernel.family
-    if kernel.cap is None:
-        if fam == "constant":
-            out = kernel.params[0] / y_arr
-            return out if out.ndim else float(out)
-        if fam == "additive":
-            return (R + y_arr) / y_arr if y_arr.ndim else float((R + y_arr) / y_arr)
-        if fam == "multiplicative":
-            out = np.full_like(y_arr, R)
-            return out if out.ndim else float(R)
-        if fam == "power_sum" and min(kernel.params) >= 0:
-            a, b = kernel.params
-            out = (R**a * y_arr**b + R**b * y_arr**a) / y_arr
-            return out if out.ndim else float(out)
-        if fam == "product" and kernel.rate.form in ("identity", "power_law"):
-            p = 1.0 if kernel.rate.form == "identity" else kernel.rate.params[0]
-            if p >= 0:
-                out = kernel.rate(R) * np.asarray(kernel.rate(y_arr)) / y_arr
-                return out if out.ndim else float(out)
-    if fam == "brownian" and x_min is None:
+    if kernel.family == "brownian" and x_min is None:
         raise DomainError("omega_r for the Brownian kernel needs x_min > 0")
     lo = x_min if x_min is not None else R * 1e-9
-    xs = np.geomspace(lo, R, _DENSE_SAMPLE)
+    xs = np.geomspace(lo, R, 256)
     flat = y_arr.reshape(-1)
     res = np.empty(flat.shape)
     for i, yi in enumerate(flat):

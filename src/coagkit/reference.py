@@ -1,13 +1,15 @@
 """Closed-form oracles for the three classical kernels.
 
-These are textbook results for monodisperse initial data; every formula here
-is re-derived in the test suite by brute-force integration of a small system
-at tight tolerance, so the oracles never enter the codebase unverified.
+These are textbook results; every formula here is re-derived in the test
+suite by brute-force integration of a small system at tight tolerance, so
+the oracles never enter the codebase unverified.
 
-* constant rate 2: full distribution f_i(t) = t**(i-1) / (1+t)**(i+1)
-* additive x+y: moments only, M0 = exp(-t), M1 = 1, M2 = exp(2t)
-* multiplicative x*y: moments only, M0 = 1 - t/2, M1 = 1, M2 = 1/(1-t)
-  on t < 1; the second moment diverges at the gelation time t = 1.
+* ``moment_oracle``: the moments M0, M1 and M2 of the constant, additive and
+  multiplicative kernels from any initial moments, by their closed moment
+  equations; the multiplicative M2 diverges at the gelation time 1/M2(0).
+* ``exact_solution``: one particle of size 1, whose moments are
+  ``moment_oracle``'s at M0 = M1 = M2 = 1, and for the constant rate 2 the
+  full distribution f_i(t) = t**(i-1) / (1+t)**(i+1).
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ from .kernels import KernelSpec
 from .solver import Trajectory, _cap_binds
 
 __all__ = ["OracleResult", "exact_solution", "moment_oracle", "validation_oracle",
-           "validation_report", "GEL_TIME_MULTIPLICATIVE"]
-
-GEL_TIME_MULTIPLICATIVE = 1.0
+           "validation_report"]
 
 
 @dataclass
@@ -33,16 +33,7 @@ class OracleResult:
     t: float
     moments: dict                  # order -> value
     distribution: np.ndarray | None = None   # f_i for sizes 1..n
-    validity: tuple = (0.0, np.inf)
     gel_time: float | None = None
-
-
-def _require_monodisperse_unit(kernel: KernelSpec):
-    fam = kernel.family
-    if fam == "constant" and abs(kernel.params[0] - 2.0) > 1e-12:
-        raise UnsupportedFamilyError("constant-kernel oracle is normalised to rate 2")
-    if fam not in ("constant", "additive", "multiplicative"):
-        raise UnsupportedFamilyError(f"no closed-form oracle for family {fam!r}")
 
 
 def exact_solution(kernel: KernelSpec, t: float, n_sizes: int = 0) -> OracleResult:
@@ -51,27 +42,18 @@ def exact_solution(kernel: KernelSpec, t: float, n_sizes: int = 0) -> OracleResu
     ``n_sizes`` asks for the first n entries of the size distribution where
     one is known (constant kernel only).
     """
-    _require_monodisperse_unit(kernel)
-    if t < 0:
-        raise DomainError("t must be non-negative")
     fam = kernel.family
-    if fam == "constant":
-        i = np.arange(1, n_sizes + 1)
-        dist = t ** (i - 1.0) / (1.0 + t) ** (i + 1.0) if n_sizes else None
-        moments = {0.0: 1.0 / (1.0 + t), 1.0: 1.0, 2.0: 1.0 + 2.0 * t}
-        return OracleResult("full_distribution", t, moments, dist)
-    if fam == "additive":
-        moments = {0.0: np.exp(-t), 1.0: 1.0, 2.0: np.exp(2.0 * t)}
-        return OracleResult("moments_only", t, moments)
-    # multiplicative, pre-gelation only
-    if t >= GEL_TIME_MULTIPLICATIVE:
-        raise DomainError(
-            f"multiplicative oracle is valid on t < {GEL_TIME_MULTIPLICATIVE} "
-            "(finite-time gelation)")
-    moments = {0.0: 1.0 - t / 2.0, 1.0: 1.0, 2.0: 1.0 / (1.0 - t)}
-    return OracleResult("moments_only", t, moments,
-                        validity=(0.0, GEL_TIME_MULTIPLICATIVE),
-                        gel_time=GEL_TIME_MULTIPLICATIVE)
+    if fam == "constant" and abs(kernel.params[0] - 2.0) > 1e-12:
+        raise UnsupportedFamilyError("constant-kernel oracle is normalised to rate 2")
+    if fam not in ("constant", "additive", "multiplicative"):
+        raise UnsupportedFamilyError(f"no closed-form oracle for family {fam!r}")
+    moments = moment_oracle(kernel, {0.0: 1.0, 1.0: 1.0, 2.0: 1.0}, t)
+    if fam != "constant":   # the multiplicative kernel gels at t = 1
+        return OracleResult("moments_only", t, moments,
+                            gel_time=1.0 if fam == "multiplicative" else None)
+    i = np.arange(1, n_sizes + 1)
+    dist = t ** (i - 1.0) / (1.0 + t) ** (i + 1.0) if n_sizes else None
+    return OracleResult("full_distribution", t, moments, dist)
 
 
 def validation_oracle(init: SizeDistribution, kernel: KernelSpec,
@@ -132,7 +114,7 @@ def validation_report(traj: Trajectory, oracle: OracleResult,
 def moment_oracle(kernel: KernelSpec, init_moments: dict, t: float) -> dict:
     """Closed moment ODE solutions for arbitrary initial moments.
 
-    constant(c):      M0' = -(c/2) M0^2
+    constant(c):      M0' = -(c/2) M0^2,  M2' = c M1^2
     additive:         M0' = -M0 M1,   M2' = 2 M1 M2     (M1 constant)
     multiplicative:   M0' = -M1^2/2,  M2' = M2^2        (M1 constant, t < 1/M2(0))
     """
@@ -144,7 +126,7 @@ def moment_oracle(kernel: KernelSpec, init_moments: dict, t: float) -> dict:
     m2 = float(init_moments.get(2.0, init_moments.get(2, 0.0)))
     if fam == "constant":
         c = kernel.params[0]
-        return {0.0: m0 / (1.0 + 0.5 * c * m0 * t), 1.0: m1}
+        return {0.0: m0 / (1.0 + 0.5 * c * m0 * t), 1.0: m1, 2.0: m2 + c * m1 * m1 * t}
     if fam == "additive":
         return {0.0: m0 * np.exp(-m1 * t), 1.0: m1, 2.0: m2 * np.exp(2.0 * m1 * t)}
     if fam == "multiplicative":

@@ -32,7 +32,7 @@ def base_config(out_dir, **overrides):
         "solver": {"scheme": "rk45", "rel_tol": 1e-9, "abs_tol": 1e-13,
                    "boundary": "conservative", "t_end": 1.0,
                    "snapshots": [0.5, 1.0]},
-        "output": {"directory": str(out_dir), "formats": ["csv", "json"]},
+        "output": {"directory": str(out_dir)},
     }
     cfg.update(overrides)
     return cfg
@@ -761,6 +761,16 @@ BAD_CONFIGS = {
     "simulate-geometric-ratio-1-plus-1e-10":
         ("simulate", lambda cfg: cfg.update(grid={"kind": "geometric", "span": [1.0, 1e4],
                                                   "ratio": 1 + 1e-10}), 2),
+    # once two numpy RuntimeWarnings, then exit 4 naming a non-finite
+    # initial density the config did not give
+    "simulate-geometric-edge-squared-overflow":
+        ("simulate", lambda cfg: cfg.update(
+            grid={"kind": "geometric", "span": [1e-300, 1e300], "bins": 50},
+            init={"family": "exponential", "params": {"mean": 1.0}}), 2),
+    # once two numpy RuntimeWarnings, then exit 3 on a non-finite trajectory
+    "simulate-tabulated-init-of-infinite-moments":
+        ("simulate", lambda cfg: cfg.update(grid={"kind": "discrete", "n": 128}, init={
+            "family": "tabulated", "params": {"density": [1e308] * 128}}), 2),
     # once a numpy ValueError traceback, exit 1
     "simulate-ragged-tabulated-kernel-matrix":
         ("simulate", lambda cfg: cfg.update(kernel={"family": "tabulated", "params": {
@@ -832,6 +842,10 @@ REFUSED_BEFORE_THE_RUN = {
     "gelation-xi-on-brownian": "kernel has no product form r(x) r(y)",
     "gelation-xi-on-binding-pointwise-cap": "gelation.xi needs a product kernel",
     "simulate-ragged-tabulated-kernel-matrix": "tabulated kernel matrix",
+    "simulate-geometric-edge-squared-overflow":
+        "the largest edge squared, about 1e600, overflows float64",
+    "simulate-tabulated-init-of-infinite-moments":
+        "tabulated initial data has non-finite M0, M1, M2",
     "simulate-psi-moment-with-R": "diagnostics.checks[0].R is not read by psi_moment",
     "simulate-phi-gronwall-with-A": "diagnostics.checks[1].A is not read by phi_gronwall",
     "simulate-comparison-ode-with-theta":

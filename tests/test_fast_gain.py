@@ -98,7 +98,7 @@ def test_fast_gain_refusals():
         ck.fast_gain(dist, ck.KernelSpec.multiplicative().truncate(3.0))
     # tabulated kernels have no separable form
     xs = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
-    tab = ck.KernelSpec.from_function(xs, lambda x, y: x + y)
+    tab = ck.KernelSpec.tabulated(xs, np.add.outer(xs, xs))
     with pytest.raises(UnsupportedFamilyError):
         ck.fast_gain(dist, tab)
     # sectional grids are not integer-convolvable

@@ -25,6 +25,18 @@ def test_grid_cell_budget_is_checked_before_allocating():
             build()
 
 
+def test_grid_whose_last_edge_squared_overflows_is_refused():
+    # before any array is built, so numpy warns of no overflow; the top pivot
+    # of edges [1e-300, 1, 1e300] is 1e150, whose square fits, but its
+    # product with its width of 1e300 does not
+    for build in (lambda: ck.SizeGrid.geometric(1e-300, 1e300, bins=50),
+                  lambda: ck.SizeGrid.geometric(1.0, 1e307, ratio=1e10),
+                  lambda: ck.SizeGrid.sectional([1e-300, 1.0, 1e300])):
+        with pytest.raises(GridError, match="largest edge squared"):
+            build()
+    assert ck.SizeGrid.geometric(1.0, 1e154, bins=2).size == 2
+
+
 def test_moment_monodisperse():
     grid = ck.SizeGrid.discrete(100)
     dist = ck.init_distribution(grid, "monodisperse", size=1)
@@ -60,6 +72,8 @@ def test_init_tabulated_and_negative_guard():
     assert d.moment(0.0) == 1.5
     with pytest.raises(DomainError):
         ck.init_distribution(grid, "tabulated", density=[1.0, -0.5, 0.0, 0.0])
+    with pytest.raises(DomainError, match="non-finite M0, M1, M2"):
+        ck.init_distribution(ck.SizeGrid.discrete(128), "tabulated", density=np.full(128, 1e308))
 
 
 def test_sectional_refuses_decreasing_edges():

@@ -19,14 +19,15 @@ CLOSED_FORM_FAMILIES = [
 def preset_cube_sum(x_min=1e-3, x_max=1e3, n=96):
     """(x^(1/3) + y^(1/3))^3 as a tabulated kernel."""
     xs = np.geomspace(x_min, x_max, n)
-    return ck.KernelSpec.from_function(xs, lambda x, y: (np.cbrt(x) + np.cbrt(y)) ** 3)
+    cx, cy = np.cbrt(np.meshgrid(xs, xs, indexing="ij"))
+    return ck.KernelSpec.tabulated(xs, (cx + cy) ** 3)
 
 
 def preset_cube_diff(x_min=1e-3, x_max=1e3, n=96):
     """(x^(1/3) + y^(1/3))^2 |x^(1/3) - y^(1/3)| as a tabulated kernel."""
     xs = np.geomspace(x_min, x_max, n)
-    return ck.KernelSpec.from_function(
-        xs, lambda x, y: (np.cbrt(x) + np.cbrt(y)) ** 2 * np.abs(np.cbrt(x) - np.cbrt(y)))
+    cx, cy = np.cbrt(np.meshgrid(xs, xs, indexing="ij"))
+    return ck.KernelSpec.tabulated(xs, (cx + cy) ** 2 * np.abs(cx - cy))
 
 
 def test_eval_examples():
