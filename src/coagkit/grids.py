@@ -85,10 +85,17 @@ class SizeGrid:
             ratio = DEFAULT_GEOMETRIC_RATIO if ratio is None else ratio
             if ratio <= 1:
                 raise GridError("ratio must exceed 1")
-            m = np.ceil(np.log(x_max / x_min) / np.log(ratio))
+            # a span whose quotient overflows float64 takes its log from the
+            # ends' logs, and each ratio power in two halves, which fit
+            quotient = float(x_max) / float(x_min)
+            wide = not np.isfinite(quotient)
+            span = np.log(x_max) - np.log(x_min) if wide else np.log(quotient)
+            m = np.ceil(span / np.log(ratio))
             _check_cells(m)
             _check_top(np.log(x_min) + m * np.log(ratio))
-            edges = x_min * ratio ** np.arange(int(m) + 1)
+            k = np.arange(int(m) + 1)
+            edges = x_min * ratio ** (k // 2) * ratio ** (k - k // 2) if wide \
+                else x_min * ratio ** k
         return SizeGrid.sectional(edges)
 
     @property

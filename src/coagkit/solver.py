@@ -48,7 +48,11 @@ the operator allocates once, as are the prefix and suffix sums and the gain,
 loss and loss factor it returns; so an evaluation allocates no array of the
 grid's length, and the arrays one ``split`` returns stay valid until the
 next ``split`` on the same operator (``rates`` and ``fast_gain`` build a
-fresh operator per call).
+fresh operator per call).  The separable operator also takes a prefix
+``f[:L]`` of the density and treats the cells past it as zero: it then
+reads and writes only the first L cells, and the gain's first 2s, which is
+what the integrator passes; ``rates``, ``fast_gain`` and the diagnostics
+pass the whole density.
 
 ``_PairRows`` sums J0 rows of the pair table directly.  The capped path
 splits the pairs at J0, the number of leading cells with
@@ -64,10 +68,10 @@ the stiff direction of the equations.
 The integrator is one explicit Runge-Kutta loop over Butcher tableaux:
 Dormand-Prince 5(4) with step-size control (``rk45``) or classical RK4 with a
 fixed step (``rk4``).  Its stages, the stage state and one scratch row are
-allocated once per run, each derivative is written into its stage row, and
-the state and the stage state swap on acceptance, so a step allocates no
-array of the state's length either.  The last row of each tableau gives
-the new state, so the last stage is the derivative there and is reused as
+allocated once per run, zeroed, each derivative is written into its stage
+row, and the state and the stage state swap on acceptance, so a step
+allocates no array of the state's length either.  The last row of each
+tableau gives the new state, so the last stage is the derivative there and is reused as
 the next step's first (first same as last) unless the negativity clamp
 removed more than round-off.  Dormand-Prince is stable on the real axis to
 about ``-3.3``, so where the step that the ``rk45`` error control proposed
@@ -85,6 +89,18 @@ time and carries its stages and step sizes on, so only the start pays a
 derivative and a step-size probe.  A fixed step counts its steps from the
 start of each interval, so rounding adds no residual step.  A step size
 below 1e-12 of t_end flags the run for either scheme.
+
+The loop keeps one live mark L, the number of leading cells that any state
+or derivative of the run has reached: it starts at the initial support and,
+on the separable path, grows after each evaluation to ``min(N, 2s)``, past
+which the gain is zero; the other paths hold L = N from the start.  Every
+state and derivative is zero past L, so the stage combinations, the error
+row, the first-same-as-last copy, the clamp and ``gain - loss`` run on the
+first L cells and the gel entry only, and a density that fills few cells of
+a large grid costs little per stage as well as per FFT.  Those combinations
+are BLAS products over whole blocks of ``_ALIGN`` columns, which round every
+cell as a product over the whole state would.  ``step_log["live_cells"]``
+is the final mark.
 """
 
 from __future__ import annotations
@@ -144,6 +160,13 @@ _BLOCK = 4096
 _STABILITY = 3.3
 _SSP_STABILITY = 13.9
 
+# a BLAS vector-matrix product rounds the columns past the last multiple of
+# its unroll width (4 in OpenBLAS's SkylakeX dgemv) apart from the others, so
+# products over a live prefix run over whole blocks of _ALIGN columns, or the
+# whole row (``_aligned``): every column then comes out bit for bit as from
+# the whole row
+_ALIGN = 64
+
 MOMENT_ORDERS = (0.0, 0.5, 1.0, 2.0)
 
 
@@ -192,8 +215,8 @@ class SolverConfig:
 class RateSplit:
     """Gain/loss split of the right-hand side, in density-rate units."""
 
-    gain: np.ndarray
-    loss: np.ndarray
+    gain: np.ndarray          # over the grid
+    loss: np.ndarray          # loss and loss factor over the density passed
     loss_factor: np.ndarray
     gel_rate: float = 0.0
     support: int = 0   # one past the density's last nonzero cell
@@ -318,14 +341,19 @@ class _SeparableOperator:
     sums ``c W_a W_b`` over the pairs and takes one inverse FFT; the loss and
     the overflow flux come from prefix and suffix sums of the ``w_a f``.
 
-    Each evaluation reads only the support of ``f``, its first s cells.  The
-    FFT length is ``2^ceil(log2(2s - 1))``, capped at ``n_fft``, the 5-smooth
-    length for the full grid, so a run makes a few plans, one per power of
-    two; below 64 entries, or with ``refine``, the convolution is a direct
-    sum.  Past half support, when that length exceeds ``2 * _BLOCK``, the
-    convolution runs in blocks (see ``_blocked_convolution``).  The gel
-    rate is exactly zero while 2s <= n, and the conservative partner sums
-    are the support's total for all but the last s cells.
+    ``f`` is the density or a prefix of it, whose cells past its end are
+    zero.  Each evaluation reads only the support of ``f``, its first s
+    cells, and writes only the gain's first ``min(2s, n)`` cells, zeroing
+    those that the last call left past them, and the loss and the loss
+    factor over the prefix.  The FFT length is ``2^ceil(log2(2s - 1))``,
+    capped at ``n_fft``, the 5-smooth length for the full grid, so a run
+    makes a few plans, one per power of two; below 64 entries, or with
+    ``refine``, the convolution is a direct sum.  Past half support, when
+    that length exceeds ``2 * _BLOCK``, the convolution runs in blocks (see
+    ``_blocked_convolution``).  The gel rate is exactly zero while
+    2s <= n, and the conservative partner sums are the support's total for
+    all but the last s cells, of which only those in the prefix are
+    written.
 
     Every array an evaluation writes is a work array allocated in
     ``__init__``: the zero-padded rows ``w_a f``, their spectra with the
@@ -377,8 +405,9 @@ class _SeparableOperator:
         self._block_outputs = np.empty((count, 2 * _BLOCK)) if count else None
         self._mask = np.empty(n, dtype=bool)
         self._gain = np.zeros(n)
-        self._loss_factor = np.empty(n)
-        self._loss = np.empty(n)
+        self._top = 0   # the gain is zero from here on
+        self._loss_factor = np.zeros(n)
+        self._loss = np.zeros(n)
         self._sums = np.empty((2 * nv + 1, n))
 
     def _fft_length(self, s: int) -> int:
@@ -395,32 +424,40 @@ class _SeparableOperator:
 
         Only the support of ``f`` is read: past its last nonzero entry every
         sum gets exact zeros, so the gain is exactly zero past cell 2s - 1
-        and no pair can overflow while 2s <= n.
+        and no pair can overflow while 2s <= n.  ``f`` may be a prefix of
+        the density, its first L <= n cells, whose cells past L are zero:
+        the gain still spans the grid, and the loss and the loss factor
+        span the prefix.
 
         The returned arrays are the operator's work arrays: they stay valid
         until the next ``split`` on the same operator."""
-        n, nv = self.n, self.w.shape[0]
-        s = _support(f, self._mask)
+        n, nv, live = self.n, self.w.shape[0], f.size
+        s = _support(f, self._mask[:live])
         wf = np.multiply(self.w[:, :s], f[:s], out=self._wf[:, :s])
         gain = self._gain
         top = min(2 * s, n)
-        gain[top:] = 0.0
+        gain[top:self._top] = 0.0
+        self._top = top
         if top > 1:
             conv = self._direct(wf, top - 1) if refine or 2 * s - 1 < 64 \
                 else self._convolution(s, top - 1)
             np.multiply(conv, 0.5, out=gain[1:top])
-        loss_factor = np.matmul(self.coef @ np.sum(wf, axis=1), self.w, out=self._loss_factor)
+        width = _aligned(live, n)
+        loss_factor = np.matmul(self.coef @ np.sum(wf, axis=1), self.w[:, :width],
+                                out=self._loss_factor[:width])[:live]
         gel_rate = 0.0
-        if self.boundary == "conservative":
+        first = n - s
+        if self.boundary == "conservative" and first < live:
             # partners j <= n - i: every cell of the support for the first
-            # n - s cells, a prefix of it for the last s
-            partners, terms = self._sums[:nv, :s], self._sums[nv:2 * nv, :s]
+            # n - s cells, a prefix of it for the last s, of which those
+            # before the prefix's end are needed
+            partners, terms = self._sums[:nv, :s], self._sums[nv:2 * nv, :live - first]
             partners[:, :1] = 0.0
             np.cumsum(wf[:, :-1], axis=1, out=partners[:, 1:])
-            np.matmul(self.coef, partners[:, ::-1], out=terms)
-            terms *= self.w[:, n - s:]
-            np.sum(terms, axis=0, out=loss_factor[n - s:])
-        elif 2 * s > n:
+            np.matmul(self.coef, partners[:, ::-1][:, :live - first], out=terms)
+            terms *= self.w[:, first:live]
+            np.sum(terms, axis=0, out=loss_factor[first:])
+        elif self.boundary == "absorbing" and 2 * s > n:
             # overflow mass flux: partners k > n - j, via suffix sums, so the
             # rate is a sum of non-negative products; both cells of an
             # overflowing pair lie in the last 2s - n cells of the support
@@ -436,7 +473,7 @@ class _SeparableOperator:
                 np.multiply(x_tip, tails[b], out=row)
                 row += x_tails[b]
                 gel_rate += 0.5 * c * float(np.dot(tip[a], row))
-        return RateSplit(gain=gain, loss=np.multiply(f, loss_factor, out=self._loss),
+        return RateSplit(gain=gain, loss=np.multiply(f, loss_factor, out=self._loss[:live]),
                          loss_factor=loss_factor, gel_rate=gel_rate, support=s)
 
     def _convolution(self, s: int, size: int) -> np.ndarray:
@@ -532,9 +569,18 @@ def _next_fast_len(m: int) -> int:
     return best
 
 
+def _aligned(count: int, end: int) -> int:
+    """``count`` rounded up to whole blocks of ``_ALIGN`` columns, or ``end``
+    once that passes the last whole block of a row of ``end`` columns."""
+    width = -(-count // _ALIGN) * _ALIGN
+    return width if width <= end - end % _ALIGN else end
+
+
 def _support(f: np.ndarray, nonzero: np.ndarray) -> int:
     """One past the last nonzero entry of ``f``, or 0 when it has none;
     ``nonzero`` is a boolean work array of the same size."""
+    if not f.size:
+        return 0
     np.not_equal(f, 0.0, out=nonzero)
     s = f.size - int(np.argmax(nonzero[::-1]))
     return s if nonzero[s - 1] else 0
@@ -712,12 +758,20 @@ class _Rhs:
 
     State vector: the cell densities followed by the gel mass.  The
     derivative is written into ``out``.
+
+    ``live`` is the live mark L: the first evaluation sets it to the
+    state's support on the separable path, and to the whole grid on the
+    others, and each evaluation raises it to ``min(n, 2s)``.  Every state
+    passed in and every ``out`` row must be zero past it; the operator sees
+    ``y[:live]``, and only the cells before the mark and the gel entry of
+    ``out`` are written.
     """
 
     def __init__(self, op):
         self.op = op
         self.evals = 0
         self.split = None
+        self.live = None
 
     @property
     def max_loss_factor(self) -> float:
@@ -728,8 +782,16 @@ class _Rhs:
     def __call__(self, t: float, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         self.evals += 1
         m = y.size - 1
-        split = self.split = self.op.split(y[:m])
-        np.subtract(split.gain, split.loss, out=out[:m])
+        if self.live is None:
+            self.live = _support(y[:m], np.empty(m, dtype=bool)) \
+                if isinstance(self.op, _SeparableOperator) else m
+        live = self.live
+        split = self.split = self.op.split(y[:live])
+        np.subtract(split.gain[:live], split.loss, out=out[:live])
+        top = min(2 * split.support, m)
+        if top > live:   # the loss is zero past the support
+            np.copyto(out[live:top], split.gain[live:top])
+            self.live = top
         out[m] = split.gel_rate
         return out
 
@@ -784,7 +846,7 @@ class _StepLog:
         self.max_h_lambda = 0.0
         self.stiff_steps = 0
 
-    def as_dict(self, evals: int, runtime: float, rate_path: str) -> dict:
+    def as_dict(self, evals: int, runtime: float, rate_path: str, live_cells: int) -> dict:
         return {
             "accepted": self.accepted,
             "rejected": self.rejected,
@@ -794,6 +856,7 @@ class _StepLog:
             "min_dt": None if math.isinf(self.min_dt) else self.min_dt,
             "max_h_lambda": self.max_h_lambda,
             "stiff_steps": self.stiff_steps,
+            "live_cells": live_cells,
             "rhs_evals": evals,
             "runtime_s": runtime,
             "rate_path": rate_path,
@@ -824,14 +887,18 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
     """Step ``y`` from t = 0 onto each snapshot time in turn and yield it.
 
     The stage array ``k``, the stage state and one scratch row are
-    allocated once, and ``y`` itself is a work array: stage i is evaluated
-    at ``y + h (a[i, :i] @ k[:i])``, built in the stage state, which becomes
-    ``y`` when the step is accepted.  The yielded state is valid until the
-    generator resumes.  A tableau with an error row adapts h from a probe;
-    one without takes ``config.dt`` and counts its steps in each interval,
-    t = t_start + n dt, so rounding adds no residual step.  ``clamp(y)``
-    zeroes negatives in place and says whether it removed more than
-    round-off, which alone re-evaluates the first stage.  After the first
+    allocated once, zeroed, and ``y`` itself is a work array: stage i is
+    evaluated at ``y + h (a[i, :i] @ k[:i])``, built in the stage state,
+    which becomes ``y`` when the step is accepted.  ``y`` must be zero past
+    ``rhs.live``, as every derivative is: the stage combinations, the error
+    row, the first-same-as-last copy and the clamp run over the live cells
+    and the gel entry (``parts``), and the weighted norm over the whole
+    state.  The yielded state is valid until the generator resumes.  A
+    tableau with an error row adapts h from a probe; one without takes
+    ``config.dt`` and counts its steps in each interval, t = t_start + n dt,
+    so rounding adds no residual step.  ``clamp(density)``, given the live
+    cells of ``y``, zeroes negatives in place and says whether it removed
+    more than round-off, which alone re-evaluates the first stage.  After the first
     stage of a step, ``rhs.max_loss_factor`` is lambda_max at the state the
     step starts from.  Where the adaptive h exceeds ``_STABILITY /
     lambda_max``, the step is either Dormand-Prince's at that bound or
@@ -844,9 +911,24 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
     ends the generator."""
     dp = c, a, e = _TABLEAUX[config.scheme]
     ssp = _TABLEAUX["ssprk104"]
-    k = np.empty((c.size if e is None else ssp[0].size, y.size))
-    stage = np.empty_like(y)
-    scratch = np.empty_like(y)
+    k = np.zeros((c.size if e is None else ssp[0].size, y.size))
+    stage = np.zeros_like(y)
+    scratch = np.zeros_like(y)
+    m = y.size - 1
+
+    def parts():
+        # the live cells and the gel entry, in column spans that each hold
+        # whole _ALIGN blocks from the row's start or end at the row's end
+        end = m + 1
+        head, tail = _aligned(rhs.live, end), end - end % _ALIGN - _ALIGN
+        return (slice(0, end),) if head >= tail else (slice(0, head), slice(tail, end))
+
+    def combine(coef, h, out, base=None):   # out = base + h (coef @ k[:coef.size])
+        for cells in parts():
+            view = np.matmul(coef, k[:coef.size, cells], out=out[cells])
+            view *= h
+            if base is not None:
+                view += base[cells]
 
     def norm(v):   # the weighted norm, through the scratch row
         return float(np.dot(weights, np.abs(v, out=scratch)))
@@ -878,15 +960,13 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
                 return
             step = min(h_now, t1 - t)
             for i in range(1, c.size):
-                np.matmul(a[i, :i], k[:i], out=stage)
-                stage *= step
-                stage += y
+                combine(a[i, :i], step, stage, y)
                 rhs(t + c[i] * step, stage, out=k[i])
             if e is None:   # a fixed step passes once its new state is finite
-                en, tol = (0.0 if np.isfinite(stage).all() else math.nan), 0.0
+                finite = all(np.isfinite(stage[cells]).all() for cells in parts())
+                en, tol = (0.0 if finite else math.nan), 0.0
             else:
-                np.matmul(e, k[:c.size], out=scratch)
-                scratch *= step
+                combine(e, step, scratch)
                 en, tol = norm(scratch), tol_of(y)
             if not math.isfinite(en):
                 log.flag = "non_finite"
@@ -899,10 +979,11 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
                 log.min_dt = min(log.min_dt, float(step))
                 log.max_h_lambda = max(log.max_h_lambda, step * lam)
                 y, stage = stage, y
-                if clamp(y):
+                if clamp(y[:rhs.live]):
                     rhs(t, y, out=k[0])
                 else:
-                    k[0] = k[c.size - 1]
+                    for cells in parts():
+                        k[0, cells] = k[c.size - 1, cells]
                 lam = rhs.max_loss_factor
                 if step < h_now:
                     break   # cut to land on t1: h stays as proposed before the cut
@@ -950,8 +1031,8 @@ def integrate(init: SizeDistribution, config: SolverConfig) -> Trajectory:
 
     log = _StepLog()
 
-    def clamp(y):
-        _, events, removed = clamp_negatives(y[:m])
+    def clamp(density):
+        _, events, removed = clamp_negatives(density)
         log.clamp_events += events
         log.clamped_mass += removed
         return events > 0
@@ -970,6 +1051,6 @@ def integrate(init: SizeDistribution, config: SolverConfig) -> Trajectory:
     times = np.array([s.time for s in snapshots])
     values = {mu: np.array([s.moment(mu) for s in snapshots]) for mu in MOMENT_ORDERS}
     moments = MomentSeries(times, values, np.asarray(gel_series))
-    step_log = log.as_dict(rhs.evals, time.perf_counter() - started, rhs.op.path)
+    step_log = log.as_dict(rhs.evals, time.perf_counter() - started, rhs.op.path, rhs.live)
     return Trajectory(snapshots=snapshots, moments=moments, step_log=step_log,
                       config=config, operator=rhs.op)

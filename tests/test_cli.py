@@ -318,6 +318,32 @@ def test_simulate_diagnostics_rows(tmp_path):
     assert csv.splitlines()[0] == "check,lhs,rhs,margin,verdict"
 
 
+# (kernel, n, solver keys) -> the rate path and step_log.live_cells
+LIVE_CELLS_RUNS = {
+    # the capped path integrates the whole grid from the start
+    "capped": ({"family": "multiplicative"}, 512,
+               {"boundary": "absorbing", "t_end": 0.1, "truncation_n": 64.0,
+                "snapshots": [0.1]}, "capped", 512),
+    # early on, the FFT's round-off floor holds the support to 64 cells
+    "short": ({"family": "multiplicative"}, 1024,
+              {"boundary": "absorbing", "t_end": 0.1, "snapshots": [0.1]}, "separable", 128),
+}
+
+
+@pytest.mark.parametrize("name", ["gelation", *LIVE_CELLS_RUNS])
+def test_run_json_reports_the_live_cells(tmp_path, name):
+    if name == "gelation":   # the demo's gelation study reaches every cell
+        path, want = DEMO_CONFIGS / "gelation_multiplicative.json", ("separable", 4096)
+    else:
+        kernel, n, solver_keys, *want = LIVE_CELLS_RUNS[name]
+        cfg = base_config(tmp_path / "o", kernel=kernel, solver=solver_keys)
+        cfg["grid"]["n"] = n
+        path = write_config(tmp_path, "c.json", cfg)
+    assert cli.cmd_simulate(path, str(tmp_path / "o")) == 0
+    log = json.loads((tmp_path / "o" / "run.json").read_text())["step_log"]
+    assert (log["rate_path"], log["live_cells"]) == tuple(want)
+
+
 def test_diagnostics_use_the_integrated_kernel(tmp_path):
     # with a binding truncation the run integrates min(xy, 8); the number
     # identity holds for that kernel up to quadrature error, not for raw xy

@@ -20,9 +20,24 @@ def test_grid_cell_budget_is_checked_before_allocating():
                   lambda: ck.SizeGrid.discrete(ck.grids.MAX_CELLS + 1),
                   lambda: ck.SizeGrid.geometric(1.0, 1e4, bins=ck.grids.MAX_CELLS + 1),
                   lambda: ck.SizeGrid.geometric(1.0, 1e4, ratio=1 + 1e-10),
-                  lambda: ck.SizeGrid.geometric(1e-300, 1e300, ratio=2.0)):
+                  lambda: ck.SizeGrid.geometric(1e-100, 1e100, ratio=1.0001)):
         with pytest.raises(GridError, match="exceeds the budget"):
             build()
+
+
+@pytest.mark.filterwarnings("error")
+def test_geometric_span_whose_quotient_overflows():
+    # 1e10 / 1e-300 overflows float64, yet the grid has 4120 bins at the
+    # default ratio and every edge squared fits
+    grid = ck.SizeGrid.geometric(1e-300, 1e10)
+    assert grid.size == 4120
+    edges = np.asarray(grid.edges)
+    assert edges[0] == 1e-300 and 1e10 <= edges[-1] < 1e10 * 1.2
+    np.testing.assert_allclose(edges[1:] / edges[:-1],
+                               ck.grids.DEFAULT_GEOMETRIC_RATIO, rtol=1e-13)
+    # [1e-300, 1e300] at ratio 2 has 1993 bins, whose last edge squared overflows
+    with pytest.raises(GridError, match="largest edge squared"):
+        ck.SizeGrid.geometric(1e-300, 1e300, ratio=2.0)
 
 
 def test_grid_whose_last_edge_squared_overflows_is_refused():

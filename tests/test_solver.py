@@ -122,17 +122,31 @@ def _no_fft(*args, **kwargs):
     raise AssertionError("an FFT ran")
 
 
-def _check_split(op, dist, kernel, boundary):
+def _same_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _check_split(op, dist, kernel, boundary, live=None):
     """``op.split`` with and without ``refine`` against the pairwise oracle.
     With ``refine`` no FFT runs, and a separable gain is the direct sum bit
-    for bit."""
+    for bit.  Given ``live``, the split reads the prefix ``density[:live]``,
+    and it matches the whole density's split on a fresh operator bit for
+    bit: the gain over the grid, the loss and the loss factor over the
+    prefix."""
     gain_o, loss_o, gel_o = brute_force_rates(dist, kernel, boundary)
+    f = dist.density[:live]
     for refine in (True, False):
         with pytest.MonkeyPatch.context() as patch:
             if refine:
                 patch.setattr(solver, "rfft", _no_fft)
                 patch.setattr(solver, "irfft", _no_fft)
-            split = op.split(dist.density, refine)
+            split = op.split(f, refine)
+        if live is not None:
+            whole = _SeparableOperator(dist.grid, kernel, boundary).split(dist.density, refine)
+            _same_bits(split.gain, whole.gain)
+            _same_bits(split.loss, whole.loss[:live])
+            _same_bits(split.loss_factor, whole.loss_factor[:live])
+            assert (split.gel_rate, split.support) == (whole.gel_rate, whole.support)
         if refine and isinstance(op, _SeparableOperator):
             # over the support's rows: zero padding reorders np.convolve's sums
             s = split.support
@@ -144,7 +158,7 @@ def _check_split(op, dist, kernel, boundary):
         # without refine only the round-off floor of the summed spectrum holds
         atol = 0.0 if refine else 1e-12 * float(np.max(gain_o))
         np.testing.assert_allclose(split.gain, gain_o, rtol=1e-12, atol=atol)
-        np.testing.assert_allclose(split.loss, loss_o, rtol=1e-12)
+        np.testing.assert_allclose(split.loss, loss_o[:f.size], rtol=1e-12)
         assert split.gel_rate == pytest.approx(gel_o, rel=1e-12, abs=0.0)
         assert split.max_loss_factor == pytest.approx(_max_loss_factor(dist, loss_o), rel=1e-12)
 
@@ -233,15 +247,38 @@ def _zero_tail(n, support, seed):
 @pytest.mark.parametrize("boundary", ["conservative", "absorbing"])
 @pytest.mark.parametrize("kernel", SEPARABLE_FAMILIES)
 def test_separable_split_of_a_zero_tail(kernel, boundary, support, monkeypatch):
+    # on the whole density, and on prefixes of it that hold the support: the
+    # support alone, one cell more, the live mark min(N, 2s) and the grid
     dist = _zero_tail(TRIM_N, support, 53)
+    prefixes = [None] + sorted({support, min(support + 1, TRIM_N), min(2 * support, TRIM_N),
+                                TRIM_N})
     op = _SeparableOperator(dist.grid, kernel, boundary)
     assert op._block_outputs is None
-    _check_split(op, dist, kernel, boundary)
+    for live in prefixes:
+        _check_split(op, dist, kernel, boundary, live)
     # blocks of 8 cells: past half support the convolution is blocked
     monkeypatch.setattr(solver, "_BLOCK", 8)
     op = _SeparableOperator(dist.grid, kernel, boundary)
     assert op._block_outputs is not None
-    _check_split(op, dist, kernel, boundary)
+    for live in prefixes:
+        _check_split(op, dist, kernel, boundary, live)
+
+
+@pytest.mark.parametrize("boundary", ["conservative", "absorbing"])
+@pytest.mark.parametrize("kernel", SEPARABLE_FAMILIES)
+def test_separable_splits_in_turn_on_one_operator(kernel, boundary):
+    # as in a run: the support grows and shrinks (a clamp), the prefix only
+    # grows, and a split of the whole density follows (a diagnostic on the
+    # run's operator); each matches a fresh operator's split bit for bit
+    op = _SeparableOperator(ck.SizeGrid.discrete(TRIM_N), kernel, boundary)
+    for support, live in ((5, 5), (40, 70), (12, 70), (0, 70), (33, 80), (7, None)):
+        dist = _zero_tail(TRIM_N, support, 71)
+        split = op.split(dist.density[:live])
+        whole = _SeparableOperator(dist.grid, kernel, boundary).split(dist.density)
+        _same_bits(split.gain, whole.gain)
+        _same_bits(split.loss, whole.loss[:live])
+        _same_bits(split.loss_factor, whole.loss_factor[:live])
+        assert (split.gel_rate, split.support) == (whole.gel_rate, whole.support)
 
 
 @pytest.mark.parametrize("boundary", ["conservative", "absorbing"])
@@ -611,6 +648,8 @@ def test_gelation_steps_within_the_stability_bound():
     # K = xy on N = 2^14 to 0.93 t_gel: from t ~ 0.15 t_gel on, Dormand-
     # Prince's bound h lambda_max <= 3.3 alone sets every step (158/0/964);
     # SSPRK(10,4) steps, stable to 13.9, cover more time per evaluation there
+    # (81/3/675, 38 of them SSPRK(10,4)).  Integrating only the live prefix
+    # of the grid keeps every one of them
     init = _seeded(11, 0, 2 ** 14)
     m2_0 = init.moment(2.0)
     fractions = np.concatenate([np.linspace(0.1, 0.5, 5), np.linspace(0.55, 0.93, 20)])
@@ -619,14 +658,80 @@ def test_gelation_steps_within_the_stability_bound():
                           snapshot_times=snaps, rel_tol=1e-8, boundary="absorbing")
     traj = ck.integrate(init, cfg)
     log = traj.step_log
-    assert log["flag"] is None and log["stiff_steps"] > 0
+    assert log["flag"] is None
+    assert (log["accepted"], log["rejected"], log["rhs_evals"], log["stiff_steps"],
+            log["clamp_events"], log["live_cells"]) == (81, 3, 675, 38, 118, 2 ** 14)
     # (13.9 / lambda_max) lambda_max rounds to within an ulp of 13.9
     assert log["max_h_lambda"] <= _SSP_STABILITY * (1 + 1e-15)
-    assert log["rhs_evals"] <= 723   # 75% of Dormand-Prince's alone
     m = traj.moments
     assert np.max(np.abs(m[1.0] + m.gel_mass - m[1.0][0])) <= 1e-8
     t = traj.times[-1]
     assert m[2.0][-1] == pytest.approx(m2_0 / (1.0 - m2_0 * t), rel=3e-6)
+
+
+# (initial density, kernel, boundary, t_end) -> the step counts and the
+# final M0, M1/2, M1, M2 and gel mass of the whole-grid loop
+LIVE_PREFIX_RUNS = {
+    # the clamp removes more than round-off twice, and re-evaluates the first stage
+    "clamp": ((ck.init_distribution(ck.SizeGrid.discrete(256), "monodisperse", size=1),
+               ck.KernelSpec.multiplicative(), "absorbing", 2.0),
+              (119, 5, 756, 1, 2, 256),
+              (0.2516516382696987, 0.3130178011570858, 0.49999986167799615, 8.576141580487484,
+               0.5000001399804972)),
+    # support 0: the live mark stays 0
+    "zero": ((ck.SizeDistribution(ck.SizeGrid.discrete(64), np.zeros(64)),
+              ck.KernelSpec.additive(), "absorbing", 1.0),
+             (18, 0, 109, 0, 0, 0), (0.0,) * 5),
+}
+
+
+@pytest.mark.parametrize("name", LIVE_PREFIX_RUNS)
+def test_live_prefix_runs_keep_their_steps_and_moments(name):
+    (init, kernel, boundary, t_end), counts, final = LIVE_PREFIX_RUNS[name]
+    traj = ck.integrate(init, ck.SolverConfig(kernel=kernel, t_end=t_end, boundary=boundary))
+    log = traj.step_log
+    assert (log["accepted"], log["rejected"], log["rhs_evals"], log["stiff_steps"],
+            log["clamp_events"], log["live_cells"]) == counts
+    m = traj.moments
+    got = [m[mu][-1] for mu in (0.0, 0.5, 1.0, 2.0)] + [m.gel_mass[-1]]
+    np.testing.assert_allclose(got[:4], final[:4], rtol=1e-12, atol=0.0)
+    assert got[4] == pytest.approx(final[4], rel=0.0, abs=1e-15)
+
+
+def test_live_prefix_steps_match_whole_grid_steps():
+    # the loop with the live mark preset to the whole grid gives every state
+    # bit for bit, also after a clamp cuts the support while the live mark
+    # stays, so that the swapped stage state holds the longer old state
+    n = 1024
+    grid = ck.SizeGrid.discrete(n)
+    kernel = ck.KernelSpec.multiplicative()
+    cfg = ck.SolverConfig(kernel=kernel, t_end=0.5, boundary="absorbing")
+    weights = np.append(1.0 + grid.pivots, 1.0)
+
+    def run(live):
+        rhs = _Rhs(_SeparableOperator(grid, kernel, "absorbing"))
+        rhs.live = live
+        y = np.zeros(n + 1)
+        y[0] = 1.0
+        calls, cuts = [], []
+
+        def clamp(density):   # every fifth step, zero the support's upper half
+            calls.append(density.size)
+            if len(calls) % 5:
+                return False
+            cuts.append(density.size)
+            density[np.flatnonzero(density)[-1] // 2 + 1:] = 0.0
+            return True
+
+        log = _StepLog()
+        states = [v.copy() for v in _steps(rhs, y, cfg, weights, clamp, log)]
+        return states, (log.accepted, log.rejected, rhs.evals), cuts
+
+    prefix, whole = run(None), run(n)
+    assert len(prefix[2]) == 4 and max(prefix[2]) < n // 4 and set(whole[2]) == {n}
+    assert prefix[1] == whole[1]
+    for a, b in zip(prefix[0], whole[0], strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_wide_sectional_span_takes_ssp_steps():
@@ -881,6 +986,7 @@ def test_non_finite_stage_flag(scheme):
     class NotFinite:
         evals = 0
         max_loss_factor = 0.0
+        live = 3   # every cell of y = ones(4) but the gel entry
 
         def __call__(self, t, y, out):
             NotFinite.evals += 1
@@ -900,6 +1006,7 @@ def test_dt_underflow_flag():
     class Rough:
         evals = 0
         max_loss_factor = 0.0
+        live = 3
 
         def __call__(self, t, y, out):
             Rough.evals += 1
