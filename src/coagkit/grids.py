@@ -64,7 +64,13 @@ class SizeGrid:
         if edges[0] <= 0:
             raise GridError("edges must be positive")
         _check_top(np.log(edges[-1]))
-        pivots = np.sqrt(edges[:-1] * edges[1:])  # geometric-mean pivots
+        # geometric-mean pivots; a product of edges below the smallest normal
+        # float loses bits or underflows to 0, so those take sqrt(a) sqrt(b)
+        lo, hi = edges[:-1], edges[1:]
+        product = lo * hi
+        pivots = np.sqrt(product)
+        small = product < np.finfo(float).tiny
+        pivots[small] = np.sqrt(lo[small]) * np.sqrt(hi[small])
         return SizeGrid("sectional", edges=tuple(edges), pivots_=tuple(pivots))
 
     @staticmethod
@@ -159,12 +165,6 @@ class SizeDistribution:
     def number(self) -> np.ndarray:
         """Per-cell particle number (density times width)."""
         return self.density * self.grid.widths
-
-    def csv_rows(self, lead: str = "") -> list[str]:
-        """``pivot,width,density`` rows, each after ``lead``: the rows of
-        ``Trajectory.snapshots_csv``."""
-        return [f"{lead}{float(p)!r},{float(w)!r},{float(d)!r}"
-                for p, w, d in zip(self.grid.pivots, self.grid.widths, self.density)]
 
 
 def moment(dist: SizeDistribution, mu: float) -> float:
@@ -262,8 +262,10 @@ def init_distribution(grid: SizeGrid, family: str, **params) -> SizeDistribution
         inspect.signature(build).bind(grid, **params)
     except TypeError as exc:
         raise DomainError(f"{family} initial data: {exc}") from None
-    dist = SizeDistribution(grid, build(grid, **params), 0.0)
-    with np.errstate(over="ignore"):
+    # data that overflows (a cell's number over a width near 1e-300, say)
+    # is refused below, so numpy need not warn on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = SizeDistribution(grid, build(grid, **params), 0.0)
         bad = [f"M{mu}" for mu in (0, 1, 2) if not np.isfinite(moment(dist, mu))]
     if bad:
         raise DomainError(f"{family} initial data has non-finite {', '.join(bad)}")

@@ -43,16 +43,20 @@ grid only the first N - 1 entries are needed, so when that transform would
 be longer than ``2 * _BLOCK`` the support is cut into blocks of ``_BLOCK``
 cells, each transformed at length ``2 * _BLOCK``, and the spectral products
 of the block pairs that meet in each output block are summed, inverted and
-overlap-added.  The FFTs are ``numpy.fft``'s, written into work arrays that
-the operator allocates once, as are the prefix and suffix sums and the gain,
-loss and loss factor it returns; so an evaluation allocates no array of the
-grid's length, and the arrays one ``split`` returns stay valid until the
-next ``split`` on the same operator (``rates`` and ``fast_gain`` build a
-fresh operator per call).  The separable operator also takes a prefix
-``f[:L]`` of the density and treats the cells past it as zero: it then
-reads and writes only the first L cells, and the gain's first 2s, which is
-what the integrator passes; ``rates``, ``fast_gain`` and the diagnostics
-pass the whole density.
+overlap-added; the lists of those block pairs are built once per pair of
+block counts.  A spectral product whose coefficient is 1 skips that
+multiply, and a kernel of one weight vector takes its loss factor as an
+elementwise product, not a one-row matrix product; neither moves a bit.
+The FFTs are ``numpy.fft``'s, written into work arrays that the operator
+allocates once, as are the prefix and suffix sums and the gain, loss and
+loss factor it returns; so an evaluation allocates no array of the grid's
+length, and the arrays one ``split`` returns stay valid until the next
+``split`` on the same operator (``rates`` and ``fast_gain`` build a fresh
+operator per call).  The
+separable operator also takes a prefix ``f[:L]`` of the density and treats
+the cells past it as zero: it then reads and writes only the first L cells,
+and the gain's first 2s, which is what the integrator passes; ``rates``,
+``fast_gain`` and the diagnostics pass the whole density.
 
 ``_PairRows`` sums J0 rows of the pair table directly.  The capped path
 splits the pairs at J0, the number of leading cells with
@@ -262,9 +266,14 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
     def snapshots_csv(self) -> str:
+        """``t,pivot,width,density`` rows, each cell's ``pivot,width`` text
+        formatted once for every snapshot."""
+        grid = self.grid
+        cells = [f"{p!r},{w!r}," for p, w in zip(grid.pivots.tolist(), grid.widths.tolist())]
         lines = ["t,pivot,width,density"]
         for snap in self.snapshots:
-            lines += snap.csv_rows(f"{float(snap.time)!r},")
+            lead = f"{float(snap.time)!r},"
+            lines += [lead + cell + repr(d) for cell, d in zip(cells, snap.density.tolist())]
         return "\n".join(lines) + "\n"
 
 
@@ -340,6 +349,10 @@ class _SeparableOperator:
     or ``c = 2 C_ab``.  The gain takes one real FFT per distinct ``w_a f``,
     sums ``c W_a W_b`` over the pairs and takes one inverse FFT; the loss and
     the overflow flux come from prefix and suffix sums of the ``w_a f``.
+    The loss factor is ``sum_ab C_ab w_a (sum w_b f)``: a matrix product
+    over whole ``_ALIGN`` blocks of columns when there are several weight
+    vectors, and the elementwise product ``w_0 * (C_00 sum w_0 f)``, the
+    same bits as that one-row product, when there is one.
 
     ``f`` is the density or a prefix of it, whose cells past its end are
     zero.  Each evaluation reads only the support of ``f``, its first s
@@ -350,7 +363,8 @@ class _SeparableOperator:
     makes a few plans, one per power of two; below 64 entries, or with
     ``refine``, the convolution is a direct sum.  Past half support, when
     that length exceeds ``2 * _BLOCK``, the convolution runs in blocks (see
-    ``_blocked_convolution``).  The gel rate is exactly zero while
+    ``_blocked_convolution``, whose block-pair lists are built once per
+    pair of block counts).  The gel rate is exactly zero while
     2s <= n, and the conservative partner sums are the support's total for
     all but the last s cells, of which only those in the prefix are
     written.
@@ -403,6 +417,7 @@ class _SeparableOperator:
                                  dtype=complex)
         self._conv = np.empty(self.n_fft)
         self._block_outputs = np.empty((count, 2 * _BLOCK)) if count else None
+        self._pair_lists = {}
         self._mask = np.empty(n, dtype=bool)
         self._gain = np.zeros(n)
         self._top = 0   # the gain is zero from here on
@@ -427,7 +442,10 @@ class _SeparableOperator:
         and no pair can overflow while 2s <= n.  ``f`` may be a prefix of
         the density, its first L <= n cells, whose cells past L are zero:
         the gain still spans the grid, and the loss and the loss factor
-        span the prefix.
+        span the prefix.  A prefix whose last cell is nonzero is its own
+        support, found without a scan.  The loss factor of a kernel with one
+        weight vector is one elementwise product, of several one matrix
+        product (see the class docstring).
 
         The returned arrays are the operator's work arrays: they stay valid
         until the next ``split`` on the same operator."""
@@ -442,9 +460,14 @@ class _SeparableOperator:
             conv = self._direct(wf, top - 1) if refine or 2 * s - 1 < 64 \
                 else self._convolution(s, top - 1)
             np.multiply(conv, 0.5, out=gain[1:top])
-        width = _aligned(live, n)
-        loss_factor = np.matmul(self.coef @ np.sum(wf, axis=1), self.w[:, :width],
-                                out=self._loss_factor[:width])[:live]
+        scale = self.coef @ np.sum(wf, axis=1)
+        if nv == 1:
+            # a one-row dgemv costs six times the product, which has its bits
+            loss_factor = np.multiply(self.w[0, :live], scale[0], out=self._loss_factor[:live])
+        else:
+            width = _aligned(live, n)
+            loss_factor = np.matmul(scale, self.w[:, :width],
+                                    out=self._loss_factor[:width])[:live]
         gel_rate = 0.0
         first = n - s
         if self.boundary == "conservative" and first < live:
@@ -499,14 +522,11 @@ class _SeparableOperator:
             spectra = rfft(self._wf[:, :length], axis=1, out=self._spectra[:nv, :half])
             total, term = self._spectra[nv, :half], self._spectra[nv + 1, :half]
             c, a, b = self.pairs[0]
-            np.multiply(spectra[a], c, out=total)
-            total *= spectra[b]
+            _spectral_product(c, spectra[a], spectra[b], total)
             for c, a, b in self.pairs[1:]:
-                np.multiply(spectra[a], c, out=term)
-                term *= spectra[b]
-                total += term
+                total += _spectral_product(c, spectra[a], spectra[b], term)
             conv = irfft(total, length, out=self._conv[:length])[:size]
-        norms = [float(np.linalg.norm(v)) for v in wf]
+        norms = [math.sqrt(float(np.dot(v, v))) for v in wf]   # np.linalg.norm's formula
         floor = self.floor_scale * sum(c * norms[a] * norms[b] for c, a, b in self.pairs)
         np.copyto(conv, 0.0, where=np.less(conv, floor, out=self._mask[:size]))
         return conv
@@ -530,15 +550,11 @@ class _SeparableOperator:
         totals = self._spectra[nv:].reshape(-1)[:(n_out + 1) * (width + 1)]
         totals = totals.reshape(n_out + 1, width + 1)
         term = totals[n_out]
-        for k in range(n_out):
-            products = [(c, a, i, b, k - i) for c, a, b in self.pairs
-                        for i in range(max(0, k - n_in + 1), min(k, n_in - 1) + 1)]
-            for index, (c, a, i, b, j) in enumerate(products):
-                product = term if index else totals[k]
-                np.multiply(spectra[a, i], c, out=product)
-                product *= spectra[b, j]
-                if index:
-                    totals[k] += term
+        for k, products in enumerate(self._block_pairs(n_in, n_out)):
+            c, a, i, b, j = products[0]
+            _spectral_product(c, spectra[a, i], spectra[b, j], totals[k])
+            for c, a, i, b, j in products[1:]:
+                totals[k] += _spectral_product(c, spectra[a, i], spectra[b, j], term)
         outputs = irfft(totals[:n_out], 2 * width, axis=1, out=self._block_outputs[:n_out])
         conv = self._conv[:size]
         np.copyto(self._conv[:n_out * width].reshape(n_out, width), outputs[:, :width])
@@ -548,11 +564,32 @@ class _SeparableOperator:
         rest[...] = outputs[-1, width:width + rest.size]
         return conv
 
+    def _block_pairs(self, n_in: int, n_out: int) -> list:
+        """For each output block k < n_out, the terms ``(c, a, i, b, j)``
+        with i + j = k over n_in input blocks, built once per (n_in, n_out)."""
+        key = n_in, n_out
+        if key not in self._pair_lists:
+            self._pair_lists[key] = [
+                [(c, a, i, b, k - i) for c, a, b in self.pairs
+                 for i in range(max(0, k - n_in + 1), min(k, n_in - 1) + 1)]
+                for k in range(n_out)]
+        return self._pair_lists[key]
+
     def _direct(self, wf: np.ndarray, size: int) -> np.ndarray:
         """Entries 0..size-1 of the same sum by direct summation; they
         involve only the first ``size`` entries of each ``w_a f``."""
         return sum(c * np.convolve(wf[a, :size], wf[b, :size])[:size]
                    for c, a, b in self.pairs)
+
+
+def _spectral_product(c: float, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = c x y``; a c of 1 is not multiplied in, which only the sign
+    of a zero could tell."""
+    if c == 1.0:
+        return np.multiply(x, y, out=out)
+    np.multiply(x, c, out=out)
+    out *= y
+    return out
 
 
 def _next_fast_len(m: int) -> int:
@@ -581,6 +618,8 @@ def _support(f: np.ndarray, nonzero: np.ndarray) -> int:
     ``nonzero`` is a boolean work array of the same size."""
     if not f.size:
         return 0
+    if f[-1] != 0.0:   # a full support needs no scan
+        return f.size
     np.not_equal(f, 0.0, out=nonzero)
     s = f.size - int(np.argmax(nonzero[::-1]))
     return s if nonzero[s - 1] else 0
@@ -1049,7 +1088,16 @@ def integrate(init: SizeDistribution, config: SolverConfig) -> Trajectory:
             gel_series.append(max(float(y[m]), 0.0))
 
     times = np.array([s.time for s in snapshots])
-    values = {mu: np.array([s.moment(mu) for s in snapshots]) for mu in MOMENT_ORDERS}
+    pivots, widths, row = grid.pivots, grid.widths, np.empty(m)
+
+    def series(power):
+        # grids.moment's sum, (p**mu * density) * widths, through one work
+        # row; each power row is freed before the next one is made
+        return np.array([
+            float(np.sum(np.multiply(np.multiply(power, s.density, out=row), widths, out=row)))
+            for s in snapshots])
+
+    values = {mu: series(pivots**mu) for mu in MOMENT_ORDERS}
     moments = MomentSeries(times, values, np.asarray(gel_series))
     step_log = log.as_dict(rhs.evals, time.perf_counter() - started, rhs.op.path, rhs.live)
     return Trajectory(snapshots=snapshots, moments=moments, step_log=step_log,

@@ -793,6 +793,12 @@ BAD_CONFIGS = {
         ("simulate", lambda cfg: cfg.update(
             grid={"kind": "geometric", "span": [1e-300, 1e300], "bins": 50},
             init={"family": "exponential", "params": {"mean": 1.0}}), 2),
+    # pivots below 1e-154 were once 0: two numpy RuntimeWarnings, then this
+    # exit; the cells of widths near 1e-300 hold densities past every float
+    "simulate-geometric-span-from-1e-300":
+        ("simulate", lambda cfg: cfg.update(
+            grid={"kind": "geometric", "span": [1e-300, 1e10]},
+            init={"family": "exponential", "params": {"mean": 1.0}}), 2),
     # once two numpy RuntimeWarnings, then exit 3 on a non-finite trajectory
     "simulate-tabulated-init-of-infinite-moments":
         ("simulate", lambda cfg: cfg.update(grid={"kind": "discrete", "n": 128}, init={
@@ -870,6 +876,8 @@ REFUSED_BEFORE_THE_RUN = {
     "simulate-ragged-tabulated-kernel-matrix": "tabulated kernel matrix",
     "simulate-geometric-edge-squared-overflow":
         "the largest edge squared, about 1e600, overflows float64",
+    "simulate-geometric-span-from-1e-300":
+        "exponential initial data has non-finite M0, M1, M2",
     "simulate-tabulated-init-of-infinite-moments":
         "tabulated initial data has non-finite M0, M1, M2",
     "simulate-psi-moment-with-R": "diagnostics.checks[0].R is not read by psi_moment",
@@ -916,6 +924,17 @@ def test_bad_config_exits_with_documented_code(tmp_path, case):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_geometric_span_from_1e_300_in_50_bins_runs(tmp_path):
+    # its first pivot, about 1e-297, was once 0: a numpy RuntimeWarning, then exit 2
+    cfg = base_config(tmp_path / "o", grid={"kind": "geometric", "span": [1e-300, 1e10],
+                                            "bins": 50},
+                      init={"family": "exponential", "params": {"mean": 1.0}})
+    proc = _run_cli("simulate", write_config(tmp_path, "c.json", cfg))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    moments = (tmp_path / "o" / "moments.csv").read_text().splitlines()
+    assert len(moments) == 4 and "nan" not in moments[-1] and "inf" not in moments[-1]
 
 
 @pytest.mark.parametrize("section, key", [("kernel", "c"), ("init", "mean")])

@@ -40,6 +40,22 @@ def test_geometric_span_whose_quotient_overflows():
         ck.SizeGrid.geometric(1e-300, 1e300, ratio=2.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid", [
+    ck.SizeGrid.geometric(1e-300, 1e10), ck.SizeGrid.geometric(1e-300, 1e10, bins=50),
+    ck.SizeGrid.sectional([5e-324, 1e-323, 1e-320, 1e-310, 1e-160, 1e-150, 1.0, 1e150])],
+    ids=["ratio", "bins", "subnormal"])
+def test_sectional_pivots_lie_inside_their_cells(grid):
+    # an edge product below the smallest normal float once underflowed to a
+    # pivot of 0; every other pivot keeps the bits of sqrt(a * b)
+    lo, hi = np.asarray(grid.edges[:-1]), np.asarray(grid.edges[1:])
+    p = grid.pivots
+    assert np.all(p > 0) and np.all(lo <= p) and np.all(p <= hi)
+    normal = lo * hi >= np.finfo(float).tiny
+    assert 0 < np.count_nonzero(normal) < p.size
+    assert p[normal].tobytes() == np.sqrt(lo[normal] * hi[normal]).tobytes()
+
+
 def test_grid_whose_last_edge_squared_overflows_is_refused():
     # before any array is built, so numpy warns of no overflow; the top pivot
     # of edges [1e-300, 1, 1e300] is 1e150, whose square fits, but its

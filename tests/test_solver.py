@@ -281,6 +281,44 @@ def test_separable_splits_in_turn_on_one_operator(kernel, boundary):
         assert (split.gel_rate, split.support) == (whole.gel_rate, whole.support)
 
 
+def test_support_of_prefixes():
+    # a last cell that is nonzero returns the length without a scan; the
+    # others scan back to the last nonzero cell
+    f = np.zeros(100)
+    f[[3, 40, 99]] = (1.0, 2.0, 3.0)
+    f[60] = np.nan
+    nonzero = np.empty(100, dtype=bool)
+    for live, want in ((100, 100), (41, 41), (61, 61), (1, 0), (4, 4), (5, 4), (60, 41),
+                       (99, 61), (0, 0)):
+        assert solver._support(f[:live], nonzero[:live]) == want, live
+    assert solver._support(np.zeros(7), nonzero[:7]) == 0
+    assert solver._support(np.full(7, -0.0), nonzero[:7]) == 0
+    assert solver._support(np.array([5e-324]), nonzero[:1]) == 1
+    assert solver._support(np.array([1.0, 0.0, 2.0, 0.0]), nonzero[:4]) == 3
+
+
+@pytest.mark.parametrize("boundary", ["conservative", "absorbing"])
+@pytest.mark.parametrize("kernel", [ck.KernelSpec.constant(0.3), ck.KernelSpec.multiplicative(),
+                                    ck.KernelSpec.product(ck.RadialRate.power_law(0.75))],
+                         ids=["constant", "multiplicative", "product"])
+def test_one_weight_vector_loss_factor_is_the_matmul(kernel, boundary):
+    # one weight vector: the loss factor is the elementwise product, bit for
+    # bit the one-row matmul over whole _ALIGN blocks that it replaces
+    n = 1000
+    op = _SeparableOperator(ck.SizeGrid.discrete(n), kernel, boundary)
+    assert op.w.shape[0] == 1
+    f = np.random.default_rng(29).random(n)
+    for live, support in ((1, 1), (37, 37), (63, 20), (65, 65), (100, 99), (129, 129),
+                          (500, 500), (999, 999), (1000, 1000), (1000, 611)):
+        g = f[:live].copy()
+        g[support:] = 0.0
+        split = op.split(g)
+        scale = op.coef @ np.sum(op.w[:, :support] * g[:support], axis=1)
+        want = np.matmul(scale, op.w[:, :solver._aligned(live, n)])[:live]
+        end = live if boundary == "absorbing" else min(live, n - support)
+        _same_bits(split.loss_factor[:end], want[:end])
+
+
 @pytest.mark.parametrize("boundary", ["conservative", "absorbing"])
 @pytest.mark.parametrize("kernel", SEPARABLE_FAMILIES)
 def test_blocked_convolution_past_the_last_block_pair(kernel, boundary, monkeypatch):
@@ -580,9 +618,23 @@ def test_snapshots_csv_rows_are_the_distribution_rows():
                                               t_end=0.2, snapshot_times=(0.1, 0.2)))
     lines = traj.snapshots_csv().splitlines()
     assert lines[0] == "t,pivot,width,density"
-    expected = [f"{snap.time!r}," + row for snap in traj.snapshots
-                for row in snap.csv_rows()]
+    expected = [f"{snap.time!r},{float(p)!r},{float(w)!r},{float(d)!r}"
+                for snap in traj.snapshots
+                for p, w, d in zip(grid.pivots, grid.widths, snap.density)]
     assert lines[1:] == expected
+
+
+@pytest.mark.parametrize("grid", [ck.SizeGrid.discrete(300),
+                                  ck.SizeGrid.geometric(0.5, 50.0, bins=40)],
+                         ids=["discrete", "sectional"])
+def test_moment_series_is_each_snapshot_moment(grid):
+    # bit for bit grids.moment of every snapshot, also where the widths are not 1
+    init = ck.init_distribution(grid, "exponential", mean=2.0)
+    traj = ck.integrate(init, ck.SolverConfig(kernel=ck.KernelSpec.additive(), t_end=0.4,
+                                              boundary="absorbing"))
+    assert len(traj.snapshots) == 11
+    for mu in solver.MOMENT_ORDERS:
+        _same_bits(traj.moments[mu], np.array([s.moment(mu) for s in traj.snapshots]))
 
 
 def test_integrate_brownian_dense_path():
