@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -108,18 +109,24 @@ class SizeGrid:
     def size(self) -> int:
         return self.n if self.kind == "discrete" else len(self.pivots_)
 
-    @property
+    @cached_property
     def pivots(self) -> np.ndarray:
-        if self.kind == "discrete":
-            return np.arange(1, self.n + 1, dtype=float)
-        return np.asarray(self.pivots_)
+        """The pivots, built once and read-only."""
+        p = np.arange(1, self.n + 1, dtype=float) if self.kind == "discrete" \
+            else np.array(self.pivots_)
+        p.flags.writeable = False
+        return p
 
-    @property
+    @cached_property
     def widths(self) -> np.ndarray:
+        """The cell widths, built once and read-only."""
         if self.kind == "discrete":
-            return np.ones(self.n)
-        e = np.asarray(self.edges)
-        return e[1:] - e[:-1]
+            w = np.ones(self.n)
+        else:
+            e = np.asarray(self.edges)
+            w = e[1:] - e[:-1]
+        w.flags.writeable = False
+        return w
 
     @property
     def span(self) -> tuple[float, float]:

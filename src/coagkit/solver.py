@@ -44,9 +44,13 @@ be longer than ``2 * _BLOCK`` the support is cut into blocks of ``_BLOCK``
 cells, each transformed at length ``2 * _BLOCK``, and the spectral products
 of the block pairs that meet in each output block are summed, inverted and
 overlap-added; the lists of those block pairs are built once per pair of
-block counts.  A spectral product whose coefficient is 1 skips that
-multiply, and a kernel of one weight vector takes its loss factor as an
-elementwise product, not a one-row matrix product; neither moves a bit.
+block counts; a pair ``(a, a)`` of one weight vector takes each block
+pair i < j once, at twice its coefficient.  A spectral product whose
+coefficient is 1 skips that multiply, and a kernel of one weight vector
+takes its loss factor as an elementwise product, not a one-row matrix
+product; neither moves a bit.  The overflow flux ``0.5 sum K f_j f_k (x_j +
+x_k)`` over the overflowing pairs is ``sum K f_j f_k x_j`` by symmetry, so it
+takes one suffix sum per weight vector.
 The FFTs are ``numpy.fft``'s, written into work arrays that the operator
 allocates once, as are the prefix and suffix sums and the gain, loss and
 loss factor it returns; so an evaluation allocates no array of the grid's
@@ -88,11 +92,20 @@ third-order estimate.  Every other ``rk45`` step is Dormand-Prince's, and
 ``rk4`` keeps its ``dt``.  Both schemes record the
 largest ``h lambda_max`` over the accepted steps as
 ``step_log["max_h_lambda"]``, and ``step_log["stiff_steps"]`` counts the
-accepted SSPRK(10,4) steps.  The loop steps exactly onto each snapshot
-time and carries its stages and step sizes on, so only the start pays a
-derivative and a step-size probe.  A fixed step counts its steps from the
-start of each interval, so rounding adds no residual step.  A step size
-below 1e-12 of t_end flags the run for either scheme.
+accepted SSPRK(10,4) steps.  Only the start pays a derivative and a
+step-size probe.  A fixed step lands exactly on each snapshot time and
+counts its steps from the start of each interval, so rounding adds no
+residual step.  An ``rk45`` step lands only on t_end: each of its two
+tableaux carries a fourth-order continuous extension, the cubic Hermite
+interpolant through the step's ends and their derivatives (its first and
+its first-same-as-last stage) plus ``theta^2 (1 - theta)^2 h sum_i d_i k_i``
+with one more row ``d`` per tableau (Hairer, Norsett & Wanner, Solving
+ODEs I, II.6), and a snapshot inside a step is read from it into the
+scratch row and clamped there, so the snapshot times move no step.
+``step_log["interpolated_snapshots"]`` counts those snapshots and
+``step_log["interpolated_clamp_events"]`` their clamp events, apart from
+the steps'.  A step size below 1e-12 of t_end flags the run for either
+scheme.
 
 The loop keeps one live mark L, the number of leading cells that any state
 or derivative of the run has reached: it starts at the initial support and,
@@ -409,8 +422,8 @@ class _SeparableOperator:
         # one term of it, wide enough that on a grid that can block they also
         # hold, as views, the spectra of up to ``count`` blocks and their
         # summed products, whose inverse FFTs go to _block_outputs; rows of
-        # _sums: two blocks of nv prefix or suffix sums and a spare row;
-        # _mask serves the support and the FFT floor
+        # _sums: two blocks of nv rows, the prefix or suffix sums and their
+        # products; _mask serves the support and the FFT floor
         count = -(-n // _BLOCK) if self._fft_length(n) > 2 * _BLOCK else 0
         self._wf = np.zeros((nv, self.n_fft))
         self._spectra = np.empty((nv + 2, max(self.n_fft // 2 + 1, count * (_BLOCK + 1))),
@@ -423,7 +436,7 @@ class _SeparableOperator:
         self._top = 0   # the gain is zero from here on
         self._loss_factor = np.zeros(n)
         self._loss = np.zeros(n)
-        self._sums = np.empty((2 * nv + 1, n))
+        self._sums = np.empty((2 * nv, n))
 
     def _fft_length(self, s: int) -> int:
         """The single transform's length for support s: the power of two
@@ -481,21 +494,21 @@ class _SeparableOperator:
             terms *= self.w[:, first:live]
             np.sum(terms, axis=0, out=loss_factor[first:])
         elif self.boundary == "absorbing" and 2 * s > n:
-            # overflow mass flux: partners k > n - j, via suffix sums, so the
-            # rate is a sum of non-negative products; both cells of an
-            # overflowing pair lie in the last 2s - n cells of the support
+            # overflow mass flux 0.5 sum K f_j f_k (x_j + x_k) over the
+            # overflowing pairs, which is sum K f_j f_k x_j, as K and the
+            # pair set are symmetric: partners k > n - j via one suffix sum
+            # per weight vector, so the rate is a sum of non-negative
+            # products; both cells of an overflowing pair lie in the last
+            # 2s - n cells of the support
             tip = wf[:, n - s:]
-            x_tip = self.x[n - s:s]
-            tails, x_tails = self._sums[:nv, :2 * s - n], self._sums[nv:2 * nv, :2 * s - n]
-            row = self._sums[2 * nv, :2 * s - n]
+            tails, x_tip = self._sums[:nv, :2 * s - n], self._sums[nv:2 * nv, :2 * s - n]
             np.cumsum(tip[:, ::-1], axis=1, out=tails)
-            for a in range(nv):
-                np.multiply(x_tip, tip[a], out=row)
-                np.cumsum(row[::-1], out=x_tails[a])
+            np.multiply(self.x[n - s:s], tip, out=x_tip)
             for c, a, b in self.pairs:
-                np.multiply(x_tip, tails[b], out=row)
-                row += x_tails[b]
-                gel_rate += 0.5 * c * float(np.dot(tip[a], row))
+                flux = float(np.dot(x_tip[a], tails[b]))
+                if a != b:   # c = 2 C_ab
+                    flux = 0.5 * (flux + float(np.dot(x_tip[b], tails[a])))
+                gel_rate += c * flux
         return RateSplit(gain=gain, loss=np.multiply(f, loss_factor, out=self._loss[:live]),
                          loss_factor=loss_factor, gel_rate=gel_rate, support=s)
 
@@ -566,12 +579,15 @@ class _SeparableOperator:
 
     def _block_pairs(self, n_in: int, n_out: int) -> list:
         """For each output block k < n_out, the terms ``(c, a, i, b, j)``
-        with i + j = k over n_in input blocks, built once per (n_in, n_out)."""
+        with i + j = k over n_in input blocks, built once per (n_in, n_out).
+        A pair with a = b gives ``W_a,i W_a,j`` twice for i != j, so it
+        keeps i <= j, with coefficient 2c where i < j."""
         key = n_in, n_out
         if key not in self._pair_lists:
             self._pair_lists[key] = [
-                [(c, a, i, b, k - i) for c, a, b in self.pairs
-                 for i in range(max(0, k - n_in + 1), min(k, n_in - 1) + 1)]
+                [(2 * c if a == b and i < k - i else c, a, i, b, k - i) for c, a, b in self.pairs
+                 for i in range(max(0, k - n_in + 1), min(k, n_in - 1) + 1)
+                 if a != b or i <= k - i]
                 for k in range(n_out)]
         return self._pair_lists[key]
 
@@ -873,6 +889,29 @@ _TABLEAUX = {
         np.array([15, -11, -32, -48, 76, 22, 6, -5, -11, -12, 0]) / 760),
 }
 
+# the rows d of the adaptive tableaux' continuous extensions (``_dense_weights``):
+# the least-norm solutions of sum_i d_i Phi_i(t) = 0 over the trees t of order
+# <= 3 and 1 / gamma(t) over the four of order 4, over all the stages
+_DENSE = {
+    "rk45": np.array([-23753647575465, 0, 53792125317600, -59622527028600,
+                      -17787012670215, 40989580597460, 6381481359220]) / 23217312008368,
+    "ssprk104": np.array([-36, 27, 30, 3, -24, 24, -3, -30, -27, 36, 0]) / 26,
+}
+
+
+def _dense_weights(b: np.ndarray, d: np.ndarray, theta: float) -> np.ndarray:
+    """Weights w of the continuous extension ``y_n + h sum_i w_i k_i`` at
+    ``t_n + theta h`` of a step with weights ``b`` (the last row of its
+    tableau) and dense row ``d``: the cubic Hermite interpolant through
+    ``y_n``, ``k_0``, ``y_n+1`` and the last stage ``k_s = f(y_n+1)``, which
+    meets every order condition of order <= 3, plus ``theta^2 (1-theta)^2
+    d``, which meets those of order 4.  Theta 0 gives zeros and theta 1
+    gives ``b``, exactly."""
+    w = theta * theta * (3.0 - 2.0 * theta) * b + (theta * (1.0 - theta)) ** 2 * d
+    w[0] += theta * (1.0 - theta) ** 2
+    w[-1] -= theta * theta * (1.0 - theta)
+    return w
+
 
 class _StepLog:
     def __init__(self):
@@ -884,6 +923,8 @@ class _StepLog:
         self.min_dt = math.inf
         self.max_h_lambda = 0.0
         self.stiff_steps = 0
+        self.interpolated_snapshots = 0
+        self.interpolated_clamp_events = 0
 
     def as_dict(self, evals: int, runtime: float, rate_path: str, live_cells: int) -> dict:
         return {
@@ -891,6 +932,8 @@ class _StepLog:
             "rejected": self.rejected,
             "clamp_events": self.clamp_events,
             "clamped_mass": self.clamped_mass,
+            "interpolated_snapshots": self.interpolated_snapshots,
+            "interpolated_clamp_events": self.interpolated_clamp_events,
             "flag": self.flag,
             "min_dt": None if math.isinf(self.min_dt) else self.min_dt,
             "max_h_lambda": self.max_h_lambda,
@@ -923,37 +966,62 @@ def _initial_step(rhs, y0, f0, norm, tol_of, y1, f1) -> float:
 
 
 def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
-    """Step ``y`` from t = 0 onto each snapshot time in turn and yield it.
+    """Step ``y`` from t = 0 to t_end and yield the state at each snapshot
+    time in turn.
 
     The stage array ``k``, the stage state and one scratch row are
     allocated once, zeroed, and ``y`` itself is a work array: stage i is
     evaluated at ``y + h (a[i, :i] @ k[:i])``, built in the stage state,
-    which becomes ``y`` when the step is accepted.  ``y`` must be zero past
-    ``rhs.live``, as every derivative is: the stage combinations, the error
-    row, the first-same-as-last copy and the clamp run over the live cells
-    and the gel entry (``parts``), and the weighted norm over the whole
-    state.  The yielded state is valid until the generator resumes.  A
-    tableau with an error row adapts h from a probe; one without takes
-    ``config.dt`` and counts its steps in each interval, t = t_start + n dt,
-    so rounding adds no residual step.  ``clamp(density)``, given the live
-    cells of ``y``, zeroes negatives in place and says whether it removed
-    more than round-off, which alone re-evaluates the first stage.  After the first
-    stage of a step, ``rhs.max_loss_factor`` is lambda_max at the state the
-    step starts from.  Where the adaptive h exceeds ``_STABILITY /
-    lambda_max``, the step is either Dormand-Prince's at that bound or
-    SSPRK(10,4)'s at ``min(h_ssp, _SSP_STABILITY / lambda_max)``, whichever
-    covers more time per evaluation; ``h_ssp``, that tableau's own proposal,
-    starts from h.  ``log.max_h_lambda`` keeps the largest accepted
-    ``h lambda_max`` and ``log.stiff_steps`` counts the accepted SSPRK(10,4)
-    steps.  A step size below
-    ``1e-12 t_end`` or a non-finite error or state sets ``log.flag`` and
-    ends the generator."""
-    dp = c, a, e = _TABLEAUX[config.scheme]
-    ssp = _TABLEAUX["ssprk104"]
+    which becomes ``y`` when the step is accepted; a row that repeats the
+    row before it and adds one entry (rows 2-4 and 6-9 of SSPRK(10,4))
+    adds ``h a[i, i-1] k[i-1]`` to the stage state it already holds.  ``y``
+    must be zero past ``rhs.live``, as every derivative is: the stage
+    combinations, the error row, the continuous extension, the
+    first-same-as-last copy and the clamp run over the live cells and the
+    gel entry (``parts``), and the weighted norm over the whole state.  A
+    yielded state is valid until the generator resumes.
+
+    A tableau with an error row adapts h from a probe, and only the last
+    snapshot time cuts a step.  A snapshot inside a step is read from the
+    step's continuous extension (``_dense_weights``) into the scratch row,
+    before ``y`` and ``k[0]`` move on, and that copy is clamped, never the
+    state; ``log.interpolated_snapshots`` and
+    ``log.interpolated_clamp_events`` count them and their clamp events.  A
+    snapshot that a step ends within ``1e-14 max(1, t)`` of takes the
+    stepped, clamped state.  So the snapshot times do not move a step.  A
+    tableau without an error row takes ``config.dt``, lands on each
+    snapshot time and counts its steps in each interval, t = t_start + n dt,
+    so rounding adds no residual step.
+
+    ``clamp(density)``, given the live cells of ``y``, zeroes negatives in
+    place and says whether it removed more than round-off, which alone
+    re-evaluates the first stage.  After the first stage of a step,
+    ``rhs.max_loss_factor`` is lambda_max at the state the step starts
+    from.  Where the adaptive h exceeds ``_STABILITY / lambda_max``, the
+    step is either Dormand-Prince's at that bound or SSPRK(10,4)'s at
+    ``min(h_ssp, _SSP_STABILITY / lambda_max)``, whichever covers more time
+    per evaluation; ``h_ssp``, that tableau's own proposal, starts from h.
+    ``log.max_h_lambda`` keeps the largest accepted ``h lambda_max`` and
+    ``log.stiff_steps`` counts the accepted SSPRK(10,4) steps.  A step size
+    below ``1e-12 t_end`` or a non-finite error or state sets ``log.flag``
+    and ends the generator."""
+    def tableau(name):   # (c, a, e, d, chained): d is None for a fixed step
+        c, a, e = _TABLEAUX[name]
+        chained = [i > 1 and np.array_equal(a[i, :i - 1], a[i - 1, :i - 1]) for i in range(c.size)]
+        return c, a, e, _DENSE.get(name), chained
+
+    dp = c, a, e, d, chained = tableau(config.scheme)
+    ssp = tableau("ssprk104")
     k = np.zeros((c.size if e is None else ssp[0].size, y.size))
     stage = np.zeros_like(y)
     scratch = np.zeros_like(y)
     m = y.size - 1
+    times = config.snapshot_times
+    dense = d is not None
+    pending = 0   # the next snapshot to yield
+
+    def slack(ts):   # a step that ends this close to a snapshot time lands on it
+        return 1e-14 * max(1.0, ts)
 
     def parts():
         # the live cells and the gel entry, in column spans that each hold
@@ -980,10 +1048,10 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
     lam = rhs.max_loss_factor
     h = config.dt if e is None else _initial_step(rhs, y, k[0], norm, tol_of, stage, k[1])
     h_ssp = None
-    for t1 in config.snapshot_times:
+    for t1 in times[-1:] if dense else times:
         t_start, n = t, 0
-        while t < t1 - 1e-14 * max(1.0, t1):
-            c, a, e = dp
+        while t < t1 - slack(t1):
+            c, a, e, d, chained = dp
             h_now, stiff = h, False
             if e is not None and h * lam > _STABILITY:
                 # the loss rate's stability bound, unless SSPRK(10,4) covers
@@ -991,7 +1059,7 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
                 h_now = min(h if h_ssp is None else h_ssp, _SSP_STABILITY / lam)
                 stiff = h_now / 10 > _STABILITY / lam / 6
                 if stiff:
-                    c, a, e = ssp
+                    c, a, e, d, chained = ssp
                 else:
                     h = h_now = _STABILITY / lam
             if h_now < 1e-12 * config.t_end:
@@ -999,7 +1067,12 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
                 return
             step = min(h_now, t1 - t)
             for i in range(1, c.size):
-                combine(a[i, :i], step, stage, y)
+                if chained[i]:   # row i is row i - 1 and one more entry: one axpy
+                    for cells in parts():
+                        np.multiply(k[i - 1, cells], step * a[i, i - 1], out=scratch[cells])
+                        stage[cells] += scratch[cells]
+                else:
+                    combine(a[i, :i], step, stage, y)
                 rhs(t + c[i] * step, stage, out=k[i])
             if e is None:   # a fixed step passes once its new state is finite
                 finite = all(np.isfinite(stage[cells]).all() for cells in parts())
@@ -1012,11 +1085,21 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
                 return
             if en <= tol:
                 n += 1
-                t = t + step if e is not None else min(t_start + n * h, t1)
                 log.accepted += 1
                 log.stiff_steps += stiff
                 log.min_dt = min(log.min_dt, float(step))
                 log.max_h_lambda = max(log.max_h_lambda, step * lam)
+                t_new = t + step if dense else min(t_start + n * h, t1)
+                # the snapshots inside the step, from its continuous extension
+                # while y and k[0] still hold y_n and f(y_n); the copy in the
+                # scratch row is clamped, the state is not
+                while dense and times[pending] < t_new - slack(times[pending]):
+                    combine(_dense_weights(a[-1], d, (times[pending] - t) / step), step, scratch, y)
+                    log.interpolated_snapshots += 1
+                    log.interpolated_clamp_events += clamp_negatives(scratch[:rhs.live])[1]
+                    pending += 1
+                    yield scratch
+                t = t_new
                 y, stage = stage, y
                 if clamp(y[:rhs.live]):
                     rhs(t, y, out=k[0])
@@ -1024,6 +1107,10 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
                     for cells in parts():
                         k[0, cells] = k[c.size - 1, cells]
                 lam = rhs.max_loss_factor
+                # the snapshots the step lands on take its clamped state
+                while dense and pending < len(times) and t >= times[pending] - slack(times[pending]):
+                    pending += 1
+                    yield y
                 if step < h_now:
                     break   # cut to land on t1: h stays as proposed before the cut
             else:
@@ -1033,7 +1120,9 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
             elif e is not None:
                 h = step * min(5.0, max(0.2, 0.9 * (tol / en) ** 0.2 if en > 0 else 5.0))
         t = t1
-        yield y
+        while pending < len(times) and times[pending] <= t1:
+            pending += 1
+            yield y
 
 
 # ---------------------------------------------------------------------------
@@ -1051,7 +1140,9 @@ def integrate(init: SizeDistribution, config: SolverConfig) -> Trajectory:
     One loop (``_steps``) runs the scheme's Butcher tableau, Dormand-Prince
     5(4) with step-size control (``rk45``, with SSPRK(10,4) steps where the
     loss rate's stability bound binds) or classical RK4 with the fixed
-    ``dt`` (``rk4``), and lands on each snapshot time.  When the step size
+    ``dt`` (``rk4``).  ``rk4`` lands on each snapshot time; ``rk45`` lands
+    on t_end and reads the snapshots before it from each step's continuous
+    extension, clamped.  When the step size
     falls below ``1e-12 t_end`` (gelation stiffness, or a tiny ``dt``) or a
     stage is non-finite, the trajectory so far is returned with
     ``step_log["flag"]`` set to ``"dt_underflow"`` or ``"non_finite"``
@@ -1086,6 +1177,7 @@ def integrate(init: SizeDistribution, config: SolverConfig) -> Trajectory:
         for t, y in zip(config.snapshot_times, steps):
             snapshots.append(SizeDistribution(grid, y[:m].copy(), t))
             gel_series.append(max(float(y[m]), 0.0))
+    steps.close()   # frees the stage arrays before the moment series
 
     times = np.array([s.time for s in snapshots])
     pivots, widths, row = grid.pivots, grid.widths, np.empty(m)

@@ -143,3 +143,13 @@ def test_moment_series_validation():
     with pytest.raises(DomainError):
         ck.MomentSeries(np.array([0.0, 1.0]), {0.0: np.zeros(2)},
                         np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("grid", [ck.SizeGrid.discrete(16), ck.SizeGrid.geometric(1.0, 1e3, bins=16)],
+                         ids=["discrete", "sectional"])
+def test_grid_arrays_are_built_once_and_read_only(grid):
+    for name in ("pivots", "widths"):
+        values = getattr(grid, name)
+        assert getattr(grid, name) is values and values.size == 16
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0

@@ -11,9 +11,10 @@ import pytest
 import coagkit as ck
 from coagkit import solver
 from coagkit.errors import DomainError, GridError
-from coagkit.solver import (_SSP_STABILITY, _STABILITY, _TABLEAUX, _next_fast_len, _PairRows,
-                           _rate_operator, _Rhs, _SeparableOperator, _StepLog, _steps,
-                           resolve_kernel)
+from coagkit.grids import clamp_negatives
+from coagkit.solver import (_DENSE, _SSP_STABILITY, _STABILITY, _TABLEAUX, _dense_weights,
+                           _next_fast_len, _PairRows, _rate_operator, _Rhs, _SeparableOperator,
+                           _StepLog, _steps, resolve_kernel)
 
 
 def brute_force_rates(dist, kernel, boundary):
@@ -696,44 +697,118 @@ def _seeded(seed, stream, n):
     return ck.SizeDistribution(ck.SizeGrid.discrete(n), f)
 
 
+def _gelation_run(last_only=False):
+    """The benchmark's gelation run: K = xy on N = 2^14, absorbing, to
+    0.93 t_gel, with its 25 snapshot times or the last one alone."""
+    init = _seeded(11, 0, 2 ** 14)
+    fractions = np.concatenate([np.linspace(0.1, 0.5, 5), np.linspace(0.55, 0.93, 20)])
+    snaps = tuple(float(v / init.moment(2.0)) for v in fractions)
+    return init, ck.SolverConfig(kernel=ck.KernelSpec.multiplicative(), t_end=snaps[-1],
+                                 snapshot_times=snaps[-1:] if last_only else snaps,
+                                 rel_tol=1e-8, boundary="absorbing")
+
+
 def test_gelation_steps_within_the_stability_bound():
     # K = xy on N = 2^14 to 0.93 t_gel: from t ~ 0.15 t_gel on, Dormand-
     # Prince's bound h lambda_max <= 3.3 alone sets every step (158/0/964);
     # SSPRK(10,4) steps, stable to 13.9, cover more time per evaluation there
     # (81/3/675, 38 of them SSPRK(10,4)).  Integrating only the live prefix
-    # of the grid keeps every one of them
-    init = _seeded(11, 0, 2 ** 14)
+    # of the grid keeps every one of them.  Reading the 24 snapshots before
+    # t_end from each step's continuous extension, not cutting a step onto
+    # each, takes 68/2/569, 32 of them SSPRK(10,4)
+    init, cfg = _gelation_run()
     m2_0 = init.moment(2.0)
-    fractions = np.concatenate([np.linspace(0.1, 0.5, 5), np.linspace(0.55, 0.93, 20)])
-    snaps = tuple(float(v / m2_0) for v in fractions)
-    cfg = ck.SolverConfig(kernel=ck.KernelSpec.multiplicative(), t_end=snaps[-1],
-                          snapshot_times=snaps, rel_tol=1e-8, boundary="absorbing")
     traj = ck.integrate(init, cfg)
     log = traj.step_log
     assert log["flag"] is None
     assert (log["accepted"], log["rejected"], log["rhs_evals"], log["stiff_steps"],
-            log["clamp_events"], log["live_cells"]) == (81, 3, 675, 38, 118, 2 ** 14)
+            log["clamp_events"], log["live_cells"]) == (68, 2, 569, 32, 88, 2 ** 14)
+    assert log["interpolated_snapshots"] == 24
     # (13.9 / lambda_max) lambda_max rounds to within an ulp of 13.9
     assert log["max_h_lambda"] <= _SSP_STABILITY * (1 + 1e-15)
     m = traj.moments
     assert np.max(np.abs(m[1.0] + m.gel_mass - m[1.0][0])) <= 1e-8
-    t = traj.times[-1]
-    assert m[2.0][-1] == pytest.approx(m2_0 / (1.0 - m2_0 * t), rel=3e-6)
+    exact = m2_0 / (1.0 - m2_0 * traj.times)
+    assert m[2.0][-1] == pytest.approx(exact[-1], rel=3e-6)
+    # the snapshots up to t_gel / 2 (five of them) are read from the extension
+    early = traj.times <= 0.5 / m2_0 * (1 + 1e-12)
+    assert np.count_nonzero(early) == 6
+    np.testing.assert_allclose(m[2.0][early], exact[early], rtol=1e-7, atol=0.0)
+
+
+def test_interpolated_snapshots_keep_the_steps():
+    # the snapshots before t_end cut no step: with the last one alone the run
+    # takes the same steps to the same final state, bit for bit
+    runs = [ck.integrate(*_gelation_run(last_only)) for last_only in (False, True)]
+    logs = [{key: v for key, v in traj.step_log.items()
+             if key not in ("runtime_s", "interpolated_snapshots", "interpolated_clamp_events")}
+            for traj in runs]
+    assert logs[0] == logs[1]
+    assert [traj.step_log["interpolated_snapshots"] for traj in runs] == [24, 0]
+    assert runs[0].snapshots[-1].density.tobytes() == runs[1].snapshots[-1].density.tobytes()
+    assert runs[0].moments.gel_mass[-1] == runs[1].moments.gel_mass[-1]
+
+
+def _interpolated_masses(init, cfg):
+    """The step loop's snapshots read from a step's continuous extension, as
+    (grid + gel mass, smallest density, the masses of the step's two
+    states), and its log."""
+    grid = init.grid
+    x, m = grid.pivots, grid.size
+    rhs = _Rhs(_rate_operator(grid, cfg.kernel, cfg.boundary))
+    stepped = [float(np.dot(x, init.density))]   # grid + gel mass after each step
+
+    def clamp(density):   # the live cells of the state row, whose last entry is the gel
+        events = clamp_negatives(density)[1]
+        state = density.base
+        stepped.append(float(np.dot(x, state[:m]) + state[m]))
+        return events > 0
+
+    log, seen = _StepLog(), []
+    for y in _steps(rhs, np.append(init.density, 0.0), cfg, np.append(1.0 + x, 1.0), clamp, log):
+        if log.interpolated_snapshots > len(seen):   # read inside the step to come
+            seen.append((float(np.dot(x, y[:m]) + y[m]), float(np.min(y[:m])), len(stepped)))
+    return [(mass, low, stepped[j - 1:j + 1]) for mass, low, j in seen], log
+
+
+def test_interpolated_snapshots_are_non_negative_and_keep_the_mass():
+    # each snapshot read from a step's extension is clamped, and where the
+    # right-hand side balances mass to round-off (the capped path of the
+    # benchmark's truncated run) its grid + gel mass lies within 1e-12 of the
+    # range of its step's two states.  Near t_gel on the gelation run, each
+    # stage derivative of the separable path moves mass by FFT round-off
+    # weighted by sizes up to 2^14, which the extension's weights sum apart
+    # from the step's (2.9e-9 at the last snapshot): there the snapshots keep
+    # the run's drift bound of 1e-8 instead
+    init = _seeded(11, 2, 512)
+    cfg = ck.SolverConfig(kernel=ck.KernelSpec.multiplicative().truncate(64.0), t_end=2.0,
+                          boundary="absorbing")
+    snaps, log = _interpolated_masses(init, cfg)
+    assert len(snaps) == log.interpolated_snapshots == 9
+    for mass, low, ends in snaps:
+        assert low >= 0.0 and min(ends) - 1e-12 <= mass <= max(ends) + 1e-12
+    init, cfg = _gelation_run()
+    snaps, log = _interpolated_masses(init, cfg)
+    assert len(snaps) == 24 and log.interpolated_clamp_events > 0
+    mass0 = init.moment(1.0)
+    for mass, low, ends in snaps:
+        assert low >= 0.0 and abs(mass - mass0) <= 1e-8
 
 
 # (initial density, kernel, boundary, t_end) -> the step counts and the
 # final M0, M1/2, M1, M2 and gel mass of the whole-grid loop
 LIVE_PREFIX_RUNS = {
-    # the clamp removes more than round-off twice, and re-evaluates the first stage
-    "clamp": ((ck.init_distribution(ck.SizeGrid.discrete(256), "monodisperse", size=1),
-               ck.KernelSpec.multiplicative(), "absorbing", 2.0),
-              (119, 5, 756, 1, 2, 256),
-              (0.2516516382696987, 0.3130178011570858, 0.49999986167799615, 8.576141580487484,
-               0.5000001399804972)),
+    # the clamp removes more than round-off (14 cells) after 8 steps, and
+    # each re-evaluates the first stage: 370 = 6 (58 + 2) + 2 + 8
+    "clamp": ((ck.init_distribution(ck.SizeGrid.discrete(512), "monodisperse", size=1),
+               ck.KernelSpec.additive(), "absorbing", 1.5),
+              (58, 2, 370, 0, 14, 512),
+              (0.22313016036580435, 0.392238402819147, 0.9999999527978272, 20.08551041203418,
+               4.647528735103642e-08)),
     # support 0: the live mark stays 0
     "zero": ((ck.SizeDistribution(ck.SizeGrid.discrete(64), np.zeros(64)),
               ck.KernelSpec.additive(), "absorbing", 1.0),
-             (18, 0, 109, 0, 0, 0), (0.0,) * 5),
+             (10, 0, 61, 0, 0, 0), (0.0,) * 5),
 }
 
 
@@ -752,8 +827,9 @@ def test_live_prefix_runs_keep_their_steps_and_moments(name):
 
 def test_live_prefix_steps_match_whole_grid_steps():
     # the loop with the live mark preset to the whole grid gives every state
-    # bit for bit, also after a clamp cuts the support while the live mark
-    # stays, so that the swapped stage state holds the longer old state
+    # bit for bit, the snapshots read from a step's continuous extension
+    # too, also after a clamp cuts the support while the live mark stays, so
+    # that the swapped stage state holds the longer old state
     n = 1024
     grid = ck.SizeGrid.discrete(n)
     kernel = ck.KernelSpec.multiplicative()
@@ -780,7 +856,7 @@ def test_live_prefix_steps_match_whole_grid_steps():
         return states, (log.accepted, log.rejected, rhs.evals), cuts
 
     prefix, whole = run(None), run(n)
-    assert len(prefix[2]) == 4 and max(prefix[2]) < n // 4 and set(whole[2]) == {n}
+    assert len(prefix[2]) == 3 and max(prefix[2]) < n // 4 and set(whole[2]) == {n}
     assert prefix[1] == whole[1]
     for a, b in zip(prefix[0], whole[0], strict=True):
         assert a.tobytes() == b.tobytes()
@@ -900,16 +976,114 @@ def test_ssp_tableau_is_fourth_order():
     assert all(13.0 < r < 19.0 for r in ratios), ratios
 
 
+def _dp_rationals():
+    """Dormand-Prince 5(4) in exact rationals, its seventh row b."""
+    rows = [[], [Fraction(1, 5)], [Fraction(3, 40), Fraction(9, 40)],
+            [Fraction(44, 45), Fraction(-56, 15), Fraction(32, 9)],
+            [Fraction(19372, 6561), Fraction(-25360, 2187), Fraction(64448, 6561),
+             Fraction(-212, 729)],
+            [Fraction(9017, 3168), Fraction(-355, 33), Fraction(46732, 5247), Fraction(49, 176),
+             Fraction(-5103, 18656)],
+            [Fraction(35, 384), Fraction(0), Fraction(500, 1113), Fraction(125, 192),
+             Fraction(-2187, 6784), Fraction(11, 84)]]
+    return [row + [Fraction(0)] * (7 - len(row)) for row in rows]
+
+
+def _elementary_weights(A):
+    """Phi_i(t) of each stage i for the eight trees of order <= 4, in
+    ``_order_residuals``' order, with their densities gamma(t)."""
+    def times_a(v):
+        return [sum(x * y for x, y in zip(row, v)) for row in A]
+
+    c = [sum(row) for row in A]
+    ac, c2 = times_a(c), [x * x for x in c]
+    phis = [[Fraction(1)] * len(A), c, c2, ac, [x ** 3 for x in c],
+            [x * y for x, y in zip(c, ac)], times_a(c2), times_a(ac)]
+    return phis, [1, 2, 3, 6, 4, 8, 12, 24]
+
+
+def _rank(rows):
+    """Rank of a matrix of Fractions, by Gaussian elimination."""
+    rows, rank = [list(r) for r in rows], 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("name, rationals, d", [
+    ("rk45", _dp_rationals,
+     [Fraction(v, 23217312008368) for v in (-23753647575465, 0, 53792125317600, -59622527028600,
+                                              -17787012670215, 40989580597460, 6381481359220)]),
+    ("ssprk104", lambda: _ssp_rationals()[0] + [[Fraction(1, 10)] * 10 + [Fraction(0)]],
+     [Fraction(v, 26) for v in (-36, 27, 30, 3, -24, 24, -3, -30, -27, 36, 0)]),
+])
+def test_dense_rows_meet_the_fourth_order_conditions(name, rationals, d):
+    # the cubic Hermite through y_n, f_n, y_n+1 and f_n+1 leaves -theta^2
+    # (1-theta)^2 / gamma(t) on each tree of order 4, so d must give 0 on the
+    # trees of order <= 3 and 1 / gamma(t) on those of order 4; of the
+    # solutions, d is the least-norm one, the one in the rows' span
+    A = [row + [Fraction(0)] * (len(d) - len(row)) for row in rationals()]
+    phis, gammas = _elementary_weights(A)
+    assert [sum(x * y for x, y in zip(d, phi)) for phi in phis] \
+        == [0] * 4 + [Fraction(1, g) for g in gammas[4:]]
+    assert _rank(phis + [d]) == _rank(phis)
+    assert _DENSE[name].tolist() == [float(v) for v in d]
+    # and the Hermite part meets every condition of order <= 3 for all theta:
+    # at theta = 1/2 the weights are exact binary fractions of b and d
+    b = [float(v) for v in A[-1]]
+    w = _dense_weights(np.array(b), np.zeros(len(d)), 0.5)
+    for phi, g, order in zip(phis[:4], gammas, (1, 2, 3, 3)):
+        assert sum(x * float(y) for x, y in zip(w, phi)) \
+            == pytest.approx(0.5 ** order / g, abs=1e-14)
+
+
+@pytest.mark.parametrize("name", ["rk45", "ssprk104"])
+def test_dense_weights_give_the_step_ends(name):
+    _, a, _ = _TABLEAUX[name]
+    assert not _dense_weights(a[-1], _DENSE[name], 0.0).any()
+    assert _dense_weights(a[-1], _DENSE[name], 1.0).tolist() == a[-1].tolist()
+
+
+@pytest.mark.parametrize("name", ["rk45", "ssprk104"])
+def test_dense_output_is_fourth_order(name):
+    # y' = -2 t y^2, y = 1 / (1 + t^2): one step from t = 1, read at
+    # theta = 1/4, has a local error of order h^5, so halving h divides it
+    # by about 32; without d, by about 16
+    nodes, a, _ = _TABLEAUX[name]
+
+    def error(h, d):
+        k = []
+        for i in range(nodes.size):   # the last stage is f at the new state
+            yi = 0.5 + h * sum(a[i, q] * k[q] for q in range(i))
+            k.append(-2.0 * (1.0 + nodes[i] * h) * yi * yi)
+        u = 0.5 + h * float(np.dot(_dense_weights(a[-1], d, 0.25), k))
+        return abs(u - 1.0 / (1.0 + (1.0 + h / 4) ** 2))
+
+    for d, low, high in ((_DENSE[name], 29.0, 35.0), (np.zeros(nodes.size), 12.0, 17.0)):
+        errors = [error(0.2 / 2 ** j, d) for j in range(4)]
+        ratios = [p / q for p, q in zip(errors, errors[1:])]
+        assert all(low < r < high for r in ratios), ratios
+
+
 @pytest.mark.parametrize("stream, kernel, solver_args, counts, max_drift", [
-    (1, ck.KernelSpec.brownian(), {"boundary": "conservative", "t_end": 4.0}, (44, 0, 266),
+    (1, ck.KernelSpec.brownian(), {"boundary": "conservative", "t_end": 4.0}, (40, 0, 242),
      None),
     (2, ck.KernelSpec.multiplicative().truncate(64.0), {"boundary": "absorbing", "t_end": 2.0},
-     (67, 0, 404), 1e-12),
+     (62, 0, 374), 1e-12),
 ], ids=["brownian", "truncated"])
 def test_stability_cap_leaves_non_stiff_runs_alone(stream, kernel, solver_args, counts,
                                                    max_drift):
-    # the benchmark's brownian and truncated runs (N = 512) keep their steps,
-    # and their separable operators never block a convolution.  The truncated
+    # the benchmark's brownian and truncated runs (N = 512) keep their steps
+    # (44/0/266 and 67/0/404 while each snapshot cut a step; 40/0/242 and
+    # 62/0/374 with snapshots from the continuous extension), and their
+    # separable operators never block a convolution.  The truncated
     # run's grid + gel mass drifted by 3.5e-12 while the right-hand side
     # clipped the negative gain of Dormand-Prince stage states
     traj = ck.integrate(_seeded(11, stream, 512), ck.SolverConfig(kernel=kernel, **solver_args))
@@ -995,21 +1169,25 @@ def test_separable_rhs_allocates_no_full_length_array(support):
 
 
 def test_rk45_step_allocates_no_full_length_array():
-    # the second snapshot time is closer than the proposed step: one step
+    # past the first snapshot, inside the first step, no step allocates a row
+    # of the state's length: neither the steps that hold a snapshot read
+    # from their continuous extension nor the last one, cut onto t_end
     n = 2 ** 14
     rhs = _Rhs(_rate_operator(ck.SizeGrid.discrete(n), ck.KernelSpec.multiplicative(),
                               "absorbing"))
     y = np.zeros(n + 1)
     y[:n // 2] = np.exp(-np.arange(n // 2) / 1024.0) / 1024.0
-    cfg = ck.SolverConfig(kernel=ck.KernelSpec.multiplicative(), t_end=1e-6 + 1e-10,
-                          snapshot_times=(1e-6, 1e-6 + 1e-10))
+    cfg = ck.SolverConfig(kernel=ck.KernelSpec.multiplicative(), t_end=1e-6,
+                          snapshot_times=(1e-9, 2e-7, 4e-7, 6e-7, 8e-7, 1e-6))
     weights = 1.0 + np.arange(1.0, n + 2.0)
     log = _StepLog()
     steps = _steps(rhs, y, cfg, weights, lambda v: False, log)
     next(steps)
     accepted = log.accepted
-    assert _traced_peak(lambda: next(steps), 1) < n * 8
-    assert log.accepted == accepted + 1 and log.flag is None
+    assert (accepted, log.interpolated_snapshots) == (1, 1)
+    assert _traced_peak(lambda: sum(1 for _ in steps), 1) < n * 8
+    assert log.accepted > accepted + 4 and log.interpolated_snapshots == 5
+    assert log.flag is None
 
 
 def test_non_finite_initial_density_rejected():
