@@ -15,7 +15,6 @@ step-size underflow near gelation), 4 any other refused request,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import copy
 import dataclasses
 import hashlib
@@ -568,6 +567,9 @@ def _run_sweep(cfg: dict, out: str | None, jobs: int) -> int:
     tasks = [(cfg, entry, base / f"sweep_{i:03d}")
              for i, entry in enumerate(cfg["sweep"])]
     if jobs > 1:
+        # imported here: it loads logging, which no other command needs
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(jobs, len(tasks))) as pool:
             codes = list(pool.map(_sweep_entry, tasks))

@@ -16,17 +16,21 @@ tables are also scaled to integers over one common denominator; Phi and
 Phi' at p/q are then unreduced integer pairs, and every margin of
 ``vp_check`` is a difference X - Y of sums of products of non-negative
 integers.  ``vp_check`` evaluates those in float64 over all samples at once
-with an a-priori error bound (a static filter after Shewchuk); a margin whose
-sign, or whose place against the minimum, the bound leaves uncertain falls
-back to integer cross-multiplication, so the report is exact.  Samples come
-as triples of numbers, each read as its exact ratio, or as an int64 array of
-(num, den) pairs, such as ``DlvpConfig.draw`` returns: integer numerators
-drawn over one denominator.
+with an a-priori error bound (a static filter after Shewchuk); the samples
+whose sign, or whose place against the minimum, the bound leaves uncertain
+fall back to integer cross-multiplication, run in blocks on object arrays of
+Python integers, so the report is exact.  One set of margin formulas serves
+integers, alone or in object arrays, float64 arrays and counts of roundings.
+Samples come as triples of numbers, each read as its exact ratio, or as an
+int64 array of (num, den) pairs, such as ``DlvpConfig.draw`` returns: integer
+numerators drawn over one denominator from the standard library's Mersenne
+Twister.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -195,7 +199,8 @@ class CompactnessConfig:
 
 # The most samples ``DlvpConfig.draw`` returns, checked before anything is
 # drawn.  ``coagkit compactness`` on the benchmark's config with this many
-# samples peaks at about 180 MB RSS and takes about 2.5 s (2-core x86 VM).
+# samples peaks at about 181 MB RSS, and its ``cli.main`` takes about 1.15 s
+# (2-core x86 VM, median of 3 fresh processes).
 MAX_SAMPLES = 2 ** 20
 # The most segments ``DlvpConfig`` takes, checked before any alpha or beta
 # is built.  ``coagkit compactness`` on demos/configs/compactness_singular.json
@@ -237,17 +242,39 @@ class DlvpConfig:
         int64 array of (num, den): every denominator is q = 10^6, or the
         largest q that keeps N_3 q (N_3, or the last breakpoint) within int64;
         the numerators of r and s are uniform below N_3 q, that of lambda
-        below 4 q, and the seed is fixed."""
+        below 4 q.  They come from the standard library's Mersenne Twister,
+        ``random.Random(20240211)``, as three columns drawn one after the
+        other by ``_uniform_below``."""
         k = min(3, len(phi.breakpoints) - 1)
         top = phi.breakpoints[k]
         q = min(10**6, (2**63 - 1) // math.ceil(top))
         if not q:
             raise DomainError(f"breakpoint N_{k} exceeds 2^63 - 1, the int64 bound of "
                               "the samples drawn below it")
-        rng = np.random.default_rng(20240211)
+        rng = random.Random(20240211)
         n, hi = self.samples, math.floor(top * q)
-        nums = [rng.integers(0, hi, n), rng.integers(0, hi, n), rng.integers(0, 4 * q, n)]
-        return np.stack([np.stack(nums, axis=1), np.full((n, 3), q)], axis=-1)
+        samples = np.full((n, 3, 2), q, dtype=np.int64)
+        for j, bound in enumerate((hi, hi, 4 * q)):
+            samples[:, j, 0] = _uniform_below(rng, bound, n)
+        return samples
+
+
+def _uniform_below(rng: random.Random, hi: int, n: int) -> np.ndarray:
+    """``n`` integers exactly uniform on [0, hi), 0 < hi <= 2^63, as int64.
+
+    Each is a 64-bit word of ``rng.getrandbits`` (its first 32-bit output
+    the low half) mod hi.  A word at or above the largest multiple of hi
+    that is at most 2^64 is rejected, so each residue is hit equally often;
+    the words run in stream order, and the stream stops at the n-th one
+    kept."""
+    limit = 2**64 - 2**64 % hi
+    words = np.empty(0, dtype=np.uint64)
+    while words.size < n:
+        k = n - words.size
+        new = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), dtype="<u8")
+        words = np.concatenate([words, new[new < limit] if limit < 2**64 else new])
+    words %= hi
+    return words.view(np.int64)     # every residue is below 2^63
 
 
 def _inverse_tail(inverse_coeff: float = 2.0):
@@ -279,8 +306,9 @@ def _rational(x) -> Fraction:
         raise DomainError(f"{x!r} is not a finite number") from None
 
 
-# Samples per block of the float pass of ``_exact_margins``: each
-# temporary is 16 KiB, so the pass stays small at any sample count.
+# Samples per block of ``_exact_margins``: a temporary of the float pass is
+# 16 KiB, and one of the integer pass holds as many Python integers, so
+# both stay small at any sample count.
 _BLOCK = 2048
 
 
@@ -325,7 +353,7 @@ def _segment(tables, p, q):
 def _pairs(tables, p, q):
     """Phi(p/q) and Phi'(p/q) for p >= 0, q > 0, as unreduced ``(num, den)``
     pairs with den > 0, over ``VPFunction._tables``: exact on Python
-    integers, elementwise on float64 arrays.
+    integers and on object arrays of them, elementwise on float64 arrays.
 
     With N_k the last breakpoint <= p/q and d = p/q - N_k: Phi = V_k + P_k d
     + A_k d^2 / 2, Phi' = P_k + A_k d.
@@ -395,16 +423,20 @@ class VPFunction:
         # lowest terms, and W_k = L / B_k.
         L = self._L = math.lcm(*(v.denominator for v in (*A, *P, *V, *n)))
         N = [Fraction(0)] + n[1:]
-        self._U, self._B = [b.numerator for b in N], [b.denominator for b in N]
-        self._W = [L // b for b in self._B]
-        self._A, self._P, self._V = ([int(v * L) for v in vals]
+        # object arrays of Python integers, so ``_pairs`` indexes them by a
+        # scalar segment or by an array of them
+        self._U, self._B = (np.array(t, dtype=object) for t in
+                            ([b.numerator for b in N], [b.denominator for b in N]))
+        self._W = L // self._B
+        self._A, self._P, self._V = (np.array([int(v * L) for v in vals], dtype=object)
                                      for vals in (A + A[-1:], P, V))
         self._P[0] = self._V[0] = 0
 
     def _tables(self, kind=int):
-        """``(L, U, B, W, A, P, V)`` for ``_pairs``: the integer tables,
-        their float64 arrays (``kind=float``), or a ``_Roundings`` count
-        ``kind`` in place of every entry."""
+        """``(L, U, B, W, A, P, V)`` for ``_pairs``: the integer tables (L
+        an int, the rest object arrays), their float64 arrays
+        (``kind=float``), or a ``_Roundings`` count ``kind`` in place of
+        every entry."""
         tabs = (self._U, self._B, self._W, self._A, self._P, self._V)
         if kind is float:
             return (_floats([self._L])[0], *map(_floats, tabs))
@@ -630,8 +662,8 @@ def _margins(pairs, pr, qr, ps, qs, pl, ql):
     and lambda = pl/ql, in the order of ``_MARGINS``, each as ``(X, Y, D)``:
     the margin is (X - Y) / D, X and Y are sums of products of non-negative
     terms, and D > 0 (for b122 when r, s > 0).  ``pairs`` is ``_pairs`` over
-    one kind of tables, so these lines run on Python integers, on float64
-    arrays and on rounding counts."""
+    one kind of tables, so these lines run on Python integers, on object
+    arrays of them, on float64 arrays and on rounding counts."""
     pt, qt = pr * qs + ps * qr, qr * qs                  # r + s
     (fr, hr), (gr, kr) = pairs(pr, qr)                   # Phi = f/h, Phi' = g/k
     (fs, hs), (gs, ks) = pairs(ps, qs)
@@ -682,9 +714,13 @@ def _exact_margins(phi: VPFunction, samples: np.ndarray, records):
     sample takes the integer path when the bound leaves its sign open, when
     its interval reaches the smallest upper end (it may be the minimum), when
     its segments are not certain in float (p B_k above 2^52 at one of its
-    points p/q), or when a value is not finite.  So the counts, the
-    violations and the minimum (``num / den``, correctly rounded) are those
-    of integer cross-multiplication, in the order the checks are first met.
+    points p/q), or when a value is not finite.  The integer path runs
+    ``_margins`` on object arrays of those samples, ``_BLOCK`` at a time,
+    and reads each check only on the samples that need it, so b122's zero
+    D at r or s = 0 is never divided by.  So the counts, the violations and
+    the minimum (``num / den``, correctly rounded; the first of equal ones
+    in sample order) are those of integer cross-multiplication, in the
+    order the checks are first met.
     """
     nums, dens = samples[..., 0], samples[..., 1]
     if (nums < 0).any() or (dens <= 0).any():
@@ -731,12 +767,15 @@ def _exact_margins(phi: VPFunction, samples: np.ndarray, records):
     violations = np.count_nonzero(~check & negative & rows, axis=1).tolist()
     low = [math.inf] * len(_MARGINS)
     exact_pairs = partial(_pairs, ints)
-    for i in np.flatnonzero(check.any(axis=0)).tolist():
-        exact = _margins(exact_pairs, *samples[i].ravel().tolist())
-        for j in np.flatnonzero(check[:, i]).tolist():
-            x, y, d = exact[j]
-            violations[j] += x < y
-            low[j] = min(low[j], (x - y) / d)
+    undecided = np.flatnonzero(check.any(axis=0))
+    for start in range(0, undecided.size, _BLOCK):
+        part = undecided[start:start + _BLOCK]
+        cols = [a[part, j].astype(object) for j in range(3) for a in (nums, dens)]
+        for j, margin in enumerate(_margins(exact_pairs, *cols)):
+            x, y, d = (v[check[j, part]] for v in margin)
+            violations[j] += int(np.count_nonzero(x < y))
+            # the first of equal minima stays, as in sample order
+            low[j] = min([low[j], *((x - y) / d).tolist()])
     found = {name: [int(count), v, least] for name, count, v, least in
              zip(_MARGINS, rows.sum(axis=1), violations, low) if count}
     # a check is recorded when first met

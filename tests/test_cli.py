@@ -419,15 +419,34 @@ def _cli_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
+_UNLOADED = ("scipy", "jsonschema", "concurrent.futures", "logging", "numpy.random")
+
+
+def _loaded(code):
+    """The modules of ``_UNLOADED`` that a fresh interpreter holds after
+    running ``code``."""
+    code += f"; print(sorted(m for m in sys.modules if m.startswith({_UNLOADED!r})))"
+    out = subprocess.run([sys.executable, "-c", "import sys, coagkit.cli; " + code],
+                         env=_cli_env(), capture_output=True, text=True, check=True,
+                         timeout=120)
+    return out.stdout.strip()
+
+
 def test_cli_import_loads_no_scipy_or_jsonschema():
     # scipy was most of the start-up time of every command, and jsonschema
     # much of the rest; only the two quadrature cross-checks of the gelation
-    # functionals import scipy, and only the tests import jsonschema
-    code = ("import sys, coagkit.cli; "
-            "print([m for m in sys.modules if m.startswith(('scipy', 'jsonschema'))])")
-    out = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
-                         capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    # functionals import scipy, and only the tests import jsonschema.  A
+    # sweep with --jobs above 1 alone imports concurrent.futures, which
+    # loads logging, and nothing imports numpy.random
+    assert _loaded("pass") == "[]"
+
+
+def test_compactness_run_never_imports_numpy_random(tmp_path):
+    # the samples come from the standard library's generator
+    path, out = DEMO_CONFIGS / "compactness_singular.json", tmp_path / "o"
+    assert _loaded(f"assert coagkit.cli.main(['compactness', {str(path)!r}, "
+                   f"'--out', {str(out)!r}]) == 0") == "[]"
+    assert (out / "compactness.json").exists()
 
 
 def test_config_schema_is_valid():

@@ -1,4 +1,6 @@
 import json
+import math
+import random
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -62,6 +64,42 @@ def fraction_vp_check(phi, samples):
     checks = [{"name": k, "samples": v[0], "violations": v[1], "min_margin": v[2]}
               for k, v in records.items()]
     return {"passed": all(c["violations"] == 0 for c in checks), "checks": checks}
+
+
+def per_sample_checks(phi, samples):
+    """Reference for the batched integer pass: the sample checks of an
+    (n, 3, 2) integer array by one exact ``_margins`` call per sample, on
+    Python integers, in sample order, with the first of equal minima kept.
+    Each check maps to [samples, violations, repr(min_margin)]; the repr
+    tells -0.0 from 0.0."""
+    pairs = partial(compactness._pairs, phi._tables())
+    found = {}
+    for (pr, qr), (ps, qs), (pl, ql) in samples.tolist():
+        margins = compactness._margins(pairs, pr, qr, ps, qs, pl, ql)
+        for name, (x, y, d) in zip(compactness._MARGINS, margins):
+            if name == "b122_ratio_concave" and not (pr and ps):
+                continue
+            rec = found.setdefault(name, [0, 0, math.inf])
+            rec[0] += 1
+            rec[1] += x < y
+            rec[2] = min(rec[2], (x - y) / d)
+    return {name: [n, v, repr(m)] for name, (n, v, m) in found.items()}
+
+
+def checks_by_name(report):
+    """``vp_check``'s report in the layout of ``per_sample_checks``."""
+    return {c.name: [c.samples, c.violations, repr(c.min_margin)] for c in report.checks}
+
+
+def mt_column(rng, hi, n):
+    """Oracle for ``_uniform_below``: one 64-bit word of ``rng`` at a time,
+    kept when below the largest multiple of hi at most 2^64, taken mod hi."""
+    out = []
+    while len(out) < n:
+        word = rng.getrandbits(64)
+        if word < 2**64 - 2**64 % hi:
+            out.append(word % hi)
+    return out
 
 
 def edge_samples(phi):
@@ -388,12 +426,12 @@ def test_cli_compactness_checks_match_fraction_oracle(tmp_path):
     phi = ck.dlvp_construct(lambda c: Fraction(2, c), [1] * 6,
                             [Fraction(1, 4**m) for m in range(7)])
     assert dlvp["function"]["breakpoints"] == phi.breakpoints
-    # r, s and lambda are p / 10^6 with p uniform below N_3 10^6 and 4 10^6
-    rng = np.random.default_rng(20240211)
+    # r, s and lambda are p / 10^6 with p uniform below N_3 10^6 and 4 10^6,
+    # three columns one after the other from the seeded Mersenne Twister
+    rng = random.Random(20240211)
     q, top = 10**6, phi.breakpoints[3]
-    nums = [rng.integers(0, top * q, 1000), rng.integers(0, top * q, 1000),
-            rng.integers(0, 4 * q, 1000)]
-    samples = [tuple(Fraction(int(p), q) for p in t) for t in zip(*nums)]
+    nums = [mt_column(rng, hi, 1000) for hi in (top * q, top * q, 4 * q)]
+    samples = [tuple(Fraction(p, q) for p in t) for t in zip(*nums)]
     assert dlvp["checks"] == fraction_vp_check(phi, samples)
 
 
@@ -428,6 +466,62 @@ def test_draw_refuses_a_breakpoint_of_2_63_or_more(top):
     with pytest.raises(DomainError) as err:
         DlvpConfig(samples=10).draw(phi)
     assert "N_2" in str(err.value) and len(str(err.value)) < 100
+
+
+def test_draw_takes_each_column_from_the_seeded_stream_in_turn():
+    phi = ck.dlvp_construct(lambda c: Fraction(2, c), [1] * 6,
+                            [Fraction(1, 4**m) for m in range(7)])
+    samples = DlvpConfig(samples=300).draw(phi)
+    rng = random.Random(20240211)
+    hi = phi.breakpoints[3] * 10**6
+    for j, bound in enumerate((hi, hi, 4 * 10**6)):
+        assert samples[:, j, 0].tolist() == mt_column(rng, bound, 300)
+
+
+@pytest.mark.parametrize("hi", [1, 2, 3, 10**6, 2**40, 2**62, 2**62 + 1, 2**63 - 1, 2**63])
+def test_uniform_below_is_the_word_oracle(hi):
+    # 2^62 + 1 rejects about one word in four; 1 and the powers of two
+    # reject none (the limit is 2^64); 2^63 - 1 rejects the top two words
+    got = compactness._uniform_below(random.Random(hi), hi, 400)
+    assert got.dtype == np.int64 and got.shape == (400,)
+    assert ((got >= 0) & (got < hi)).all()
+    rng = random.Random(hi)
+    assert got.tolist() == mt_column(rng, hi, 400)
+    # the stream stops at the 400th word kept
+    follow = random.Random(hi)
+    compactness._uniform_below(follow, hi, 400)
+    assert follow.getrandbits(64) == rng.getrandbits(64)
+    if hi & (hi - 1) == 0:
+        words = random.Random(hi).getrandbits(64 * 400)
+        assert got.tolist() == [(words >> (64 * i)) % hi for i in range(400)]
+    assert np.array_equal(compactness._uniform_below(random.Random(hi), hi, 400), got)
+
+
+def test_uniform_below_rejects_and_draws_again_in_order():
+    # hi = 3: 2^64 = 1 mod 3, so the one word 2^64 - 1 is rejected
+    class Scripted:
+        def __init__(self, words):
+            self.words, self.calls = list(words), []
+
+        def getrandbits(self, bits):
+            self.calls.append(bits)
+            take, self.words = self.words[:bits // 64], self.words[bits // 64:]
+            return sum(w << (64 * i) for i, w in enumerate(take))
+
+    rng = Scripted([2**64 - 1, 4, 2**64 - 2, 7])
+    assert compactness._uniform_below(rng, 3, 2).tolist() == [4 % 3, (2**64 - 2) % 3]
+    assert rng.calls == [128, 64] and rng.words == [7]
+    assert compactness._uniform_below(Scripted([]), 3, 0).tolist() == []
+
+
+def test_draw_reaches_the_int64_bound():
+    # N_3 = 2^63 - 1 gives q = 1 and numerators below 2^63 - 1
+    top = 2**63 - 1
+    phi = VPFunction([1, 2, 3, top], [Fraction(1, 10**9)] * 3)
+    samples = DlvpConfig(samples=200).draw(phi)
+    assert samples.dtype == np.int64 and (samples[..., 1] == 1).all()
+    assert (samples[:, :2, 0] < top).all() and samples[:, :2, 0].max() > 2**61
+    assert (samples[:, 2, 0] < 4).all()
 
 
 def random_exact_phi(rng):
@@ -501,6 +595,97 @@ def test_filter_leaves_near_zero_margins_to_integers():
     assert got == fraction_vp_check(phi, samples)
     [check] = [c for c in got["checks"] if c["name"] == "b127_deriv_subadd"]
     assert check["violations"] == 1 and check["min_margin"] == -1.0
+
+
+@st.composite
+def batch_cases(draw):
+    """An exact Phi of small rational breakpoints and non-increasing slopes,
+    its integer values lifted from one breakpoint N_k on by 0 (valid), 1
+    (margins off by 1/L) or by Phi(N_k) (Phi doubles there, so some checks
+    fail); samples with r or s = 0, below N_1 (where 2 Phi - r Phi' is
+    exactly 0, which the filter cannot decide), just below the lift, or over
+    denominators past int64 (an object array, as small ones may be too); and
+    a block size small enough that the undecided samples fill several
+    blocks."""
+    steps = draw(st.lists(st.fractions(1, 40, max_denominator=3), min_size=2, max_size=4))
+    slopes = sorted(draw(st.lists(st.fractions(Fraction(1, 6), 8, max_denominator=6),
+                                  min_size=len(steps), max_size=len(steps))), reverse=True)
+    breakpoints = [Fraction(1), 1 + max(steps[0], Fraction(1))]
+    for d in steps[1:]:
+        breakpoints.append(breakpoints[-1] + d)
+    phi = VPFunction(breakpoints, [a * (hi - lo) for a, lo, hi in
+                                   zip(slopes, breakpoints, breakpoints[1:])])
+    k = draw(st.integers(2, len(breakpoints) - 1))
+    phi._V[k:] += draw(st.sampled_from([0, 1, phi._V[k]]))
+    top, big = 3 * breakpoints[-1] / 2, draw(st.booleans())
+    dens = st.integers(1, 10**6)
+    if big:
+        dens = st.one_of(dens, st.integers(2**64, 2**400))
+
+    def number(bound):   # 0, below N_1, within 1 below the lift, or up to bound
+        return dens.flatmap(lambda q: st.tuples(st.one_of(
+            st.just(0), st.integers(0, math.floor(breakpoints[1] * q) - 1),
+            st.integers(math.floor((breakpoints[k] - 1) * q), math.floor(breakpoints[k] * q)),
+            st.integers(0, math.floor(bound * q))), st.just(q)))
+
+    rows = draw(st.lists(st.tuples(number(top), number(top), number(4)), min_size=1, max_size=40))
+    samples = np.array(rows, dtype=object if big or draw(st.booleans()) else np.int64)
+    return phi, samples, draw(st.integers(1, 8))
+
+
+@given(case=batch_cases())
+@settings(max_examples=200, deadline=None)
+def test_batched_integer_pass_matches_per_sample(case):
+    phi, samples, block = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compactness, "_BLOCK", block)
+        got = ck.vp_check(phi, samples)
+    assert checks_by_name(got) == per_sample_checks(phi, samples)
+
+
+def test_more_undecided_samples_than_one_block(monkeypatch):
+    # every r is below N_1 = 2, so every sample takes the integer path; Phi
+    # jumps by 1 at N_2, so violations sit in both full batches
+    phi = VPFunction([1, 2, 5, 9], [1, 1, Fraction(1, 2)])
+    phi._V[2:] += phi._L
+    n, q = 2 * compactness._BLOCK + 3, 1000
+    rng = np.random.default_rng(5)
+    nums = np.stack([rng.integers(0, 2 * q, n), rng.integers(0, 12 * q, n),
+                     rng.integers(0, 3 * q, n)], axis=1)
+    samples = np.stack([nums, np.full((n, 3), q)], axis=-1)
+    sizes, margins = [], compactness._margins
+
+    def spy(pairs, *cols):
+        if isinstance(cols[0], np.ndarray) and cols[0].dtype == object:
+            sizes.append(len(cols[0]))
+        return margins(pairs, *cols)
+
+    monkeypatch.setattr(compactness, "_margins", spy)
+    got = ck.vp_check(phi, samples)
+    assert sizes == [compactness._BLOCK, compactness._BLOCK, 3]
+    assert checks_by_name(got) == per_sample_checks(phi, samples)
+    for start in (0, compactness._BLOCK):
+        batch = per_sample_checks(phi, samples[start:start + compactness._BLOCK])
+        assert batch["b125_product"][1] > 0
+
+
+@pytest.mark.parametrize("block", [1, 2, compactness._BLOCK])
+def test_first_of_equal_minima_is_kept(block, monkeypatch):
+    # slopes 2^-1100 put L past every float, so every sample takes the
+    # integer path; Phi = A r^2 / 2 lifted by 1/L from N_2 = 3 on.  With
+    # lambda r = 3 the scaling margin is -1/L, which rounds to -0.0; with
+    # lambda r = 1 it is exactly 0.  The one met first is the minimum.
+    monkeypatch.setattr(compactness, "_BLOCK", block)
+    phi = VPFunction([1, 2, 3], [Fraction(1, 2**1100)] * 2)
+    phi._V[2] += 1
+    past = [(Fraction(5, 2), Fraction(1), Fraction(6, 5))]
+    zero = [(Fraction(1, 2), Fraction(1), Fraction(2))]
+    for samples, sign in ((past + zero, -1.0), (zero + past, 1.0)):
+        got = ck.vp_check(phi, samples)["b124_scaling"]
+        assert (got.violations, got.min_margin) == (1, 0.0)
+        assert math.copysign(1.0, got.min_margin) == sign
+        assert checks_by_name(ck.vp_check(phi, samples)) \
+            == per_sample_checks(phi, compactness._rational_array(samples))
 
 
 def test_b111_holds_for_any_member_and_breakpoints():
