@@ -494,11 +494,16 @@ def _exit_code(run, label: str = "") -> int:
         return EXIT_UNSUPPORTED
 
 
-def _verdict(traj: Trajectory, passed: bool = True, label: str = "") -> int:
+def _verdict(traj: Trajectory, failed: tuple = (), label: str = "") -> int:
+    """The exit code; a flagged run prints only its flag, and a run whose
+    checks named ``failed`` failed prints only their names."""
     if traj.flagged:
         print(f"{label}trajectory flagged: {traj.step_log['flag']}", file=sys.stderr)
         return EXIT_FLAGGED
-    return EXIT_OK if passed else EXIT_TOLERANCE
+    if failed:
+        print(f"{label}tolerance failure: {', '.join(failed)}", file=sys.stderr)
+        return EXIT_TOLERANCE
+    return EXIT_OK
 
 
 def cmd_simulate(config_path, out: str | None = None, jobs: int = 1) -> int:
@@ -592,7 +597,7 @@ def _validate(cfg: dict, out: str | None) -> int:
     oracle = exact_solution(kernel, float(traj.times[-1]), n_sizes=sizes)
     report = validation_report(traj, oracle, **tolerances)
     _write(out_dir / "validate.json", _json_text(report))
-    return _verdict(traj, report["verdict"] == "pass")
+    return _verdict(traj, tuple(c["quantity"] for c in report["checks"] if c["verdict"] == "fail"))
 
 
 def _compactness(cfg: dict, out: str | None) -> int:

@@ -73,39 +73,36 @@ Every split also reports the density's support, and from it
 ``max_loss_factor``, the largest loss rate ``lambda_max`` over the support:
 the stiff direction of the equations.
 
-The integrator is one explicit Runge-Kutta loop over Butcher tableaux:
-Dormand-Prince 5(4) with step-size control (``rk45``) or classical RK4 with a
-fixed step (``rk4``).  Its stages, the stage state and one scratch row are
-allocated once per run, zeroed, each derivative is written into its stage
-row, and the state and the stage state swap on acceptance, so a step
-allocates no array of the state's length either.  The last row of each
-tableau gives the new state, so the last stage is the derivative there and is reused as
-the next step's first (first same as last) unless the negativity clamp
-removed more than round-off.  Dormand-Prince is stable on the real axis to
-about ``-3.3``, so where the step that the ``rk45`` error control proposed
-exceeds ``_STABILITY / lambda_max`` at the state the step starts from, the
-loop caps it there, or takes a step of Ketcheson's SSPRK(10,4) instead,
-whichever covers more time per evaluation: ten stages stable to about
-``-13.9`` cover ``min(h_ssp, _SSP_STABILITY / lambda_max)``, where
-``h_ssp`` is that tableau's own proposed step, controlled from its embedded
-third-order estimate.  Every other ``rk45`` step is Dormand-Prince's, and
-``rk4`` keeps its ``dt``.  Both schemes record the
-largest ``h lambda_max`` over the accepted steps as
-``step_log["max_h_lambda"]``, and ``step_log["stiff_steps"]`` counts the
-accepted SSPRK(10,4) steps.  Only the start pays a derivative and a
-step-size probe.  A fixed step lands exactly on each snapshot time and
-counts its steps from the start of each interval, so rounding adds no
-residual step.  An ``rk45`` step lands only on t_end: each of its two
-tableaux carries a fourth-order continuous extension, the cubic Hermite
-interpolant through the step's ends and their derivatives (its first and
-its first-same-as-last stage) plus ``theta^2 (1 - theta)^2 h sum_i d_i k_i``
-with one more row ``d`` per tableau (Hairer, Norsett & Wanner, Solving
-ODEs I, II.6), and a snapshot inside a step is read from it into the
+The integrator is one explicit Runge-Kutta loop (``_steps``) over a list of
+schemes, each one record in ``_SCHEMES``: the configured scheme,
+Dormand-Prince 5(4) with step-size control (``rk45``) or classical RK4 with
+a fixed step (``rk4``), and under ``rk45`` Ketcheson's SSPRK(10,4) after it.
+Each keeps its own proposal for h, and one rule over the list picks each
+step: where the configured scheme's proposal exceeds its real stability
+bound over lambda_max (3.3 for Dormand-Prince, none for RK4), the step goes
+to the scheme that covers the most time per evaluation under its own
+proposal and bound (13.9 for SSPRK(10,4)).  ``step_log["max_h_lambda"]`` is
+the largest accepted ``h lambda_max``, and ``step_log["stiff_steps"]``
+counts the accepted SSPRK(10,4) steps.
+
+The stages, the stage state and one scratch row are allocated once per run,
+zeroed, each derivative is written into its stage row, and the state and
+the stage state swap on acceptance, so a step allocates no array of the
+state's length either.  The last row of each tableau gives the new state,
+so the last stage is the derivative there and is reused as the next step's
+first (first same as last) unless the negativity clamp removed more than
+round-off.  Only the start pays a derivative and a step-size probe.  A fixed
+step lands exactly on each snapshot time and counts its steps from the
+start of each interval, so rounding adds no residual step.  An ``rk45`` step
+lands only on t_end: each adaptive scheme carries a fourth-order continuous
+extension, the cubic Hermite interpolant through the step's ends and their
+derivatives (its first and its first-same-as-last stage) plus ``theta^2 (1 -
+theta)^2 h sum_i d_i k_i`` with its row ``d`` (Hairer, Norsett & Wanner,
+Solving ODEs I, II.6), and a snapshot inside a step is read from it into the
 scratch row and clamped there, so the snapshot times move no step.
 ``step_log["interpolated_snapshots"]`` counts those snapshots and
-``step_log["interpolated_clamp_events"]`` their clamp events, apart from
-the steps'.  A step size below 1e-12 of t_end flags the run for either
-scheme.
+``step_log["interpolated_clamp_events"]`` their clamp events, apart from the
+steps'.  A step size below 1e-12 of t_end flags the run for either scheme.
 
 The loop keeps one live mark L, the number of leading cells that any state
 or derivative of the run has reached: it starts at the initial support and,
@@ -124,7 +121,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -169,13 +167,6 @@ _FFT_ERR_FACTOR = 32.0
 # would be longer than 2 * _BLOCK, runs in blocks of _BLOCK cells, whose
 # transforms of length 2 * _BLOCK keep pocketfft's per-call scratch small
 _BLOCK = 4096
-
-# the real stability intervals of Dormand-Prince (to about -3.3066, Hairer &
-# Wanner, Solving ODEs II, IV.2) and of SSPRK(10,4) (to about -13.917): an
-# rk45 step of either is capped at its bound over lambda_max, the largest
-# loss rate on the support
-_STABILITY = 3.3
-_SSP_STABILITY = 13.9
 
 # a BLAS vector-matrix product rounds the columns past the last multiple of
 # its unroll width (4 in OpenBLAS's SkylakeX dgemv) apart from the others, so
@@ -855,47 +846,64 @@ class _Rhs:
 # Explicit Runge-Kutta schemes as Butcher tableaux
 # ---------------------------------------------------------------------------
 
-def _tableau(c, rows, e=None):
-    """Nodes ``c``, ``a`` from its rows and the error row ``e`` (None for a
-    fixed step).  The last row gives the new state, so the last stage is the
-    derivative there and the next step's first (first same as last)."""
+class _Scheme(NamedTuple):
+    """One explicit Runge-Kutta scheme, whose last row of ``a`` gives the new
+    state, so the last stage is the derivative there and the next step's
+    first (first same as last).  A fixed step has no ``e``, ``exponent`` or
+    ``d``, and an infinite ``bound``."""
+
+    c: np.ndarray
+    a: np.ndarray
+    e: np.ndarray | None      # the error row
+    exponent: float | None    # the step control's, 1 / (q + 1) for an estimate of order q
+    d: np.ndarray | None      # the continuous extension's row (``_dense_weights``)
+    bound: float              # the real stability bound on h lambda_max
+    chained: tuple            # row i repeats row i - 1 and adds one entry
+
+
+def _scheme(c, rows, e=None, exponent=None, d=None, bound=math.inf) -> _Scheme:
+    """The record of a scheme with nodes ``c`` and the rows of ``a``."""
     a = np.zeros((len(c), len(c)))
     for i, row in enumerate(rows):
         a[i, :len(row)] = row
-    return np.array(c), a, None if e is None else np.array(e)
+    chained = tuple(i > 1 and np.array_equal(a[i, :i - 1], a[i - 1, :i - 1]) for i in range(len(c)))
+    return _Scheme(np.array(c), a, e if e is None else np.array(e), exponent, d, bound, chained)
 
 
-_TABLEAUX = {
+# The rows d of the adaptive schemes' continuous extensions are the least-norm
+# solutions of sum_i d_i Phi_i(t) = 0 over the trees t of order <= 3 and
+# 1 / gamma(t) over the four of order 4, over all the stages.  The bounds are
+# the real stability intervals, Dormand-Prince's to about -3.3066 (Hairer &
+# Wanner, Solving ODEs II, IV.2) and SSPRK(10,4)'s to about -13.917.
+_SCHEMES = {
     # Dormand & Prince, J. Comput. Appl. Math. 6 (1980) 19-26; e is the
     # fifth- minus the embedded fourth-order solution
-    "rk45": _tableau(
+    "rk45": _scheme(
         [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0],
         [[], [1 / 5], [3 / 40, 9 / 40], [44 / 45, -56 / 15, 32 / 9],
          [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
          [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
          [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]],
-        [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]),
+        e=[71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
+        exponent=0.2,
+        d=np.array([-23753647575465, 0, 53792125317600, -59622527028600,
+                    -17787012670215, 40989580597460, 6381481359220]) / 23217312008368,
+        bound=3.3),
     # classical RK4, whose next first stage f(t + h, y_new) is a fifth row
-    "rk4": _tableau([0.0, 1 / 2, 1 / 2, 1.0, 1.0],
-                    [[], [1 / 2], [0.0, 1 / 2], [0.0, 0.0, 1.0], [1 / 6, 1 / 3, 1 / 3, 1 / 6]]),
+    "rk4": _scheme([0.0, 1 / 2, 1 / 2, 1.0, 1.0],
+                   [[], [1 / 2], [0.0, 1 / 2], [0.0, 0.0, 1.0], [1 / 6, 1 / 3, 1 / 3, 1 / 6]]),
     # Ketcheson's SSPRK(10,4), SIAM J. Sci. Comput. 30 (2008) 2113-2136, which
-    # rk45 takes where the stability cap binds; its weights b = 1/10 are an
+    # rk45 takes where the stability bound binds; its weights b = 1/10 are an
     # eleventh row, and e is b minus the third-order weights
     # (61, 87, 108, 124, 0, 54, 70, 81, 87, 88) / 760
-    "ssprk104": _tableau(
+    "ssprk104": _scheme(
         [0.0, 1 / 6, 1 / 3, 1 / 2, 2 / 3, 1 / 3, 1 / 2, 2 / 3, 5 / 6, 1.0, 1.0],
         [[1 / 6] * i for i in range(5)]
         + [[1 / 15] * 5 + [1 / 6] * i for i in range(5)] + [[1 / 10] * 10],
-        np.array([15, -11, -32, -48, 76, 22, 6, -5, -11, -12, 0]) / 760),
-}
-
-# the rows d of the adaptive tableaux' continuous extensions (``_dense_weights``):
-# the least-norm solutions of sum_i d_i Phi_i(t) = 0 over the trees t of order
-# <= 3 and 1 / gamma(t) over the four of order 4, over all the stages
-_DENSE = {
-    "rk45": np.array([-23753647575465, 0, 53792125317600, -59622527028600,
-                      -17787012670215, 40989580597460, 6381481359220]) / 23217312008368,
-    "ssprk104": np.array([-36, 27, 30, 3, -24, 24, -3, -30, -27, 36, 0]) / 26,
+        e=np.array([15, -11, -32, -48, 76, 22, 6, -5, -11, -12, 0]) / 760,
+        exponent=0.25,
+        d=np.array([-36, 27, 30, 3, -24, 24, -3, -30, -27, 36, 0]) / 26,
+        bound=13.9),
 }
 
 
@@ -913,36 +921,23 @@ def _dense_weights(b: np.ndarray, d: np.ndarray, theta: float) -> np.ndarray:
     return w
 
 
+@dataclass
 class _StepLog:
-    def __init__(self):
-        self.accepted = 0
-        self.rejected = 0
-        self.clamp_events = 0
-        self.clamped_mass = 0.0
-        self.flag = None
-        self.min_dt = math.inf
-        self.max_h_lambda = 0.0
-        self.stiff_steps = 0
-        self.interpolated_snapshots = 0
-        self.interpolated_clamp_events = 0
+    """A run's step counts; its ``step_log`` is these fields, then
+    ``live_cells``, ``rhs_evals``, ``runtime_s`` and ``rate_path``."""
 
-    def as_dict(self, evals: int, runtime: float, rate_path: str, live_cells: int) -> dict:
-        return {
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "clamp_events": self.clamp_events,
-            "clamped_mass": self.clamped_mass,
-            "interpolated_snapshots": self.interpolated_snapshots,
-            "interpolated_clamp_events": self.interpolated_clamp_events,
-            "flag": self.flag,
-            "min_dt": None if math.isinf(self.min_dt) else self.min_dt,
-            "max_h_lambda": self.max_h_lambda,
-            "stiff_steps": self.stiff_steps,
-            "live_cells": live_cells,
-            "rhs_evals": evals,
-            "runtime_s": runtime,
-            "rate_path": rate_path,
-        }
+    accepted: int = 0
+    rejected: int = 0
+    clamp_events: int = 0
+    # sum |f_i| over the negative cells that the step clamps zeroed: weighted
+    # by neither pivot nor width, so not a mass, and zeroing them adds mass
+    clamped_mass: float = 0.0
+    interpolated_snapshots: int = 0
+    interpolated_clamp_events: int = 0
+    flag: str | None = None
+    min_dt: float | None = None   # None until a step is accepted
+    max_h_lambda: float = 0.0
+    stiff_steps: int = 0
 
 
 def _initial_step(rhs, y0, f0, norm, tol_of, y1, f1) -> float:
@@ -972,16 +967,16 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
     The stage array ``k``, the stage state and one scratch row are
     allocated once, zeroed, and ``y`` itself is a work array: stage i is
     evaluated at ``y + h (a[i, :i] @ k[:i])``, built in the stage state,
-    which becomes ``y`` when the step is accepted; a row that repeats the
-    row before it and adds one entry (rows 2-4 and 6-9 of SSPRK(10,4))
-    adds ``h a[i, i-1] k[i-1]`` to the stage state it already holds.  ``y``
-    must be zero past ``rhs.live``, as every derivative is: the stage
-    combinations, the error row, the continuous extension, the
+    which becomes ``y`` when the step is accepted; a chained row, which
+    repeats the row before it and adds one entry (rows 2-4 and 6-9 of
+    SSPRK(10,4)), adds ``h a[i, i-1] k[i-1]`` to the stage state it already
+    holds.  ``y`` must be zero past ``rhs.live``, as every derivative is: the
+    stage combinations, the error row, the continuous extension, the
     first-same-as-last copy and the clamp run over the live cells and the
     gel entry (``parts``), and the weighted norm over the whole state.  A
     yielded state is valid until the generator resumes.
 
-    A tableau with an error row adapts h from a probe, and only the last
+    A scheme with an error row adapts h from a probe, and only the last
     snapshot time cuts a step.  A snapshot inside a step is read from the
     step's continuous extension (``_dense_weights``) into the scratch row,
     before ``y`` and ``k[0]`` move on, and that copy is clamped, never the
@@ -989,7 +984,7 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
     ``log.interpolated_clamp_events`` count them and their clamp events.  A
     snapshot that a step ends within ``1e-14 max(1, t)`` of takes the
     stepped, clamped state.  So the snapshot times do not move a step.  A
-    tableau without an error row takes ``config.dt``, lands on each
+    scheme without an error row takes ``config.dt``, lands on each
     snapshot time and counts its steps in each interval, t = t_start + n dt,
     so rounding adds no residual step.
 
@@ -997,27 +992,26 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
     place and says whether it removed more than round-off, which alone
     re-evaluates the first stage.  After the first stage of a step,
     ``rhs.max_loss_factor`` is lambda_max at the state the step starts
-    from.  Where the adaptive h exceeds ``_STABILITY / lambda_max``, the
-    step is either Dormand-Prince's at that bound or SSPRK(10,4)'s at
-    ``min(h_ssp, _SSP_STABILITY / lambda_max)``, whichever covers more time
-    per evaluation; ``h_ssp``, that tableau's own proposal, starts from h.
-    ``log.max_h_lambda`` keeps the largest accepted ``h lambda_max`` and
-    ``log.stiff_steps`` counts the accepted SSPRK(10,4) steps.  A step size
-    below ``1e-12 t_end`` or a non-finite error or state sets ``log.flag``
-    and ends the generator."""
-    def tableau(name):   # (c, a, e, d, chained): d is None for a fixed step
-        c, a, e = _TABLEAUX[name]
-        chained = [i > 1 and np.array_equal(a[i, :i - 1], a[i - 1, :i - 1]) for i in range(c.size)]
-        return c, a, e, _DENSE.get(name), chained
-
-    dp = c, a, e, d, chained = tableau(config.scheme)
-    ssp = tableau("ssprk104")
-    k = np.zeros((c.size if e is None else ssp[0].size, y.size))
+    from.  The schemes are the configured one and, under ``rk45``,
+    SSPRK(10,4), each with its own proposal for h; one that has not run yet
+    proposes the configured one's.  The configured scheme runs at its
+    proposal unless proposal times lambda_max exceeds its bound.  Then the
+    step goes to the scheme with the most time per evaluation, ``min(proposal,
+    bound / lambda_max) / (stages - 1)``, the configured one on a tie, at
+    that ``min``.  The step's error sets the proposal of the scheme that ran,
+    from its own exponent.  ``log.max_h_lambda`` keeps the largest accepted
+    ``h lambda_max`` and ``log.stiff_steps`` counts the accepted steps of a
+    scheme other than the configured one.  A step size below ``1e-12
+    t_end`` or a non-finite error or state sets ``log.flag`` and ends the
+    generator."""
+    schemes = [_SCHEMES[config.scheme]] + [_SCHEMES["ssprk104"]] * (config.scheme == "rk45")
+    first = schemes[0]
+    k = np.zeros((max(s.c.size for s in schemes), y.size))
     stage = np.zeros_like(y)
     scratch = np.zeros_like(y)
     m = y.size - 1
     times = config.snapshot_times
-    dense = d is not None
+    dense = first.d is not None
     pending = 0   # the next snapshot to yield
 
     def slack(ts):   # a step that ends this close to a snapshot time lands on it
@@ -1046,22 +1040,18 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
     t = 0.0
     rhs(t, y, out=k[0])
     lam = rhs.max_loss_factor
-    h = config.dt if e is None else _initial_step(rhs, y, k[0], norm, tol_of, stage, k[1])
-    h_ssp = None
+    h = config.dt if first.e is None else _initial_step(rhs, y, k[0], norm, tol_of, stage, k[1])
+    proposals = [h] + [None] * (len(schemes) - 1)   # None until the scheme has run
     for t1 in times[-1:] if dense else times:
         t_start, n = t, 0
         while t < t1 - slack(t1):
-            c, a, e, d, chained = dp
-            h_now, stiff = h, False
-            if e is not None and h * lam > _STABILITY:
-                # the loss rate's stability bound, unless SSPRK(10,4) covers
-                # more time per evaluation
-                h_now = min(h if h_ssp is None else h_ssp, _SSP_STABILITY / lam)
-                stiff = h_now / 10 > _STABILITY / lam / 6
-                if stiff:
-                    c, a, e, d, chained = ssp
-                else:
-                    h = h_now = _STABILITY / lam
+            pick, h_now = 0, proposals[0]
+            if h_now * lam > first.bound:   # the stability bound binds
+                reach = [min(h_now if p is None else p, s.bound / lam)
+                         for p, s in zip(proposals, schemes)]
+                pick = max(range(len(schemes)), key=lambda i: reach[i] / (schemes[i].c.size - 1))
+                h_now = reach[pick]
+            c, a, e, exponent, d, _, chained = schemes[pick]
             if h_now < 1e-12 * config.t_end:
                 log.flag = "dt_underflow"
                 return
@@ -1086,10 +1076,10 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
             if en <= tol:
                 n += 1
                 log.accepted += 1
-                log.stiff_steps += stiff
-                log.min_dt = min(log.min_dt, float(step))
+                log.stiff_steps += pick > 0
+                log.min_dt = min(log.min_dt or math.inf, float(step))
                 log.max_h_lambda = max(log.max_h_lambda, step * lam)
-                t_new = t + step if dense else min(t_start + n * h, t1)
+                t_new = t + step if dense else min(t_start + n * config.dt, t1)
                 # the snapshots inside the step, from its continuous extension
                 # while y and k[0] still hold y_n and f(y_n); the copy in the
                 # scratch row is clamped, the state is not
@@ -1112,13 +1102,12 @@ def _steps(rhs, y, config: SolverConfig, weights, clamp, log):
                     pending += 1
                     yield y
                 if step < h_now:
-                    break   # cut to land on t1: h stays as proposed before the cut
+                    break   # cut to land on t1: the proposal stays as before the cut
             else:
                 log.rejected += 1
-            if stiff:   # the embedded estimate is third order
-                h_ssp = step * min(5.0, max(0.2, 0.9 * (tol / en) ** 0.25 if en > 0 else 5.0))
-            elif e is not None:
-                h = step * min(5.0, max(0.2, 0.9 * (tol / en) ** 0.2 if en > 0 else 5.0))
+            if e is not None:
+                proposals[pick] = step * min(5.0, max(0.2, 0.9 * (tol / en) ** exponent
+                                                      if en > 0 else 5.0))
         t = t1
         while pending < len(times) and times[pending] <= t1:
             pending += 1
@@ -1191,6 +1180,7 @@ def integrate(init: SizeDistribution, config: SolverConfig) -> Trajectory:
 
     values = {mu: series(pivots**mu) for mu in MOMENT_ORDERS}
     moments = MomentSeries(times, values, np.asarray(gel_series))
-    step_log = log.as_dict(rhs.evals, time.perf_counter() - started, rhs.op.path, rhs.live)
+    step_log = {**asdict(log), "live_cells": rhs.live, "rhs_evals": rhs.evals,
+                "runtime_s": time.perf_counter() - started, "rate_path": rhs.op.path}
     return Trajectory(snapshots=snapshots, moments=moments, step_log=step_log,
                       config=config, operator=rhs.op)

@@ -113,6 +113,18 @@ def test_validate_pass_and_tolerance_fail(tmp_path):
     assert any(c["verdict"] == "fail" for c in rep["checks"])
 
 
+def test_validate_failure_names_the_failed_quantities(tmp_path, capsys):
+    # on one cell every merger leaves the grid: M0, M2 and f_1 miss the
+    # rate-1 oracle at t = 0.5 by 0.25, 0.75 and 0.125, and the exit says so
+    cfg = base_config(tmp_path / "o", kernel={"family": "constant"},
+                      grid={"kind": "discrete", "n": 1}, solver={"t_end": 0.5})
+    assert cli.main(["validate", str(write_config(tmp_path, "v.json", cfg))]) == 1
+    assert capsys.readouterr().err == "tolerance failure: M0, M2, f_1..f_1\n"
+    rep = json.loads((tmp_path / "o" / "validate.json").read_text())
+    errors = {c["quantity"]: c["rel_error"] for c in rep["checks"] if c["verdict"] == "fail"}
+    assert errors == pytest.approx({"M0": 0.25, "M2": 0.75, "f_1..f_1": 0.125}, rel=1e-7)
+
+
 def test_validate_unsupported_family_exits_4(tmp_path):
     cfg = base_config(tmp_path / "o")
     cfg["kernel"] = {"family": "brownian"}

@@ -12,9 +12,8 @@ import coagkit as ck
 from coagkit import solver
 from coagkit.errors import DomainError, GridError
 from coagkit.grids import clamp_negatives
-from coagkit.solver import (_DENSE, _SSP_STABILITY, _STABILITY, _TABLEAUX, _dense_weights,
-                           _next_fast_len, _PairRows, _rate_operator, _Rhs, _SeparableOperator,
-                           _StepLog, _steps, resolve_kernel)
+from coagkit.solver import (_SCHEMES, _dense_weights, _next_fast_len, _PairRows, _rate_operator,
+                           _Rhs, _SeparableOperator, _StepLog, _steps, resolve_kernel)
 
 
 def brute_force_rates(dist, kernel, boundary):
@@ -725,7 +724,7 @@ def test_gelation_steps_within_the_stability_bound():
             log["clamp_events"], log["live_cells"]) == (68, 2, 569, 32, 88, 2 ** 14)
     assert log["interpolated_snapshots"] == 24
     # (13.9 / lambda_max) lambda_max rounds to within an ulp of 13.9
-    assert log["max_h_lambda"] <= _SSP_STABILITY * (1 + 1e-15)
+    assert log["max_h_lambda"] <= _SCHEMES["ssprk104"].bound * (1 + 1e-15)
     m = traj.moments
     assert np.max(np.abs(m[1.0] + m.gel_mass - m[1.0][0])) <= 1e-8
     exact = m2_0 / (1.0 - m2_0 * traj.times)
@@ -926,7 +925,7 @@ def test_ssp_tableau_meets_its_order_conditions():
     least, *_ = np.linalg.lstsq(rows[:, keep], [1, 1 / 2, 1 / 3, 1 / 6], rcond=None)
     np.testing.assert_allclose(least, np.array(b_hat, dtype=float)[keep], rtol=1e-12)
     # the solver's floats are these rationals, correctly rounded
-    nodes, a, e = _TABLEAUX["ssprk104"]
+    nodes, a, e = _SCHEMES["ssprk104"][:3]
     assert nodes.tolist() == [float(sum(row)) for row in A] + [1.0]
     assert a[:10, :10].tolist() == [[float(v) for v in row] for row in A]
     assert a[10].tolist() == [float(v) for v in b] + [0.0]
@@ -934,11 +933,11 @@ def test_ssp_tableau_meets_its_order_conditions():
     assert e.tolist() == [float(x - y) for x, y in zip(b, b_hat)] + [0.0]
 
 
-def _real_stability_bound(tableau):
+def _real_stability_bound(scheme):
     """The largest x with |R(-y)| <= 1 on [0, x], to 1e-4, where
     R(z) = 1 + z b^T (I - z A)^-1 1 = 1 + sum_k b^T A^(k-1) 1 z^k is the
     stability polynomial of the explicit tableau whose last row is b."""
-    nodes, a, _ = tableau
+    nodes, a = scheme.c, scheme.a
     s = nodes.size - 1
     coef, v = [1.0], np.ones(s)
     for _ in range(s):
@@ -950,15 +949,17 @@ def _real_stability_bound(tableau):
 
 
 def test_real_stability_bounds_of_the_tableaux():
-    assert 3.3 <= _STABILITY <= _real_stability_bound(_TABLEAUX["rk45"]) < 3.31
-    assert 13.9 <= _SSP_STABILITY <= _real_stability_bound(_TABLEAUX["ssprk104"]) < 13.92
-    assert round(_real_stability_bound(_TABLEAUX["rk4"]), 2) == 2.79
+    bounds = {name: s.bound for name, s in _SCHEMES.items() if s.bound < np.inf}
+    assert bounds == {"rk45": 3.3, "ssprk104": 13.9}
+    for name, bound in bounds.items():
+        assert bound <= _real_stability_bound(_SCHEMES[name]) < bound + 0.02
+    assert round(_real_stability_bound(_SCHEMES["rk4"]), 2) == 2.79
 
 
 def test_ssp_tableau_is_fourth_order():
     # y' = -2 t y^2, y(0) = 1, y = 1 / (1 + t^2), in fixed steps of the
     # tableau alone: halving h divides the global error by about 2^4
-    nodes, a, _ = _TABLEAUX["ssprk104"]
+    nodes, a = _SCHEMES["ssprk104"].c, _SCHEMES["ssprk104"].a
     s = nodes.size - 1
 
     def solve(n):
@@ -1017,6 +1018,10 @@ def _rank(rows):
     return rank
 
 
+# the schemes with a continuous extension
+DENSE = [name for name, scheme in _SCHEMES.items() if scheme.d is not None]
+
+
 @pytest.mark.parametrize("name, rationals, d", [
     ("rk45", _dp_rationals,
      [Fraction(v, 23217312008368) for v in (-23753647575465, 0, 53792125317600, -59622527028600,
@@ -1034,7 +1039,7 @@ def test_dense_rows_meet_the_fourth_order_conditions(name, rationals, d):
     assert [sum(x * y for x, y in zip(d, phi)) for phi in phis] \
         == [0] * 4 + [Fraction(1, g) for g in gammas[4:]]
     assert _rank(phis + [d]) == _rank(phis)
-    assert _DENSE[name].tolist() == [float(v) for v in d]
+    assert _SCHEMES[name].d.tolist() == [float(v) for v in d]
     # and the Hermite part meets every condition of order <= 3 for all theta:
     # at theta = 1/2 the weights are exact binary fractions of b and d
     b = [float(v) for v in A[-1]]
@@ -1044,19 +1049,19 @@ def test_dense_rows_meet_the_fourth_order_conditions(name, rationals, d):
             == pytest.approx(0.5 ** order / g, abs=1e-14)
 
 
-@pytest.mark.parametrize("name", ["rk45", "ssprk104"])
+@pytest.mark.parametrize("name", DENSE)
 def test_dense_weights_give_the_step_ends(name):
-    _, a, _ = _TABLEAUX[name]
-    assert not _dense_weights(a[-1], _DENSE[name], 0.0).any()
-    assert _dense_weights(a[-1], _DENSE[name], 1.0).tolist() == a[-1].tolist()
+    a, d = _SCHEMES[name].a, _SCHEMES[name].d
+    assert not _dense_weights(a[-1], d, 0.0).any()
+    assert _dense_weights(a[-1], d, 1.0).tolist() == a[-1].tolist()
 
 
-@pytest.mark.parametrize("name", ["rk45", "ssprk104"])
+@pytest.mark.parametrize("name", DENSE)
 def test_dense_output_is_fourth_order(name):
     # y' = -2 t y^2, y = 1 / (1 + t^2): one step from t = 1, read at
     # theta = 1/4, has a local error of order h^5, so halving h divides it
     # by about 32; without d, by about 16
-    nodes, a, _ = _TABLEAUX[name]
+    nodes, a = _SCHEMES[name].c, _SCHEMES[name].a
 
     def error(h, d):
         k = []
@@ -1066,7 +1071,7 @@ def test_dense_output_is_fourth_order(name):
         u = 0.5 + h * float(np.dot(_dense_weights(a[-1], d, 0.25), k))
         return abs(u - 1.0 / (1.0 + (1.0 + h / 4) ** 2))
 
-    for d, low, high in ((_DENSE[name], 29.0, 35.0), (np.zeros(nodes.size), 12.0, 17.0)):
+    for d, low, high in ((_SCHEMES[name].d, 29.0, 35.0), (np.zeros(nodes.size), 12.0, 17.0)):
         errors = [error(0.2 / 2 ** j, d) for j in range(4)]
         ratios = [p / q for p, q in zip(errors, errors[1:])]
         assert all(low < r < high for r in ratios), ratios
@@ -1089,7 +1094,7 @@ def test_stability_cap_leaves_non_stiff_runs_alone(stream, kernel, solver_args, 
     traj = ck.integrate(_seeded(11, stream, 512), ck.SolverConfig(kernel=kernel, **solver_args))
     log = traj.step_log
     assert (log["accepted"], log["rejected"], log["rhs_evals"]) == counts
-    assert 0.0 < log["max_h_lambda"] < _STABILITY and log["stiff_steps"] == 0
+    assert 0.0 < log["max_h_lambda"] < _SCHEMES["rk45"].bound and log["stiff_steps"] == 0
     op = traj.operator
     assert getattr(op, "large", op)._block_outputs is None
     if max_drift is not None:
