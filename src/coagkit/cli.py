@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
-import hashlib
 import inspect
 import json
 import math
@@ -41,7 +40,7 @@ from .errors import ArgumentError, CoagKitError, ConfigError, ConstructionError
 from .grids import SizeGrid, init_distribution
 from .kernels import KernelSpec, RadialRate, classify
 from .reference import SIZES, exact_solution, validation_oracle, validation_report
-from .solver import SolverConfig, Trajectory, integrate
+from .solver import MAX_FIXED_WORK, SolverConfig, Trajectory, integrate
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -301,6 +300,9 @@ def load_config(path) -> dict:
 
 
 def config_hash(cfg: dict) -> str:
+    # imported here: hashlib loads OpenSSL, and only simulate writes run.json
+    import hashlib
+
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
@@ -412,6 +414,12 @@ def build_run(cfg: dict):
         if key in s:
             raise ConfigError(f"solver.{key} is not read by the {config.scheme} scheme, "
                               f"whose step is {step}")
+    if config.scheme == "rk4":
+        steps = config.t_end / config.dt            # inf past every float
+        if steps > MAX_FIXED_WORK or math.ceil(steps) * grid.size > MAX_FIXED_WORK:
+            raise ConfigError(f"solver.dt {config.dt:g} takes {steps:.3g} rk4 steps on "
+                              f"{grid.size} cells, past the budget of {MAX_FIXED_WORK} "
+                              "steps times cells")
     return init, config
 
 

@@ -18,9 +18,12 @@ Phi' at p/q are then unreduced integer pairs, and every margin of
 integers.  ``vp_check`` evaluates those in float64 over all samples at once
 with an a-priori error bound (a static filter after Shewchuk); the samples
 whose sign, or whose place against the minimum, the bound leaves uncertain
-fall back to integer cross-multiplication, run in blocks on object arrays of
-Python integers, so the report is exact.  One set of margin formulas serves
-integers, alone or in object arrays, float64 arrays and counts of roundings.
+fall back to integer cross-multiplication, so the report is exact: each
+check alone, on object arrays of Python integers holding just the samples it
+leaves open, a block at a time.  Each check is one formula over Phi and Phi'
+at r, s, r + s, (r + s)/2 and lambda r, which a batch evaluates lazily, once
+each; the same formulas serve integers, alone or in object arrays, float64
+arrays and counts of roundings.
 Samples come as triples of numbers, each read as its exact ratio, or as an
 int64 array of (num, den) pairs, such as ``DlvpConfig.draw`` returns: integer
 numerators drawn over one denominator from the standard library's Mersenne
@@ -34,7 +37,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import accumulate
 from numbers import Rational
 
@@ -199,7 +202,7 @@ class CompactnessConfig:
 
 # The most samples ``DlvpConfig.draw`` returns, checked before anything is
 # drawn.  ``coagkit compactness`` on the benchmark's config with this many
-# samples peaks at about 181 MB RSS, and its ``cli.main`` takes about 1.15 s
+# samples peaks at about 175 MB RSS, and its ``cli.main`` takes about 0.97 s
 # (2-core x86 VM, median of 3 fresh processes).
 MAX_SAMPLES = 2 ** 20
 # The most segments ``DlvpConfig`` takes, checked before any alpha or beta
@@ -649,43 +652,108 @@ class VPCheckReport:
         }
 
 
-_MARGINS = ("b122_ratio_concave", "b123_lower", "b123_upper", "b123b_cross",
-            "b124_scaling", "b125_product", "b127_deriv_subadd")
-
-
 def _maximum(a, b):
     return np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
 
 
-def _margins(pairs, pr, qr, ps, qs, pl, ql):
-    """The sample margins rhs - lhs of ``vp_check`` at r = pr/qr, s = ps/qs
-    and lambda = pl/ql, in the order of ``_MARGINS``, each as ``(X, Y, D)``:
-    the margin is (X - Y) / D, X and Y are sums of products of non-negative
-    terms, and D > 0 (for b122 when r, s > 0).  ``pairs`` is ``_pairs`` over
-    one kind of tables, so these lines run on Python integers, on object
-    arrays of them, on float64 arrays and on rounding counts."""
-    pt, qt = pr * qs + ps * qr, qr * qs                  # r + s
-    (fr, hr), (gr, kr) = pairs(pr, qr)                   # Phi = f/h, Phi' = g/k
-    (fs, hs), (gs, ks) = pairs(ps, qs)
-    (ft, ht), (gt, kt) = pairs(pt, qt)
-    fm, hm = pairs(pt, 2 * qt)[0]                        # Phi((r + s) / 2)
-    fl, hl = pairs(pl * pr, ql * qr)[0]                  # Phi(lambda r)
+class _Points:
+    """Phi and Phi' of one batch of samples r = pr/qr, s = ps/qs, lambda =
+    pl/ql at r, s, r + s = pt/qt, (r + s) / 2 and lambda r, each
+    ``((f, h), (g, k))`` with Phi = f/h and Phi' = g/k.  ``pairs`` is
+    ``_pairs`` over one kind of tables, so these run on Python integers, on
+    object arrays of them, on float64 arrays and on rounding counts; each
+    point is evaluated on first use and kept, so the formulas of
+    ``_MARGINS`` share them and read only the points they need."""
+
+    def __init__(self, pairs, pr, qr, ps, qs, pl, ql):
+        self.pairs = pairs
+        self.pr, self.qr, self.ps, self.qs, self.pl, self.ql = pr, qr, ps, qs, pl, ql
+        self.pt, self.qt = pr * qs + ps * qr, qr * qs
+
+    @cached_property
+    def r(self):
+        return self.pairs(self.pr, self.qr)
+
+    @cached_property
+    def s(self):
+        return self.pairs(self.ps, self.qs)
+
+    @cached_property
+    def t(self):
+        return self.pairs(self.pt, self.qt)
+
+    @cached_property
+    def mid(self):
+        return self.pairs(self.pt, 2 * self.qt)
+
+    @cached_property
+    def lam(self):
+        return self.pairs(self.pl * self.pr, self.ql * self.qr)
+
+    @cached_property
+    def sum_rs(self):
+        """Phi(r) + Phi(s) as (num, hr hs)."""
+        (fr, hr), (fs, hs) = self.r[0], self.s[0]
+        return fr * hs + fs * hr, hr * hs
+
+
+# The sample checks of ``vp_check``, one formula each: from a ``_Points``,
+# the margin rhs - lhs as ``(X, Y, D)``, where the margin is (X - Y) / D, X
+# and Y are sums of products of non-negative terms, and D > 0 (for b122 when
+# r, s > 0).
+
+def _ratio_concave(v):
     # Phi(mid)/mid = x/y against (Phi(r)/r + Phi(s)/s)/2 = u/w
-    x, y = 2 * fm * qt, hm * pt
-    u, w = fr * qr * hs * ps + fs * qs * hr * pr, 2 * hr * pr * hs * ps
-    rd, fq = pr * gr * hr, fr * qr * kr                  # r Phi'(r), Phi(r) over qr kr hr
-    hrs = hr * hs
-    sum_rs = fr * hs + fs * hr                           # Phi(r) + Phi(s) over hrs
-    c = _maximum(pl, ql)                                 # max(1, lambda^2) = c^2 / ql^2
-    # (r + s)(Phi(r + s) - Phi(r) - Phi(s)) <= 2 (r Phi(s) + s Phi(r)), over qt ht hrs
-    rhs = 2 * (pr * fs * qs * hr + ps * fr * qr * hs) * ht
-    return ((x * w, u * y, y * w),
-            (rd, fq, qr * kr * hr),
-            (2 * fq, rd, qr * kr * hr),
-            (sum_rs * qs * kr, ps * gr * hrs, hrs * qs * kr),
-            (c * c * fr * hl, fl * ql * ql * hr, ql * ql * hr * hl),
-            (rhs + pt * sum_rs * ht, pt * ft * hrs, qt * ht * hrs),
-            ((gr * ks + gs * kr) * kt, gt * kr * ks, kr * ks * kt))
+    (fr, hr), (fs, hs), (fm, hm) = v.r[0], v.s[0], v.mid[0]
+    x, y = 2 * fm * v.qt, hm * v.pt
+    u = fr * v.qr * hs * v.ps + fs * v.qs * hr * v.pr
+    w = 2 * hr * v.pr * hs * v.ps
+    return x * w, u * y, y * w
+
+
+def _lower(v):
+    # Phi(r) <= r Phi'(r), over qr kr hr
+    (fr, hr), (gr, kr) = v.r
+    return v.pr * gr * hr, fr * v.qr * kr, v.qr * kr * hr
+
+
+def _upper(v):
+    # r Phi'(r) <= 2 Phi(r)
+    rd, fq, d = _lower(v)
+    return 2 * fq, rd, d
+
+
+def _cross(v):
+    # s Phi'(r) <= Phi(r) + Phi(s), over hr hs qs kr
+    _, (gr, kr) = v.r
+    total, hrs = v.sum_rs
+    return total * v.qs * kr, v.ps * gr * hrs, hrs * v.qs * kr
+
+
+def _scaling(v):
+    # Phi(lambda r) <= max(1, lambda^2) Phi(r), max(1, lambda^2) = c^2 / ql^2
+    (fr, hr), (fl, hl), ql = v.r[0], v.lam[0], v.ql
+    c = _maximum(v.pl, ql)
+    return c * c * fr * hl, fl * ql * ql * hr, ql * ql * hr * hl
+
+
+def _product(v):
+    # (r + s)(Phi(r + s) - Phi(r) - Phi(s)) <= 2 (r Phi(s) + s Phi(r)), over qt ht hr hs
+    (fr, hr), (fs, hs), (ft, ht) = v.r[0], v.s[0], v.t[0]
+    total, hrs = v.sum_rs
+    rhs = 2 * (v.pr * fs * v.qs * hr + v.ps * fr * v.qr * hs) * ht
+    return rhs + v.pt * total * ht, v.pt * ft * hrs, v.qt * ht * hrs
+
+
+def _deriv_subadd(v):
+    # Phi'(r + s) <= Phi'(r) + Phi'(s), over kr ks kt
+    (gr, kr), (gs, ks), (gt, kt) = v.r[1], v.s[1], v.t[1]
+    return (gr * ks + gs * kr) * kt, gt * kr * ks, kr * ks * kt
+
+
+_MARGINS = {"b122_ratio_concave": _ratio_concave, "b123_lower": _lower,
+            "b123_upper": _upper, "b123b_cross": _cross, "b124_scaling": _scaling,
+            "b125_product": _product, "b127_deriv_subadd": _deriv_subadd}
 
 
 def _gamma(k: int) -> float:
@@ -714,13 +782,14 @@ def _exact_margins(phi: VPFunction, samples: np.ndarray, records):
     sample takes the integer path when the bound leaves its sign open, when
     its interval reaches the smallest upper end (it may be the minimum), when
     its segments are not certain in float (p B_k above 2^52 at one of its
-    points p/q), or when a value is not finite.  The integer path runs
-    ``_margins`` on object arrays of those samples, ``_BLOCK`` at a time,
-    and reads each check only on the samples that need it, so b122's zero
-    D at r or s = 0 is never divided by.  So the counts, the violations and
-    the minimum (``num / den``, correctly rounded; the first of equal ones
-    in sample order) are those of integer cross-multiplication, in the
-    order the checks are first met.
+    points p/q), or when a value is not finite.  The integer path then runs
+    each check's formula of ``_MARGINS`` alone, on object arrays of just the
+    samples that check leaves open, ``_BLOCK`` at a time in sample order:
+    b122's zero D at r or s = 0 is never divided by, and no point a check
+    does not read is evaluated in integers for it.  So the counts, the
+    violations and the minimum (``num / den``, correctly rounded; the first
+    of equal ones in sample order) are those of integer cross-multiplication,
+    in the order the checks are first met.
     """
     nums, dens = samples[..., 0], samples[..., 1]
     if (nums < 0).any() or (dens <= 0).any():
@@ -732,8 +801,8 @@ def _exact_margins(phi: VPFunction, samples: np.ndarray, records):
     # entries are when all are at most 2^53
     ints = phi._tables()
     leaf = _Roundings(int(max(ints[0], *map(max, ints[1:]), dens.max()) > 2**53))
-    counts = [map(int, c) for c in _margins(partial(_pairs, phi._tables(leaf)),
-                                            *[_Roundings(0), leaf] * 3)]
+    at = _Points(partial(_pairs, phi._tables(leaf)), *[_Roundings(0), leaf] * 3)
+    counts = [map(int, margin(at)) for margin in _MARGINS.values()]
     # gamma_(a+2) bounds the error of X - Y against X + Y (a roundings in
     # X or Y, two more for the difference and the bound), and
     # gamma_(a+b+6) that of m = (X - Y) / D (b roundings in D, six more for
@@ -749,11 +818,12 @@ def _exact_margins(phi: VPFunction, samples: np.ndarray, records):
     for start in range(0, n, _BLOCK):
         block = slice(start, start + _BLOCK)
         cols = [_floats(a[block, j]) for j in range(3) for a in (nums, dens)]
-        pr, qr, ps, qs, pl, _ = cols
+        at = _Points(partial(_pairs, tables), *cols)
         with np.errstate(all="ignore"):
-            top = np.maximum(np.maximum(pr, ps), np.maximum(pr * qs + ps * qr, pl * pr))
+            top = np.maximum(np.maximum(at.pr, at.ps), np.maximum(at.pt, at.pl * at.pr))
             sure = top * tables[2].max() <= 2.0**52
-            for j, (X, Y, D) in enumerate(_margins(partial(_pairs, tables), *cols)):
+            for j, margin in enumerate(_MARGINS.values()):
+                X, Y, D = margin(at)
                 sign, width = gammas[j]
                 num, size = X - Y, X + Y
                 m = num / D
@@ -767,19 +837,20 @@ def _exact_margins(phi: VPFunction, samples: np.ndarray, records):
     violations = np.count_nonzero(~check & negative & rows, axis=1).tolist()
     low = [math.inf] * len(_MARGINS)
     exact_pairs = partial(_pairs, ints)
-    undecided = np.flatnonzero(check.any(axis=0))
-    for start in range(0, undecided.size, _BLOCK):
-        part = undecided[start:start + _BLOCK]
-        cols = [a[part, j].astype(object) for j in range(3) for a in (nums, dens)]
-        for j, margin in enumerate(_margins(exact_pairs, *cols)):
-            x, y, d = (v[check[j, part]] for v in margin)
+    for j, margin in enumerate(_MARGINS.values()):
+        undecided = np.flatnonzero(check[j])
+        for start in range(0, undecided.size, _BLOCK):
+            part = undecided[start:start + _BLOCK]
+            x, y, d = margin(_Points(exact_pairs, *(a[part, i].astype(object)
+                                                    for i in range(3) for a in (nums, dens))))
             violations[j] += int(np.count_nonzero(x < y))
             # the first of equal minima stays, as in sample order
             low[j] = min([low[j], *((x - y) / d).tolist()])
+    names = list(_MARGINS)
     found = {name: [int(count), v, least] for name, count, v, least in
-             zip(_MARGINS, rows.sum(axis=1), violations, low) if count}
+             zip(names, rows.sum(axis=1), violations, low) if count}
     # a check is recorded when first met
-    order = _MARGINS if rows[0, :1].all() else _MARGINS[1:] + _MARGINS[:1]
+    order = names if rows[0, :1].all() else names[1:] + names[:1]
     records.update((name, found[name]) for name in order if name in found)
 
 

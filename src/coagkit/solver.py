@@ -182,6 +182,14 @@ MOMENT_ORDERS = (0.0, 0.5, 1.0, 2.0)
 # Configuration and results
 # ---------------------------------------------------------------------------
 
+# The most work, ceil(t_end / dt) steps times grid cells, of an ``rk4`` run
+# that ``cli.build_run`` accepts, so a config is refused before it starts.
+# At the budget, a constant kernel from monodisperse data takes about 27 s on
+# 8 cells, 4.7 s on 64 and 0.25 s on 1024; a step costs about 160 us on one
+# cell, so that run would take about 170 s (2-core x86 VM).
+MAX_FIXED_WORK = 2 ** 20
+
+
 @dataclass
 class SolverConfig:
     """One run: ``kernel`` is the kernel integrated, truncation included

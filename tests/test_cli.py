@@ -431,7 +431,8 @@ def _cli_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-_UNLOADED = ("scipy", "jsonschema", "concurrent.futures", "logging", "numpy.random")
+_UNLOADED = ("scipy", "jsonschema", "concurrent.futures", "logging", "numpy.random",
+             "hashlib")
 
 
 def _loaded(code):
@@ -449,12 +450,14 @@ def test_cli_import_loads_no_scipy_or_jsonschema():
     # much of the rest; only the two quadrature cross-checks of the gelation
     # functionals import scipy, and only the tests import jsonschema.  A
     # sweep with --jobs above 1 alone imports concurrent.futures, which
-    # loads logging, and nothing imports numpy.random
+    # loads logging, nothing imports numpy.random, and only config_hash
+    # imports hashlib, which loads OpenSSL
     assert _loaded("pass") == "[]"
 
 
 def test_compactness_run_never_imports_numpy_random(tmp_path):
-    # the samples come from the standard library's generator
+    # the samples come from the standard library's generator, and no
+    # run.json is hashed
     path, out = DEMO_CONFIGS / "compactness_singular.json", tmp_path / "o"
     assert _loaded(f"assert coagkit.cli.main(['compactness', {str(path)!r}, "
                    f"'--out', {str(out)!r}]) == 0") == "[]"
@@ -720,11 +723,14 @@ def _demo_compactness(**dlvp):
     return edit
 
 
-def _rk4_below_the_step_floor(cfg):
-    # rk4 reads neither tolerance of the base config
-    for key in ("rel_tol", "abs_tol"):
-        del cfg["solver"][key]
-    cfg["solver"].update({"scheme": "rk4", "dt": 1e-13})
+def _rk4(dt, **grid):
+    def edit(cfg):
+        # rk4 reads neither tolerance of the base config
+        for key in ("rel_tol", "abs_tol"):
+            del cfg["solver"][key]
+        cfg["solver"].update({"scheme": "rk4", "dt": dt})
+        cfg["grid"].update(grid)
+    return edit
 
 
 # (command, config edit, documented exit code): each of these once escaped
@@ -770,9 +776,13 @@ BAD_CONFIGS = {
         ("simulate", lambda cfg: cfg["solver"].update(t_end=float("inf")), 2),
     "simulate-rel-tol-nan":
         ("simulate", lambda cfg: cfg["solver"].update(rel_tol=float("nan")), 2),
-    # 1e13 fixed steps: the step-size floor ends the run
+    # 1e13 fixed steps: once ended by the step-size floor's flag, exit 3;
+    # the work budget refuses it before the run
     "simulate-rk4-dt-below-the-step-floor":
-        ("simulate", _rk4_below_the_step_floor, 3),
+        ("simulate", _rk4(1e-13), 2),
+    # 10^9 fixed steps on 64 cells once ran for days
+    "simulate-rk4-dt-1e-9-on-64-cells":
+        ("simulate", _rk4(1e-9, n=64), 2),
     # the oracle is for one particle of size 1
     "validate-exponential-init":
         ("validate", lambda cfg: cfg.update(
@@ -934,7 +944,24 @@ REFUSED_BEFORE_THE_RUN = {
     "compactness-synthetic-source-additive-kernel-with-c":
         "kernel.params.c is not read by KernelSpec.additive",
     "simulate-rk4-with-tolerances": "solver.rel_tol is not read by the rk4 scheme",
+    "simulate-rk4-dt-below-the-step-floor":
+        "solver.dt 1e-13 takes 1e+13 rk4 steps on 16 cells, past the budget",
+    "simulate-rk4-dt-1e-9-on-64-cells":
+        "solver.dt 1e-09 takes 1e+09 rk4 steps on 64 cells, past the budget of 1048576",
 }
+
+
+@pytest.mark.parametrize("dt, refused", [(2.0**-14, False), (2.0**-14 * (1 - 2**-40), True)])
+def test_rk4_work_budget_is_steps_times_cells(tmp_path, dt, refused):
+    # 2^14 steps on 64 cells is the budget itself; one step more is refused
+    cfg = base_config(tmp_path / "o")
+    _rk4(dt, n=64)(cfg)
+    assert 2**14 * 64 == cli.MAX_FIXED_WORK
+    if refused:
+        with pytest.raises(ConfigError, match="rk4 steps on 64 cells, past the budget"):
+            cli.build_run(cfg)
+    else:
+        assert cli.build_run(cfg)[1].dt == dt
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))

@@ -68,17 +68,18 @@ def fraction_vp_check(phi, samples):
 
 def per_sample_checks(phi, samples):
     """Reference for the batched integer pass: the sample checks of an
-    (n, 3, 2) integer array by one exact ``_margins`` call per sample, on
-    Python integers, in sample order, with the first of equal minima kept.
-    Each check maps to [samples, violations, repr(min_margin)]; the repr
-    tells -0.0 from 0.0."""
+    (n, 3, 2) integer array by the exact formulas of ``_MARGINS`` at one
+    sample at a time, on Python integers, in sample order, with the first of
+    equal minima kept.  Each check maps to [samples, violations,
+    repr(min_margin)]; the repr tells -0.0 from 0.0."""
     pairs = partial(compactness._pairs, phi._tables())
     found = {}
     for (pr, qr), (ps, qs), (pl, ql) in samples.tolist():
-        margins = compactness._margins(pairs, pr, qr, ps, qs, pl, ql)
-        for name, (x, y, d) in zip(compactness._MARGINS, margins):
+        at = compactness._Points(pairs, pr, qr, ps, qs, pl, ql)
+        for name, margin in compactness._MARGINS.items():
             if name == "b122_ratio_concave" and not (pr and ps):
                 continue
+            x, y, d = margin(at)
             rec = found.setdefault(name, [0, 0, math.inf])
             rec[0] += 1
             rec[1] += x < y
@@ -581,13 +582,12 @@ def test_filter_leaves_near_zero_margins_to_integers():
     phi = VPFunction([1, 2], [Fraction(2**50 + 2**29 + 1, 2**49 + 3)])
     phi.deriv_at[1] += 1
     phi._P[1] += phi._L
-    b127 = compactness._MARGINS.index("b127_deriv_subadd")
     rng = np.random.default_rng(1616)
     q = rng.integers(2**24, 2**25, (20000, 2))
     p = rng.integers(1, q)                                   # r, s < 1
     cols = [v.astype(float) for j in range(2) for v in (p[:, j], q[:, j])]
-    X, Y, _ = compactness._margins(partial(compactness._pairs, phi._tables(float)),
-                                   *cols, np.ones(len(q)), np.ones(len(q)))[b127]
+    X, Y, _ = compactness._MARGINS["b127_deriv_subadd"](compactness._Points(
+        partial(compactness._pairs, phi._tables(float)), *cols, np.ones(len(q)), np.ones(len(q))))
     samples = [(Fraction(int(p[i, 0]), int(q[i, 0])), Fraction(int(p[i, 1]), int(q[i, 1])),
                 Fraction(1)) for i in np.argsort(-np.abs(X - Y) / (X + Y))[:40]]
     samples.append((Fraction(3, 2), Fraction(3, 2), Fraction(1)))
@@ -643,9 +643,25 @@ def test_batched_integer_pass_matches_per_sample(case):
     assert checks_by_name(got) == per_sample_checks(phi, samples)
 
 
+def spy_batches(monkeypatch):
+    """Wrap each formula of ``_MARGINS`` so that every batch the integer
+    pass runs it on (object arrays) is recorded under its check, as an
+    (n, 3, 2) array of the batch's samples."""
+    batches = {name: [] for name in compactness._MARGINS}
+    for name, margin in list(compactness._MARGINS.items()):
+        def spy(at, name=name, margin=margin):
+            if isinstance(at.pr, np.ndarray) and at.pr.dtype == object:
+                cols = [at.pr, at.qr, at.ps, at.qs, at.pl, at.ql]
+                batches[name].append(np.stack(cols, axis=1).reshape(-1, 3, 2))
+            return margin(at)
+        monkeypatch.setitem(compactness._MARGINS, name, spy)
+    return batches
+
+
 def test_more_undecided_samples_than_one_block(monkeypatch):
-    # every r is below N_1 = 2, so every sample takes the integer path; Phi
-    # jumps by 1 at N_2, so violations sit in both full batches
+    # every r is below N_1 = 2, so b123_upper leaves every sample to the
+    # integer path; Phi jumps by 1 at N_2, so violations sit in both full
+    # blocks of samples
     phi = VPFunction([1, 2, 5, 9], [1, 1, Fraction(1, 2)])
     phi._V[2:] += phi._L
     n, q = 2 * compactness._BLOCK + 3, 1000
@@ -653,20 +669,54 @@ def test_more_undecided_samples_than_one_block(monkeypatch):
     nums = np.stack([rng.integers(0, 2 * q, n), rng.integers(0, 12 * q, n),
                      rng.integers(0, 3 * q, n)], axis=1)
     samples = np.stack([nums, np.full((n, 3), q)], axis=-1)
-    sizes, margins = [], compactness._margins
-
-    def spy(pairs, *cols):
-        if isinstance(cols[0], np.ndarray) and cols[0].dtype == object:
-            sizes.append(len(cols[0]))
-        return margins(pairs, *cols)
-
-    monkeypatch.setattr(compactness, "_margins", spy)
+    batches = spy_batches(monkeypatch)
     got = ck.vp_check(phi, samples)
-    assert sizes == [compactness._BLOCK, compactness._BLOCK, 3]
+    sizes = {name: [len(b) for b in found] for name, found in batches.items()}
+    assert sizes["b123_upper"] == [compactness._BLOCK, compactness._BLOCK, 3]
+    for found in sizes.values():      # full blocks, then the rest
+        assert all(size == compactness._BLOCK for size in found[:-1])
+        assert all(0 < size <= compactness._BLOCK for size in found)
     assert checks_by_name(got) == per_sample_checks(phi, samples)
     for start in (0, compactness._BLOCK):
         batch = per_sample_checks(phi, samples[start:start + compactness._BLOCK])
         assert batch["b125_product"][1] > 0
+
+
+@pytest.mark.parametrize("block", [7, compactness._BLOCK])
+def test_integer_pass_runs_each_check_on_the_samples_it_leaves_open(block, monkeypatch):
+    # The demo's Phi and draw.  A check leaves a sample open when its margin
+    # is exactly 0 (b123_upper below N_1), and may leave one open whose
+    # margin is within 1e-9 of 0 or of the check's least other margin,
+    # relative to X + Y, as the filter's bounds are far tighter.  Each check
+    # runs on all of its exact zeros and on no other sample, at most
+    # ``block`` samples a batch, in sample order.
+    dlvp = DlvpConfig(terms=6, samples=1000)
+    phi = ck.dlvp_construct(compactness._inverse_tail(2), dlvp.alphas, dlvp.betas, terms=6)
+    samples = dlvp.draw(phi)
+    index = {tuple(t): i for i, t in enumerate(samples.reshape(-1, 6).tolist())}
+    assert len(index) == len(samples)
+    pairs = partial(compactness._pairs, phi._tables())
+    margins = {name: [] for name in compactness._MARGINS}
+    for i, (pr, qr, ps, qs, pl, ql) in enumerate(samples.reshape(-1, 6).tolist()):
+        at = compactness._Points(pairs, pr, qr, ps, qs, pl, ql)
+        for name, margin in compactness._MARGINS.items():
+            if name != "b122_ratio_concave" or pr and ps:
+                margins[name].append((i, *margin(at)))
+    monkeypatch.setattr(compactness, "_BLOCK", block)
+    batches = spy_batches(monkeypatch)
+    assert ck.vp_check(phi, samples).passed
+    tol = Fraction(1, 10**9)
+    assert batches["b123_upper"]
+    for name, found in margins.items():
+        zero = {i for i, x, y, _ in found if abs(x - y) <= tol * (x + y)}
+        least = min((Fraction(x - y, d), Fraction(x + y, d))
+                    for i, x, y, d in found if i not in zero)
+        near = {i for i, x, y, d in found
+                if Fraction(x - y, d) - least[0] <= tol * (Fraction(x + y, d) + least[1])}
+        ran = [index[tuple(t)] for b in batches[name] for t in b.reshape(-1, 6).tolist()]
+        assert all(0 < len(b) <= block for b in batches[name])
+        assert ran == sorted(set(ran))
+        assert {i for i, x, y, _ in found if x == y} <= set(ran) <= zero | near, name
 
 
 @pytest.mark.parametrize("block", [1, 2, compactness._BLOCK])
