@@ -40,7 +40,7 @@ from .errors import ArgumentError, CoagKitError, ConfigError, ConstructionError
 from .grids import SizeGrid, init_distribution
 from .kernels import KernelSpec, RadialRate, classify
 from .reference import SIZES, exact_solution, validation_oracle, validation_report
-from .solver import MAX_FIXED_WORK, SolverConfig, Trajectory, integrate
+from .solver import SolverConfig, Trajectory, check_fixed_work, integrate
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -300,11 +300,14 @@ def load_config(path) -> dict:
 
 
 def config_hash(cfg: dict) -> str:
-    # imported here: hashlib loads OpenSSL, and only simulate writes run.json
-    import hashlib
-
+    # the built-in SHA-256, as the standard library's random takes its
+    # sha512: hashlib loads OpenSSL, about 3 ms of each simulate run
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return sha256(canon.encode()).hexdigest()
 
 
 def _checked(fn, kwargs: dict, where: str, keys: dict | None = None, given=(),
@@ -414,12 +417,7 @@ def build_run(cfg: dict):
         if key in s:
             raise ConfigError(f"solver.{key} is not read by the {config.scheme} scheme, "
                               f"whose step is {step}")
-    if config.scheme == "rk4":
-        steps = config.t_end / config.dt            # inf past every float
-        if steps > MAX_FIXED_WORK or math.ceil(steps) * grid.size > MAX_FIXED_WORK:
-            raise ConfigError(f"solver.dt {config.dt:g} takes {steps:.3g} rk4 steps on "
-                              f"{grid.size} cells, past the budget of {MAX_FIXED_WORK} "
-                              "steps times cells")
+    check_fixed_work(config, grid.size)
     return init, config
 
 

@@ -18,12 +18,12 @@ Phi' at p/q are then unreduced integer pairs, and every margin of
 integers.  ``vp_check`` evaluates those in float64 over all samples at once
 with an a-priori error bound (a static filter after Shewchuk); the samples
 whose sign, or whose place against the minimum, the bound leaves uncertain
-fall back to integer cross-multiplication, so the report is exact: each
-check alone, on object arrays of Python integers holding just the samples it
-leaves open, a block at a time.  Each check is one formula over Phi and Phi'
-at r, s, r + s, (r + s)/2 and lambda r, which a batch evaluates lazily, once
-each; the same formulas serve integers, alone or in object arrays, float64
-arrays and counts of roundings.
+fall back to integer cross-multiplication, so the report is exact: a block
+of open samples at a time, on object arrays of Python integers, each check
+alone on just the samples it leaves open.  Each check is one formula over
+Phi and Phi' at r, s, r + s, (r + s)/2 and lambda r, which a batch evaluates
+lazily, once each; the same formulas serve integers, alone or in object
+arrays, float64 arrays and counts of roundings.
 Samples come as triples of numbers, each read as its exact ratio, or as an
 int64 array of (num, den) pairs, such as ``DlvpConfig.draw`` returns: integer
 numerators drawn over one denominator from the standard library's Mersenne
@@ -202,7 +202,7 @@ class CompactnessConfig:
 
 # The most samples ``DlvpConfig.draw`` returns, checked before anything is
 # drawn.  ``coagkit compactness`` on the benchmark's config with this many
-# samples peaks at about 175 MB RSS, and its ``cli.main`` takes about 0.97 s
+# samples peaks at about 174 MB RSS, and its ``cli.main`` takes about 0.73 s
 # (2-core x86 VM, median of 3 fresh processes).
 MAX_SAMPLES = 2 ** 20
 # The most segments ``DlvpConfig`` takes, checked before any alpha or beta
@@ -668,7 +668,14 @@ class _Points:
     def __init__(self, pairs, pr, qr, ps, qs, pl, ql):
         self.pairs = pairs
         self.pr, self.qr, self.ps, self.qs, self.pl, self.ql = pr, qr, ps, qs, pl, ql
-        self.pt, self.qt = pr * qs + ps * qr, qr * qs
+
+    @cached_property
+    def pt(self):
+        return self.pr * self.qs + self.ps * self.qr
+
+    @cached_property
+    def qt(self):
+        return self.qr * self.qs
 
     @cached_property
     def r(self):
@@ -696,6 +703,24 @@ class _Points:
         (fr, hr), (fs, hs) = self.r[0], self.s[0]
         return fr * hs + fs * hr, hr * hs
 
+    @cached_property
+    def slope_r(self):
+        """r Phi'(r) and Phi(r), both over qr kr hr, and that denominator."""
+        (fr, hr), (gr, kr) = self.r
+        return self.pr * gr * hr, fr * self.qr * kr, self.qr * kr * hr
+
+
+# the points of a ``_Points``
+_POINTS = ("r", "s", "t", "mid", "lam")
+
+
+def _take(point, place, rows):
+    """``point``, a ``((f, h), (g, k))`` evaluated on some of a block's
+    samples, at the block's samples ``rows`` (boolean); ``place`` gives each
+    of the block's samples its index among those evaluated."""
+    index = place[rows]
+    return tuple(tuple(a[index] for a in half) for half in point)
+
 
 # The sample checks of ``vp_check``, one formula each: from a ``_Points``,
 # the margin rhs - lhs as ``(X, Y, D)``, where the margin is (X - Y) / D, X
@@ -712,14 +737,13 @@ def _ratio_concave(v):
 
 
 def _lower(v):
-    # Phi(r) <= r Phi'(r), over qr kr hr
-    (fr, hr), (gr, kr) = v.r
-    return v.pr * gr * hr, fr * v.qr * kr, v.qr * kr * hr
+    # Phi(r) <= r Phi'(r)
+    return v.slope_r
 
 
 def _upper(v):
     # r Phi'(r) <= 2 Phi(r)
-    rd, fq, d = _lower(v)
+    rd, fq, d = v.slope_r
     return 2 * fq, rd, d
 
 
@@ -782,14 +806,17 @@ def _exact_margins(phi: VPFunction, samples: np.ndarray, records):
     sample takes the integer path when the bound leaves its sign open, when
     its interval reaches the smallest upper end (it may be the minimum), when
     its segments are not certain in float (p B_k above 2^52 at one of its
-    points p/q), or when a value is not finite.  The integer path then runs
-    each check's formula of ``_MARGINS`` alone, on object arrays of just the
-    samples that check leaves open, ``_BLOCK`` at a time in sample order:
-    b122's zero D at r or s = 0 is never divided by, and no point a check
-    does not read is evaluated in integers for it.  So the counts, the
-    violations and the minimum (``num / den``, correctly rounded; the first
-    of equal ones in sample order) are those of integer cross-multiplication,
-    in the order the checks are first met.
+    points p/q), or when a value is not finite.  The integer path takes the
+    samples some check leaves open ``_BLOCK`` at a time in sample order, as
+    object arrays.  In a block it evaluates each point of ``_POINTS`` once,
+    on the samples of just the checks that read it (the rounding count
+    records which), and runs each check's formula of ``_MARGINS`` alone on
+    the samples that check leaves open, through one ``_Points`` for each set
+    of such samples: b122's zero D at r or s = 0 is never divided by, and
+    the products of checks that leave the same samples open are shared.  So
+    the counts, the violations and the minimum (``num / den``, correctly
+    rounded; the first of equal ones in sample order) are those of integer
+    cross-multiplication, in the order the checks are first met.
     """
     nums, dens = samples[..., 0], samples[..., 1]
     if (nums < 0).any() or (dens <= 0).any():
@@ -801,8 +828,15 @@ def _exact_margins(phi: VPFunction, samples: np.ndarray, records):
     # entries are when all are at most 2^53
     ints = phi._tables()
     leaf = _Roundings(int(max(ints[0], *map(max, ints[1:]), dens.max()) > 2**53))
-    at = _Points(partial(_pairs, phi._tables(leaf)), *[_Roundings(0), leaf] * 3)
-    counts = [map(int, margin(at)) for margin in _MARGINS.values()]
+    # each formula counts its roundings on a _Points of counts, which also
+    # records the points it reads: reads[j, i] when check j reads _POINTS[i]
+    leaves = (partial(_pairs, phi._tables(leaf)), *[_Roundings(0), leaf] * 3)
+    counts, reads = [], []
+    for margin in _MARGINS.values():
+        at = _Points(*leaves)
+        counts.append(map(int, margin(at)))
+        reads.append([name in vars(at) for name in _POINTS])
+    reads = np.array(reads)
     # gamma_(a+2) bounds the error of X - Y against X + Y (a roundings in
     # X or Y, two more for the difference and the bound), and
     # gamma_(a+b+6) that of m = (X - Y) / D (b roundings in D, six more for
@@ -837,12 +871,37 @@ def _exact_margins(phi: VPFunction, samples: np.ndarray, records):
     violations = np.count_nonzero(~check & negative & rows, axis=1).tolist()
     low = [math.inf] * len(_MARGINS)
     exact_pairs = partial(_pairs, ints)
-    for j, margin in enumerate(_MARGINS.values()):
-        undecided = np.flatnonzero(check[j])
-        for start in range(0, undecided.size, _BLOCK):
-            part = undecided[start:start + _BLOCK]
-            x, y, d = margin(_Points(exact_pairs, *(a[part, i].astype(object)
-                                                    for i in range(3) for a in (nums, dens))))
+    undecided = np.flatnonzero(check.any(axis=0))
+    for start in range(0, undecided.size, _BLOCK):
+        part = undecided[start:start + _BLOCK]
+        cols = [a[part, i].astype(object) for i in range(3) for a in (nums, dens)]
+        opened = check[:, part]
+        views = {}
+
+        def view(rows):   # one _Points for each set of the block's samples
+            key = rows.tobytes()
+            if key not in views:
+                views[key] = _Points(exact_pairs, *(c[rows] for c in cols))
+            return views[key]
+
+        # each point once, on the samples of just the checks that read it
+        points = {}
+        for i, name in enumerate(_POINTS):
+            at = opened[reads[:, i]].any(axis=0)
+            if at.any():
+                points[name] = getattr(view(at), name), np.cumsum(at) - 1
+        for j, margin in enumerate(_MARGINS.values()):
+            own = opened[j]
+            if not own.any():
+                continue
+            # checks that leave the same samples open share their products;
+            # the points come from the block's, as a cached_property keeps its
+            # value in the instance's __dict__
+            v = view(own)
+            for name, read in zip(_POINTS, reads[j]):
+                if read and name not in vars(v):
+                    vars(v)[name] = _take(*points[name], own)
+            x, y, d = margin(v)
             violations[j] += int(np.count_nonzero(x < y))
             # the first of equal minima stays, as in sample order
             low[j] = min([low[j], *((x - y) / d).tolist()])

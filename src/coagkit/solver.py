@@ -127,7 +127,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .errors import DomainError, GridError, UnsupportedFamilyError
+from .errors import ConfigError, DomainError, GridError, UnsupportedFamilyError
 from .grids import MomentSeries, SizeDistribution, SizeGrid, clamp_negatives
 from .kernels import KernelSpec
 
@@ -182,8 +182,8 @@ MOMENT_ORDERS = (0.0, 0.5, 1.0, 2.0)
 # Configuration and results
 # ---------------------------------------------------------------------------
 
-# The most work, ceil(t_end / dt) steps times grid cells, of an ``rk4`` run
-# that ``cli.build_run`` accepts, so a config is refused before it starts.
+# The most work, steps times grid cells, of an ``rk4`` run that
+# ``check_fixed_work`` accepts, so a config is refused before it starts.
 # At the budget, a constant kernel from monodisperse data takes about 27 s on
 # 8 cells, 4.7 s on 64 and 0.25 s on 1024; a step costs about 160 us on one
 # cell, so that run would take about 170 s (2-core x86 VM).
@@ -225,6 +225,23 @@ class SolverConfig:
         if any(b <= a for a, b in zip(st, st[1:])):
             raise DomainError("snapshot times must be strictly increasing")
         self.snapshot_times = st
+
+
+def check_fixed_work(config: SolverConfig, cells: int) -> None:
+    """Refuse an ``rk4`` run on ``cells`` grid cells whose steps times cells
+    exceed ``MAX_FIXED_WORK``, before it starts.  ``rk4`` lands on each
+    snapshot time, so it takes at most ceil((b - a) / dt) steps from each
+    snapshot time a, or 0, to the next one, b."""
+    if config.scheme != "rk4":
+        return
+    times = config.snapshot_times
+    spans = [(b - a) / config.dt for a, b in zip((0.0, *times), times)]
+    steps = sum(spans)                          # inf past every float
+    if steps <= MAX_FIXED_WORK:
+        steps = sum(map(math.ceil, spans))
+    if steps * cells > MAX_FIXED_WORK:
+        raise ConfigError(f"solver.dt {config.dt:g} takes {steps:g} rk4 steps on {cells} "
+                          f"cells, past the budget of {MAX_FIXED_WORK} steps times cells")
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from coagkit import (KernelSpec, RadialRate, SizeGrid, SolverConfig, cli, compactness,
-                     diagnostics, grids, reference)
+                     diagnostics, grids, reference, solver)
 from coagkit.errors import ConfigError
 
 
@@ -450,8 +451,8 @@ def test_cli_import_loads_no_scipy_or_jsonschema():
     # much of the rest; only the two quadrature cross-checks of the gelation
     # functionals import scipy, and only the tests import jsonschema.  A
     # sweep with --jobs above 1 alone imports concurrent.futures, which
-    # loads logging, nothing imports numpy.random, and only config_hash
-    # imports hashlib, which loads OpenSSL
+    # loads logging, nothing imports numpy.random, and config_hash imports
+    # hashlib, which loads OpenSSL, only where the built-in _sha256 is missing
     assert _loaded("pass") == "[]"
 
 
@@ -462,6 +463,17 @@ def test_compactness_run_never_imports_numpy_random(tmp_path):
     assert _loaded(f"assert coagkit.cli.main(['compactness', {str(path)!r}, "
                    f"'--out', {str(out)!r}]) == 0") == "[]"
     assert (out / "compactness.json").exists()
+
+
+def test_simulate_run_hashes_its_config_without_hashlib(tmp_path):
+    # run.json carries the config's SHA-256 from the built-in module, so no
+    # command loads hashlib and with it OpenSSL
+    pytest.importorskip("_sha256")
+    cfg = base_config(tmp_path / "o")
+    path = write_config(tmp_path, "c.json", cfg)
+    assert _loaded(f"assert coagkit.cli.main(['simulate', {str(path)!r}]) == 0") == "[]"
+    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+    assert cli.config_hash(cfg) == hashlib.sha256(canon).hexdigest()
 
 
 def test_config_schema_is_valid():
@@ -723,13 +735,18 @@ def _demo_compactness(**dlvp):
     return edit
 
 
-def _rk4(dt, **grid):
+def _rk4(dt, n=None, snapshots=None):
+    # an rk4 run of step dt, on n cells, with that many evenly spaced snapshots
     def edit(cfg):
         # rk4 reads neither tolerance of the base config
         for key in ("rel_tol", "abs_tol"):
             del cfg["solver"][key]
         cfg["solver"].update({"scheme": "rk4", "dt": dt})
-        cfg["grid"].update(grid)
+        if n is not None:
+            cfg["grid"]["n"] = n
+        if snapshots is not None:
+            t_end = cfg["solver"]["t_end"]
+            cfg["solver"]["snapshots"] = [t_end * i / snapshots for i in range(1, snapshots + 1)]
     return edit
 
 
@@ -783,6 +800,9 @@ BAD_CONFIGS = {
     # 10^9 fixed steps on 64 cells once ran for days
     "simulate-rk4-dt-1e-9-on-64-cells":
         ("simulate", _rk4(1e-9, n=64), 2),
+    # one step to t_end, but rk4 lands on each of 1025 snapshot times
+    "simulate-rk4-dt-t-end-with-1025-snapshots-on-1024-cells":
+        ("simulate", _rk4(1.0, n=1024, snapshots=1025), 2),
     # the oracle is for one particle of size 1
     "validate-exponential-init":
         ("validate", lambda cfg: cfg.update(
@@ -948,17 +968,22 @@ REFUSED_BEFORE_THE_RUN = {
         "solver.dt 1e-13 takes 1e+13 rk4 steps on 16 cells, past the budget",
     "simulate-rk4-dt-1e-9-on-64-cells":
         "solver.dt 1e-09 takes 1e+09 rk4 steps on 64 cells, past the budget of 1048576",
+    "simulate-rk4-dt-t-end-with-1025-snapshots-on-1024-cells":
+        "solver.dt 1 takes 1025 rk4 steps on 1024 cells, past the budget",
 }
 
 
-@pytest.mark.parametrize("dt, refused", [(2.0**-14, False), (2.0**-14 * (1 - 2**-40), True)])
-def test_rk4_work_budget_is_steps_times_cells(tmp_path, dt, refused):
-    # 2^14 steps on 64 cells is the budget itself; one step more is refused
+@pytest.mark.parametrize("dt, n, snapshots, refused", [
+    (2.0**-14, 64, None, False), (2.0**-14 * (1 - 2**-40), 64, None, True),
+    (1.0, 1024, 1024, False), (1.0, 1024, 1025, True)])
+def test_rk4_work_budget_is_steps_times_cells(tmp_path, dt, n, snapshots, refused):
+    # 2^14 steps on 64 cells is the budget itself, as is one step to each of
+    # 2^10 snapshot times on 2^10 cells; one step more is refused
     cfg = base_config(tmp_path / "o")
-    _rk4(dt, n=64)(cfg)
-    assert 2**14 * 64 == cli.MAX_FIXED_WORK
+    _rk4(dt, n, snapshots)(cfg)
+    assert 2**14 * 64 == 2**10 * 2**10 == solver.MAX_FIXED_WORK
     if refused:
-        with pytest.raises(ConfigError, match="rk4 steps on 64 cells, past the budget"):
+        with pytest.raises(ConfigError, match=f"rk4 steps on {n} cells, past the budget"):
             cli.build_run(cfg)
     else:
         assert cli.build_run(cfg)[1].dt == dt

@@ -661,7 +661,9 @@ def spy_batches(monkeypatch):
 def test_more_undecided_samples_than_one_block(monkeypatch):
     # every r is below N_1 = 2, so b123_upper leaves every sample to the
     # integer path; Phi jumps by 1 at N_2, so violations sit in both full
-    # blocks of samples
+    # blocks of samples.  The integer pass blocks the samples some check
+    # leaves open, here all of them, and runs each check at most once a
+    # block, on samples of that block
     phi = VPFunction([1, 2, 5, 9], [1, 1, Fraction(1, 2)])
     phi._V[2:] += phi._L
     n, q = 2 * compactness._BLOCK + 3, 1000
@@ -671,11 +673,13 @@ def test_more_undecided_samples_than_one_block(monkeypatch):
     samples = np.stack([nums, np.full((n, 3), q)], axis=-1)
     batches = spy_batches(monkeypatch)
     got = ck.vp_check(phi, samples)
-    sizes = {name: [len(b) for b in found] for name, found in batches.items()}
-    assert sizes["b123_upper"] == [compactness._BLOCK, compactness._BLOCK, 3]
-    for found in sizes.values():      # full blocks, then the rest
-        assert all(size == compactness._BLOCK for size in found[:-1])
-        assert all(0 < size <= compactness._BLOCK for size in found)
+    assert [len(b) for b in batches["b123_upper"]] == [compactness._BLOCK, compactness._BLOCK, 3]
+    blocks = [{tuple(t) for t in samples[i:i + compactness._BLOCK].reshape(-1, 6).tolist()}
+              for i in range(0, n, compactness._BLOCK)]
+    for found in batches.values():
+        at = [next(k for k, block in enumerate(blocks)
+                   if {tuple(t) for t in b.reshape(-1, 6).tolist()} <= block) for b in found]
+        assert at == sorted(set(at)) and all(len(b) for b in found)
     assert checks_by_name(got) == per_sample_checks(phi, samples)
     for start in (0, compactness._BLOCK):
         batch = per_sample_checks(phi, samples[start:start + compactness._BLOCK])
@@ -717,6 +721,60 @@ def test_integer_pass_runs_each_check_on_the_samples_it_leaves_open(block, monke
         assert all(0 < len(b) <= block for b in batches[name])
         assert ran == sorted(set(ran))
         assert {i for i, x, y, _ in found if x == y} <= set(ran) <= zero | near, name
+
+
+# the points of ``_Points`` each check's formula reads
+READS = {"b122_ratio_concave": "r s mid", "b123_lower": "r", "b123_upper": "r",
+         "b123b_cross": "r s", "b124_scaling": "r lam", "b125_product": "r s t",
+         "b127_deriv_subadd": "r s t"}
+
+
+def _demo_case():
+    dlvp = DlvpConfig(terms=6, samples=1000)
+    phi = ck.dlvp_construct(compactness._inverse_tail(2), dlvp.alphas, dlvp.betas, terms=6)
+    return phi, dlvp.draw(phi)
+
+
+def _every_sample_open_case():
+    # slopes 2^-1100 put L past every float, so every check leaves every
+    # sample to the integer path
+    rng = random.Random(5)
+    nums = [[rng.randrange(1, 5000), rng.randrange(1, 5000), rng.randrange(1, 4000)]
+            for _ in range(300)]
+    samples = np.stack([np.array(nums), np.full((300, 3), 1000)], axis=-1)
+    return VPFunction([1, 2, 3], [Fraction(1, 2**1100)] * 2), samples
+
+
+@pytest.mark.parametrize("case", [_demo_case, _every_sample_open_case])
+@pytest.mark.parametrize("block", [16, compactness._BLOCK])
+def test_integer_pass_evaluates_each_point_once_on_its_readers(case, block, monkeypatch):
+    # In each block the integer pass evaluates each of Phi at r, s, r + s,
+    # (r + s)/2 and lambda r once, on just the samples of the checks that
+    # read it: on the demo's draw the ties of b123_upper read only r, and
+    # where every sample is open each point is evaluated once per sample.
+    phi, samples = case()
+    index = {tuple(t): i for i, t in enumerate(samples.reshape(-1, 6).tolist())}
+    assert len(index) == len(samples)
+    monkeypatch.setattr(compactness, "_BLOCK", block)
+    batches = spy_batches(monkeypatch)
+    calls, real = [], compactness._pairs
+
+    def pairs(tables, p, q):   # the rows of each integer evaluation
+        if isinstance(p, np.ndarray) and p.dtype == object:
+            calls.append(len(p))
+        return real(tables, p, q)
+
+    monkeypatch.setattr(compactness, "_pairs", pairs)
+    ck.vp_check(phi, samples)
+    ran = {name: {index[tuple(t)] for b in found for t in b.reshape(-1, 6).tolist()}
+           for name, found in batches.items()}
+    opened = set().union(*ran.values())
+    assert opened
+    readers = {point: set().union(*(ran[name] for name, read in READS.items()
+                                    if point in read.split()))
+               for point in compactness._POINTS}
+    assert sum(calls) == sum(map(len, readers.values()))
+    assert len(calls) <= len(compactness._POINTS) * -(-len(opened) // block)
 
 
 @pytest.mark.parametrize("block", [1, 2, compactness._BLOCK])
