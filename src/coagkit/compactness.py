@@ -518,6 +518,11 @@ def vp_eval(phi: VPFunction, r, order: int = 0):
 # Breakpoint selection against a tail table
 # ---------------------------------------------------------------------------
 
+# a callable tail has no table whose last key ends the doubling search for a
+# breakpoint, so the search ends past 2^62
+_SEARCH_LIMIT = 2 ** 62
+
+
 def _tail_callable(tail):
     """Normalise a tail specification to a callable with a search ceiling."""
     if callable(tail):
@@ -547,8 +552,7 @@ def _as_sequence(spec, count):
     return seq[:count]
 
 
-def dlvp_construct(tail, alphas, betas, terms: int | None = None,
-                   search_limit: int = 2 ** 62) -> VPFunction:
+def dlvp_construct(tail, alphas, betas, terms: int | None = None) -> VPFunction:
     """Build a superlinear convex function against a tail table.
 
     ``tail`` maps a threshold to (an upper bound for) the family tail
@@ -574,7 +578,7 @@ def dlvp_construct(tail, alphas, betas, terms: int | None = None,
     if any((x <= 0) for x in a) or any((x <= 0) for x in b):
         raise DomainError("alphas and betas must be positive")
     tail_fn, ceiling = _tail_callable(tail)
-    limit = min(search_limit, ceiling) if ceiling is not None else search_limit
+    limit = min(_SEARCH_LIMIT, ceiling) if ceiling is not None else _SEARCH_LIMIT
 
     breakpoints = [1]
     tail_table = {}

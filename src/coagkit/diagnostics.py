@@ -366,8 +366,11 @@ def _decade_integrals(func, lo: float = 1.0, hi: float = 1e6, pts: int = 256) ->
     return np.asarray(out)
 
 
-def comparison_ode(traj: Trajectory, rate: RadialRate,
-                   substeps: int = 200) -> ComparisonReport:
+# classical RK4 steps of the comparison ODE per snapshot interval
+_COMPARISON_SUBSTEPS = 200
+
+
+def comparison_ode(traj: Trajectory, rate: RadialRate) -> ComparisonReport:
     """Second-moment control Y' = M1(0)^2 r(Y / M1(0))^2, asserting M2 <= Y.
 
     Requires r concave and positive with a divergent integral of 1/r^2 at
@@ -393,9 +396,9 @@ def comparison_ode(traj: Trajectory, rate: RadialRate,
         return m1 * m1 * float(rate(yv / m1)) ** 2 if m1 > 0 else 0.0
 
     for k in range(1, times.size):
-        h = (times[k] - times[k - 1]) / substeps
+        h = (times[k] - times[k - 1]) / _COMPARISON_SUBSTEPS
         t_local = 0.0
-        for _ in range(substeps):
+        for _ in range(_COMPARISON_SUBSTEPS):
             k1 = f(y)
             k2 = f(y + h / 2 * k1)
             k3 = f(y + h / 2 * k2)

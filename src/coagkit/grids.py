@@ -303,19 +303,18 @@ def _apportion_cells(grid: SizeGrid, num: np.ndarray, mass: np.ndarray) -> np.nd
     return out
 
 
-def clamp_negatives(density: np.ndarray, fraction: float = NEGATIVE_CLAMP_FRACTION
-                    ) -> tuple[np.ndarray, int, float]:
+def clamp_negatives(density: np.ndarray) -> tuple[np.ndarray, int, float]:
     """Zero out round-off negatives, in place.
 
     Returns (density, overshoot_count, removed_total) where overshoot_count
-    counts entries below -fraction*max(density), i.e. beyond harmless
-    round-off; all negatives are clamped either way.
+    counts entries below -NEGATIVE_CLAMP_FRACTION*max(density), i.e. beyond
+    harmless round-off; all negatives are clamped either way.
     """
     neg = density < 0
     if not np.any(neg):
         return density, 0, 0.0
     peak = float(np.max(density, initial=0.0))
-    overshoot = int(np.count_nonzero(density < -fraction * max(peak, 1e-300)))
+    overshoot = int(np.count_nonzero(density < -NEGATIVE_CLAMP_FRACTION * max(peak, 1e-300)))
     removed = float(-np.sum(density[neg]))
     density[neg] = 0.0
     return density, overshoot, removed

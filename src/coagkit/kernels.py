@@ -93,10 +93,10 @@ class RadialRate:
         cap = n if self.cap is None else min(self.cap, n)
         return RadialRate(self.form, self.params, cap, self.table)
 
-    def is_concave_on(self, lo: float, hi: float, samples: int = 257) -> bool:
-        """Second-difference test on an evenly spaced sample of [lo, hi]; the
-        second difference measures curvature only on equal spacing."""
-        x = np.linspace(lo, hi, samples)
+    def is_concave_on(self, lo: float, hi: float) -> bool:
+        """Second-difference test on 257 evenly spaced points of [lo, hi];
+        the second difference measures curvature only on equal spacing."""
+        x = np.linspace(lo, hi, 257)
         r = np.asarray(self(x))
         second = r[:-2] - 2 * r[1:-1] + r[2:]
         scale = np.max(np.abs(r)) + 1e-300
@@ -332,13 +332,12 @@ def _omega_decays(v: list) -> bool:
     return v[-1] <= 0.01 * max(v[0], 1e-300) or v[-1] < 1e-12
 
 
-def classify(kernel: KernelSpec, domain: tuple[float, float],
-             samples: int = 64) -> list[GrowthClass]:
+def classify(kernel: KernelSpec, domain: tuple[float, float]) -> list[GrowthClass]:
     """All growth labels certifiable for ``kernel`` on ``domain``.
 
     Built-in families carry closed-form constants (global where they exist);
     tabulated kernels and the Brownian kernel are certified numerically on a
-    ``samples x samples`` log grid of the declared domain.
+    64 x 64 log grid of the declared domain.
     """
     x_min, x_max = float(domain[0]), float(domain[1])
     if not (0 < x_min < x_max):
@@ -381,7 +380,7 @@ def classify(kernel: KernelSpec, domain: tuple[float, float],
             if 0 <= p < 1:
                 labels.append(GrowthClass("sublinear_factored", {"kappa": max(s * s, 1.0)}))
     else:
-        labels.extend(_classify_sampled(kernel, x_min, x_max, samples))
+        labels.extend(_classify_sampled(kernel, x_min, x_max))
 
     if kernel.cap is not None:
         # either cap bounds K, and a bounded kernel does not gel; min(K, n)
@@ -391,10 +390,9 @@ def classify(kernel: KernelSpec, domain: tuple[float, float],
     return labels
 
 
-def _classify_sampled(kernel: KernelSpec, x_min: float, x_max: float,
-                      samples: int) -> list[GrowthClass]:
-    """Numeric certification on a dense log grid (tabulated / Brownian)."""
-    xs = np.geomspace(x_min, x_max, samples)
+def _classify_sampled(kernel: KernelSpec, x_min: float, x_max: float) -> list[GrowthClass]:
+    """Numeric certification on a 64 x 64 log grid (tabulated / Brownian)."""
+    xs = np.geomspace(x_min, x_max, 64)
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
     kk = np.asarray(kernel.eval(xx, yy))
     asym = np.max(np.abs(kk - kk.T))

@@ -38,9 +38,9 @@ distinct ``w_a f``, sums the spectral products ``C_ab W_a W_b`` and takes one
 inverse FFT for the gain; the loss and the overflow flux come from prefix and
 suffix sums.  All of it runs over the density's support s only (its last
 nonzero cell): the FFT has the power-of-two length that holds the 2s - 1
-convolution entries, and no pair overflows while 2s <= N.  Past half the
-grid only the first N - 1 entries are needed, so when that transform would
-be longer than ``2 * _BLOCK`` the support is cut into blocks of ``_BLOCK``
+convolution entries (``_fft_length``), and no pair overflows while 2s <= N.
+Past half the grid (2s > N) only the first N - 1 entries are needed, so a
+support of more than ``_BLOCK`` cells is then cut into blocks of ``_BLOCK``
 cells, each transformed at length ``2 * _BLOCK``, and the spectral products
 of the block pairs that meet in each output block are summed, inverted and
 overlap-added; the lists of those block pairs are built once per pair of
@@ -151,21 +151,22 @@ _MATRIX_LIMIT = 4096
 # Entries below the floor are zeroed.  The observed worst case is
 # 0.21 * eps * log2(2M) * s2
 # (random and exponentially decaying densities, six separable families,
-# N <= 4096).  The FFT over the support s is no longer than the full one, so
-# the floor of the full length M still bounds its error, and s2 is the same
-# because the dropped entries are zero.  A blocked sum gives each entry at
-# most two block outputs, each one inverse FFT of length 2 _BLOCK < M of
-# the summed c W_a,i W_b,j with i + j = k, and by Cauchy-Schwarz the sum of
-# ||w_a f|| ||w_b f|| over the blocks i + j = k is at most the norms' product;
-# so its error is at most twice the single transform's bound, which the
-# factor's margin over the observed case covers.  Observed at N = 2^14 with
-# s = 8193, 12000 and 16384: blocked 0.55 * eps * log2(2M) * s2 at most, the
-# single transform 0.60 on the same densities.
+# N <= 4096).  The longest transform, _fft_length(N) for s = N, is a power of
+# two below 2M, so log2(2M) bounds log2 of every transform's length and the
+# floor of the full length M still bounds each one's error; s2 over the
+# support s is the same because the dropped entries are zero.  A blocked sum
+# gives each entry at most two block outputs, each one inverse FFT of length
+# 2 _BLOCK < M of the summed c W_a,i W_b,j with i + j = k, and by
+# Cauchy-Schwarz the sum of ||w_a f|| ||w_b f|| over the blocks i + j = k is
+# at most the norms' product; so its error is at most twice the single
+# transform's bound, which the factor's margin over the observed case covers.
+# Observed at N = 2^14 with s = 8193, 12000 and 16384: blocked 0.55 * eps *
+# log2(2M) * s2 at most, the single transform 0.60 on the same densities.
 _FFT_ERR_FACTOR = 32.0
 
-# the separable convolution past half support, when its single transform
-# would be longer than 2 * _BLOCK, runs in blocks of _BLOCK cells, whose
-# transforms of length 2 * _BLOCK keep pocketfft's per-call scratch small
+# the separable convolution past half support (2s > N) of a support of more
+# than _BLOCK cells runs in blocks of _BLOCK cells, whose transforms of
+# length 2 * _BLOCK keep pocketfft's per-call scratch small
 _BLOCK = 4096
 
 # a BLAS vector-matrix product rounds the columns past the last multiple of
@@ -183,11 +184,13 @@ MOMENT_ORDERS = (0.0, 0.5, 1.0, 2.0)
 # ---------------------------------------------------------------------------
 
 # The most work, steps times grid cells, of an ``rk4`` run that
-# ``check_fixed_work`` accepts, so a config is refused before it starts.
-# At the budget, a constant kernel from monodisperse data takes about 27 s on
-# 8 cells, 4.7 s on 64 and 0.25 s on 1024; a step costs about 160 us on one
-# cell, so that run would take about 170 s (2-core x86 VM).
+# ``check_fixed_work`` accepts, so a config is refused before it starts.  A
+# step has a cost floor however few the cells, so a grid counts at least
+# FIXED_WORK_MIN_CELLS cells.  At the budget, a constant kernel from
+# monodisperse data takes about 2.1 s on 1 cell, 2.6 s on 8, 4.1 s on 64 and
+# 0.23 s on 1024 (2-core x86 VM).
 MAX_FIXED_WORK = 2 ** 20
+FIXED_WORK_MIN_CELLS = 64
 
 
 @dataclass
@@ -228,10 +231,11 @@ class SolverConfig:
 
 
 def check_fixed_work(config: SolverConfig, cells: int) -> None:
-    """Refuse an ``rk4`` run on ``cells`` grid cells whose steps times cells
-    exceed ``MAX_FIXED_WORK``, before it starts.  ``rk4`` lands on each
-    snapshot time, so it takes at most ceil((b - a) / dt) steps from each
-    snapshot time a, or 0, to the next one, b."""
+    """Refuse an ``rk4`` run on ``cells`` grid cells whose steps times
+    ``max(cells, FIXED_WORK_MIN_CELLS)`` exceed ``MAX_FIXED_WORK``, before
+    it starts.  ``rk4`` lands on each snapshot time, so it takes at most
+    ceil((b - a) / dt) steps from each snapshot time a, or 0, to the next
+    one, b."""
     if config.scheme != "rk4":
         return
     times = config.snapshot_times
@@ -239,9 +243,10 @@ def check_fixed_work(config: SolverConfig, cells: int) -> None:
     steps = sum(spans)                          # inf past every float
     if steps <= MAX_FIXED_WORK:
         steps = sum(map(math.ceil, spans))
-    if steps * cells > MAX_FIXED_WORK:
+    if steps * max(cells, FIXED_WORK_MIN_CELLS) > MAX_FIXED_WORK:
         raise ConfigError(f"solver.dt {config.dt:g} takes {steps:g} rk4 steps on {cells} "
-                          f"cells, past the budget of {MAX_FIXED_WORK} steps times cells")
+                          f"cells, past the budget of {MAX_FIXED_WORK} steps times "
+                          f"max(cells, {FIXED_WORK_MIN_CELLS})")
 
 
 @dataclass
@@ -387,11 +392,10 @@ class _SeparableOperator:
     zero.  Each evaluation reads only the support of ``f``, its first s
     cells, and writes only the gain's first ``min(2s, n)`` cells, zeroing
     those that the last call left past them, and the loss and the loss
-    factor over the prefix.  The FFT length is ``2^ceil(log2(2s - 1))``,
-    capped at ``n_fft``, the 5-smooth length for the full grid, so a run
-    makes a few plans, one per power of two; below 64 entries, or with
-    ``refine``, the convolution is a direct sum.  Past half support, when
-    that length exceeds ``2 * _BLOCK``, the convolution runs in blocks (see
+    factor over the prefix.  The FFT length is ``2^ceil(log2(2s - 1))``
+    (``_fft_length``), so a run makes a few plans, one per power of two;
+    below 64 entries, or with ``refine``, the convolution is a direct sum.
+    When 2s > n and s > ``_BLOCK``, the convolution runs in blocks (see
     ``_blocked_convolution``, whose block-pair lists are built once per
     pair of block counts).  The gel rate is exactly zero while
     2s <= n, and the conservative partner sums are the support's total for
@@ -431,20 +435,19 @@ class _SeparableOperator:
         for c, a, b in self.pairs:
             self.coef[a, b] += 0.5 * c
             self.coef[b, a] += 0.5 * c
-        m = 2 * n - 1
-        self.n_fft = _next_fast_len(m)
-        self.floor_scale = _FFT_ERR_FACTOR * np.finfo(float).eps * math.log2(2.0 * m)
+        self.floor_scale = _FFT_ERR_FACTOR * np.finfo(float).eps * math.log2(2.0 * (2 * n - 1))
         # rows of _spectra: the nv spectra, the summed spectral product and
         # one term of it, wide enough that on a grid that can block they also
         # hold, as views, the spectra of up to ``count`` blocks and their
         # summed products, whose inverse FFTs go to _block_outputs; rows of
         # _sums: two blocks of nv rows, the prefix or suffix sums and their
         # products; _mask serves the support and the FFT floor
-        count = -(-n // _BLOCK) if self._fft_length(n) > 2 * _BLOCK else 0
-        self._wf = np.zeros((nv, self.n_fft))
-        self._spectra = np.empty((nv + 2, max(self.n_fft // 2 + 1, count * (_BLOCK + 1))),
+        count = -(-n // _BLOCK) if n > _BLOCK else 0
+        length = _fft_length(n)
+        self._wf = np.zeros((nv, length))
+        self._spectra = np.empty((nv + 2, max(length // 2 + 1, count * (_BLOCK + 1))),
                                  dtype=complex)
-        self._conv = np.empty(self.n_fft)
+        self._conv = np.empty(length)
         self._block_outputs = np.empty((count, 2 * _BLOCK)) if count else None
         self._pair_lists = {}
         self._mask = np.empty(n, dtype=bool)
@@ -453,11 +456,6 @@ class _SeparableOperator:
         self._loss_factor = np.zeros(n)
         self._loss = np.zeros(n)
         self._sums = np.empty((2 * nv, n))
-
-    def _fft_length(self, s: int) -> int:
-        """The single transform's length for support s: the power of two
-        that holds the 2s - 1 entries, capped at ``n_fft``."""
-        return min(self.n_fft, 1 << (2 * s - 2).bit_length())
 
     def split(self, f: np.ndarray, refine: bool = False) -> RateSplit:
         """``gain_i = 0.5 * sum_{j+k=i} K(j,k) f_j f_k`` counts only products
@@ -533,19 +531,19 @@ class _SeparableOperator:
         convolution, non-negative) by FFT, exact up to the round-off floor
         (``_FFT_ERR_FACTOR``), over the support s of the rows in ``_wf``,
         for size <= 2s - 1.  The FFT length is the power of two that holds
-        all 2s - 1 entries, capped at ``n_fft``, so few FFT plans are made.
-        Past half support, when that length exceeds ``2 * _BLOCK``, the
-        entries come from ``_blocked_convolution``.
+        all 2s - 1 entries (``_fft_length``), so few FFT plans are made.
+        When 2s > n and s > ``_BLOCK``, the entries come from
+        ``_blocked_convolution``.
 
         Entries below the floor are indistinguishable from zero and are
         zeroed outright: leaving the (sign-biased) noise in place seeds
         spurious tail growth in the solver.  The result is a view of
         ``_conv``."""
         wf = self._wf[:, :s]
-        length = self._fft_length(s)
-        if 2 * s > self.n and self._block_outputs is not None and length > 2 * _BLOCK:
+        if 2 * s > self.n and s > _BLOCK:
             conv = self._blocked_convolution(s, size)
         else:
+            length = _fft_length(s)
             self._wf[:, s:length] = 0.0
             nv, half = wf.shape[0], length // 2 + 1
             spectra = rfft(self._wf[:, :length], axis=1, out=self._spectra[:nv, :half])
@@ -624,18 +622,9 @@ def _spectral_product(c: float, x: np.ndarray, y: np.ndarray, out: np.ndarray) -
     return out
 
 
-def _next_fast_len(m: int) -> int:
-    """The smallest 5-smooth integer ``2^a 3^b 5^c >= m``, a fast FFT
-    length for any m >= 1."""
-    best = 1 << (m - 1).bit_length()
-    odd5 = 1
-    while odd5 < best:
-        odd = odd5
-        while odd < best:
-            best = min(best, odd << (-(-m // odd) - 1).bit_length())
-            odd *= 3
-        odd5 *= 5
-    return best
+def _fft_length(s: int) -> int:
+    """The power of two that holds the 2s - 1 entries of support s."""
+    return 1 << (2 * s - 2).bit_length()
 
 
 def _aligned(count: int, end: int) -> int:

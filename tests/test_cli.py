@@ -803,6 +803,10 @@ BAD_CONFIGS = {
     # one step to t_end, but rk4 lands on each of 1025 snapshot times
     "simulate-rk4-dt-t-end-with-1025-snapshots-on-1024-cells":
         ("simulate", _rk4(1.0, n=1024, snapshots=1025), 2),
+    # 2^15 fixed steps on one cell: within steps times cells, but a step costs
+    # about as much on one cell as on 64, so it once ran for seconds
+    "simulate-rk4-dt-2-15-on-one-cell":
+        ("simulate", _rk4(2.0**-15, n=1), 2),
     # the oracle is for one particle of size 1
     "validate-exponential-init":
         ("validate", lambda cfg: cfg.update(
@@ -970,18 +974,24 @@ REFUSED_BEFORE_THE_RUN = {
         "solver.dt 1e-09 takes 1e+09 rk4 steps on 64 cells, past the budget of 1048576",
     "simulate-rk4-dt-t-end-with-1025-snapshots-on-1024-cells":
         "solver.dt 1 takes 1025 rk4 steps on 1024 cells, past the budget",
+    "simulate-rk4-dt-2-15-on-one-cell":
+        "solver.dt 3.05176e-05 takes 32768 rk4 steps on 1 cells, past the budget of 1048576 "
+        "steps times max(cells, 64)",
 }
 
 
 @pytest.mark.parametrize("dt, n, snapshots, refused", [
     (2.0**-14, 64, None, False), (2.0**-14 * (1 - 2**-40), 64, None, True),
+    (2.0**-14, 1, None, False), (2.0**-14 * (1 - 2**-40), 8, None, True),
     (1.0, 1024, 1024, False), (1.0, 1024, 1025, True)])
 def test_rk4_work_budget_is_steps_times_cells(tmp_path, dt, n, snapshots, refused):
     # 2^14 steps on 64 cells is the budget itself, as is one step to each of
-    # 2^10 snapshot times on 2^10 cells; one step more is refused
+    # 2^10 snapshot times on 2^10 cells; one step more is refused.  A grid
+    # of fewer than 64 cells counts as 64
     cfg = base_config(tmp_path / "o")
     _rk4(dt, n, snapshots)(cfg)
     assert 2**14 * 64 == 2**10 * 2**10 == solver.MAX_FIXED_WORK
+    assert solver.FIXED_WORK_MIN_CELLS == 64
     if refused:
         with pytest.raises(ConfigError, match=f"rk4 steps on {n} cells, past the budget"):
             cli.build_run(cfg)

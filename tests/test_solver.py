@@ -12,8 +12,8 @@ import coagkit as ck
 from coagkit import solver
 from coagkit.errors import DomainError, GridError
 from coagkit.grids import clamp_negatives
-from coagkit.solver import (_SCHEMES, _dense_weights, _next_fast_len, _PairRows, _rate_operator,
-                           _Rhs, _SeparableOperator, _StepLog, _steps, resolve_kernel)
+from coagkit.solver import (_SCHEMES, _dense_weights, _PairRows, _rate_operator, _Rhs,
+                           _SeparableOperator, _StepLog, _steps, resolve_kernel)
 
 
 def brute_force_rates(dist, kernel, boundary):
@@ -169,11 +169,39 @@ SEPARABLE_FAMILIES = [ck.KernelSpec.constant(2.0), ck.KernelSpec.additive(),
                       ck.KernelSpec.brownian()]
 
 
-def test_next_fast_len_matches_scipy():
-    # scipy is the independent oracle here only; the solver does not import it
-    from scipy.fft import next_fast_len
-    assert [_next_fast_len(m) for m in range(1, 20000)] \
-        == [next_fast_len(m, real=True) for m in range(1, 20000)]
+def _recording(fft, lengths, inverse):
+    # the transform, with the length of each call appended to ``lengths``
+    def wrapped(a, n=None, axis=-1, **kwargs):
+        m = a.shape[axis]
+        lengths.append(n if n is not None else 2 * (m - 1) if inverse else m)
+        return fft(a, n, axis, **kwargs)
+    return wrapped
+
+
+@pytest.mark.parametrize("boundary", ["conservative", "absorbing"])
+@pytest.mark.parametrize("kernel", SEPARABLE_FAMILIES)
+def test_every_transform_has_a_power_of_two_length(kernel, boundary, monkeypatch):
+    # grids that are not powers of two, past half support and at full
+    # support too: each transform is the smallest power of two that holds
+    # the 2s - 1 entries, and the gain is the direct sum's up to the floor
+    lengths = []
+    monkeypatch.setattr(solver, "rfft", _recording(solver.rfft, lengths, False))
+    monkeypatch.setattr(solver, "irfft", _recording(solver.irfft, lengths, True))
+    for n in (1000, 3000):
+        op = _SeparableOperator(ck.SizeGrid.discrete(n), kernel, boundary)
+        for s in (33, n // 2, n // 2 + 1, n):
+            f = _zero_tail(n, s, 73).density
+            lengths.clear()
+            gain = op.split(f).gain
+            assert len(lengths) == 2
+            for length in lengths:
+                assert length & (length - 1) == 0 and 2 * s - 1 <= length < 2 * (2 * s - 1), \
+                    (n, s, length)
+            top = min(2 * s, n)
+            want = 0.5 * op._direct(op.w[:, :s] * f[:s], top - 1)
+            assert not gain[0] and not gain[top:].any()
+            np.testing.assert_allclose(gain[1:top], want, rtol=1e-12,
+                                       atol=1e-12 * float(np.max(want)))
 
 
 @pytest.mark.parametrize("boundary", ["conservative", "absorbing"])
